@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import problemfile
 from .betti import check_perfect, morse_assemble, poincare_H, poincare_uhat
-from .cohring import annihilator_dims, graded_dims, invariant_basis, quotient_presentation_betti
+from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
 from .exactnum import TruncSeries
 from .groupdata import euler_class_nonreductive
 from .localize import (
@@ -25,7 +25,7 @@ from .localize import (
     integrate_uhat,
     torus_pairing_fn,
 )
-from .momentdiag import LinearActionSample, fixed_point_weight_residual, moment_derivative_check
+from .momentdiag import fixed_point_weight_residual, moment_derivative_check
 from .problemfile import ProblemFileError
 from .residue import ResidueProblem, jk_residue
 
@@ -168,8 +168,7 @@ def run(problem, sign_flip=False):
         return result
     if mode == "ring":
         weyl = (problem.group.weyl_generators, problem.group.weyl_order)
-        series = quotient_presentation_betti(problem.ring, weyl, problem.group)
-        inv = invariant_basis(problem.ring, weyl)
+        series, inv = _quotient_betti_with_invariants(problem.ring, weyl, problem.group)
         euler = euler_class_nonreductive(problem.group)
         tables = {
             "graded_dims": list(graded_dims(problem.ring)),
@@ -205,13 +204,9 @@ def _moment_diagnostics(problem, stream):
         print("moment diagnostics: no matrix data in the problem file", file=stream)
         return True
     ok = True
-    for i, item in enumerate(checks):
-        point = [complex(re, im) for re, im in item["point"]]
-        matrix = [[complex(re, im) for re, im in row] for row in item["matrix"]]
-        shift = complex(Fraction(str(item.get("shift", 0))))
-        sample = LinearActionSample(tuple(point), tuple(map(tuple, matrix)), shift)
-        if "weight" in item:
-            residual = fixed_point_weight_residual(sample, item["weight"])
+    for i, check in enumerate(checks):
+        if check.weight is not None:
+            residual = fixed_point_weight_residual(check.sample, check.weight)
             good = residual < 1e-8
             ok = ok and good
             print(
@@ -219,9 +214,8 @@ def _moment_diagnostics(problem, stream):
                 % (i, residual, "ok" if good else "MISMATCH"),
                 file=stream,
             )
-        if "tangent" in item:
-            tangent = [complex(re, im) for re, im in item["tangent"]]
-            residual = moment_derivative_check(sample, tangent)
+        if check.tangent is not None:
+            residual = moment_derivative_check(check.sample, check.tangent)
             good = residual < 1e-6
             ok = ok and good
             print(
@@ -330,7 +324,11 @@ def main(argv=None):
 
     ok = True
     if args.check_moment:
-        ok = _moment_diagnostics(problem, sys.stderr) and ok
+        try:
+            ok = _moment_diagnostics(problem, sys.stderr) and ok
+        except ValueError as exc:
+            print("moment check error: %s" % exc, file=sys.stderr)
+            ok = False
     if args.check_invariants:
         try:
             ok = _invariant_checks(problem, result, sys.stderr) and ok

@@ -339,6 +339,12 @@ def quotient_presentation_betti(ringp, weyl, group):
     class restricted to the invariant subspace, and it contributes in
     cohomological degree ``2k``.
     """
+    return _quotient_betti_with_invariants(ringp, weyl, group)[0]
+
+
+def _quotient_betti_with_invariants(ringp, weyl, group):
+    """:func:`quotient_presentation_betti` and the invariant basis it used,
+    for callers that also report the invariant dimensions."""
     e = euler_class_nonreductive(group)
     if ringp.form != "polynomial":
         raise TypeError("quotient Betti data requires the polynomial-quotient form")
@@ -363,4 +369,4 @@ def quotient_presentation_betti(ringp, weyl, group):
         r = _linalg.rank(images)
         if r:
             coeffs[2 * d] = r
-    return TruncSeries.from_dict(coeffs, bound)
+    return TruncSeries.from_dict(coeffs, bound), inv

@@ -5,11 +5,14 @@ they sanity-check the weight data a user feeds the exact pipeline (does the
 declared circle weight at a fixed point match the numerically evaluated
 moment value? does the analytic derivative formula agree with a finite
 difference?), and they never flow back into a symbolic computation.
+
+numpy is imported inside the functions that do float work, not at module
+level, so importing ``nrquot`` and running the exact pipeline never loads
+it; only a diagnostic call does.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "LinearActionSample",
@@ -18,7 +21,7 @@ __all__ = [
     "fixed_point_weight_residual",
 ]
 
-TWO_PI_I = 2j * np.pi
+TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,8 @@ class LinearActionSample:
     shift: complex = 0.0
 
     def arrays(self):
+        import numpy as np
+
         x = np.asarray(self.point, dtype=complex)
         rho = np.asarray(self.lie_element, dtype=complex)
         if x.ndim != 1 or not x.any():
@@ -45,6 +50,8 @@ class LinearActionSample:
 
 
 def _raw_moment(x, rho):
+    import numpy as np
+
     return (x.conj() @ rho @ x) / (TWO_PI_I * float(np.vdot(x, x).real))
 
 
@@ -68,6 +75,8 @@ def moment_derivative_check(sample, tangent, step=1e-5):
     ``conj(x)^T rho tangent + conj(tangent)^T rho x``.  Returns the absolute
     residual, which scales quadratically in the step.
     """
+    import numpy as np
+
     x, rho = sample.arrays()
     xi = np.asarray(tangent, dtype=complex)
     if xi.shape != x.shape:

@@ -9,6 +9,8 @@ offending field.
 """
 
 import json
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .betti import QuotientDims, StratumDatum
@@ -16,6 +18,7 @@ from .exactnum import TruncSeries
 from .cohring import GradedRingPresentation
 from .groupdata import ConeChoice, GroupData
 from .localize import FixedPointComponent, PairingProblem
+from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly, RationalFn
 
 __all__ = ["ProblemFileError", "ProblemFile", "load", "parse"]
@@ -67,6 +70,44 @@ def _int(value, path, minimum=None):
     if minimum is not None and value < minimum:
         raise ProblemFileError(path, "must be at least %d" % minimum)
     return value
+
+
+def _float(value, path):
+    """A JSON number or a rational string, as a finite float."""
+    if isinstance(value, float):
+        _expect(math.isfinite(value), path, "expected a finite number")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ProblemFileError(path, "expected a number or 'p/q' string")
+    try:
+        return float(_rational(value, path))
+    except OverflowError:
+        raise ProblemFileError(path, "number out of floating-point range") from None
+
+
+def _complex_vector(value, length, path):
+    """A nonempty array of ``[re, im]`` number pairs, as a tuple of complex."""
+    _expect(
+        isinstance(value, list) and value, path, "expected a nonempty array of [re, im] pairs"
+    )
+    if length is not None:
+        _expect(
+            len(value) == length,
+            path,
+            "expected length %d, got %d" % (length, len(value)),
+        )
+    out = []
+    for i, pair in enumerate(value):
+        ppath = "%s[%d]" % (path, i)
+        _expect(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and not any(isinstance(x, str) for x in pair),
+            ppath,
+            "expected an [re, im] pair of numbers",
+        )
+        out.append(complex(*(_float(x, "%s[%d]" % (ppath, j)) for j, x in enumerate(pair))))
+    return tuple(out)
 
 
 def _vector(value, length, path):
@@ -231,6 +272,41 @@ def _ring(value, path):
         raise ProblemFileError(path, str(exc)) from None
 
 
+@dataclass(frozen=True)
+class MomentCheck:
+    """One ``moment_checks`` item: the sample, and the declared weight and
+    tangent vector to check it against, each ``None`` when absent."""
+
+    sample: LinearActionSample
+    weight: float
+    tangent: tuple
+
+
+def _moment_check(item, path):
+    _expect(isinstance(item, dict), path, "expected an object")
+    _expect("point" in item, path + ".point", "missing")
+    _expect("matrix" in item, path + ".matrix", "missing")
+    point = _complex_vector(item["point"], None, path + ".point")
+    _expect(any(point), path + ".point", "must be a nonzero vector")
+    n = len(point)
+    matrix = item["matrix"]
+    _expect(
+        isinstance(matrix, list) and len(matrix) == n,
+        path + ".matrix",
+        "expected a square matrix with %d rows, one per point coordinate" % n,
+    )
+    matrix = tuple(
+        _complex_vector(row, n, "%s.matrix[%d]" % (path, i)) for i, row in enumerate(matrix)
+    )
+    shift = complex(_float(item.get("shift", 0), path + ".shift"))
+    weight = tangent = None
+    if "weight" in item:
+        weight = _float(item["weight"], path + ".weight")
+    if "tangent" in item:
+        tangent = _complex_vector(item["tangent"], n, path + ".tangent")
+    return MomentCheck(LinearActionSample(point, matrix, shift), weight, tangent)
+
+
 class ProblemFile:
     """A parsed problem: mode, typed sections, and rendering options."""
 
@@ -372,10 +448,10 @@ class ProblemFile:
         if "moment_checks" in doc:
             checks = doc["moment_checks"]
             _expect(isinstance(checks, list), "$.moment_checks", "expected an array")
-            for i, item in enumerate(checks):
-                ipath = "$.moment_checks[%d]" % i
-                _expect(isinstance(item, dict), ipath, "expected an object")
-                self.moment_checks.append(item)
+            self.moment_checks = [
+                _moment_check(item, "$.moment_checks[%d]" % i)
+                for i, item in enumerate(checks)
+            ]
 
     def pairing_problem(self):
         return PairingProblem(

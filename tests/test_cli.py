@@ -3,9 +3,118 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
+
+# One small problem for each mode that problems/ has no sample of.
+MODE_DOCS = {
+    "grassmannian": {
+        "mode": "grassmannian",
+        "k": 2,
+        "n": 4,
+        "phi": [
+            {"coeff": "1", "exp": [4, 0]},
+            {"coeff": "4", "exp": [3, 1]},
+            {"coeff": "6", "exp": [2, 2]},
+            {"coeff": "4", "exp": [1, 3]},
+            {"coeff": "1", "exp": [0, 4]},
+        ],
+    },
+    "pair_uhat": {
+        "mode": "pair_uhat",
+        "group": {"rank": 1, "grading": ["1"]},
+        "fixed_points": [
+            {
+                "name": "min",
+                "normal_weights": [[["1"], 1]],
+                "lambda_weight": "0",
+                "is_min": True,
+            },
+            {
+                "name": "max",
+                "normal_weights": [[["-1"], 1]],
+                "lambda_weight": "1",
+                "is_min": False,
+            },
+        ],
+        "class": [{"coeff": "1", "exp": [0]}],
+    },
+    "pair_nonreductive": {
+        "mode": "pair_nonreductive",
+        "group": {"rank": 1, "unipotent_weights": [["2"]], "grading": ["1"]},
+        "fixed_points": [
+            {
+                "name": "--",
+                "normal_weights": [[["2"], 1], [["2"], 1]],
+                "lambda_weight": "-2",
+                "is_min": True,
+            }
+        ],
+        "class": [{"coeff": "1", "exp": [0]}],
+        "options": {"normalization": "2"},
+    },
+    "betti_H": {
+        "mode": "betti_H",
+        "dims": {"dim_x": 6, "dim_u": 3, "dim_zmin": 1},
+        "zmin_series": [1],
+        "options": {"truncation_bound": 12},
+    },
+    "morse": {
+        "mode": "morse",
+        "strata": [
+            {"codim": 0, "series": [1, 0, 1]},
+            {"codim": 2, "series": [1]},
+        ],
+        "total_series": [1, 0, 1, 0, 1],
+        "options": {"truncation_bound": 4},
+    },
+    "ring": {
+        "mode": "ring",
+        "group": {
+            "rank": 2,
+            "positive_roots": [["1", "-1"]],
+            "weyl_generators": [[1, 0]],
+            "weyl_order": 2,
+        },
+        "ring": {
+            "nvars": 2,
+            "relations": [
+                [{"coeff": "1", "exp": [3, 0]}],
+                [{"coeff": "1", "exp": [0, 3]}],
+            ],
+            "top_degree": 4,
+        },
+    },
+    "residue": {
+        "mode": "residue",
+        "rank": 1,
+        "integrand": {
+            "numerator": [{"coeff": "1", "exp": [2]}],
+            "denominator": [[["1"], 3]],
+        },
+    },
+}
+
+
+MOMENT_CHECK = {
+    "point": [[1.0, 0.0], [0.0, 0.0]],
+    "matrix": [
+        [[0.0, 6.283185307179586], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, -6.283185307179586]],
+    ],
+    "weight": 1,
+}
+
+
+def moment_problem(**fields):
+    """The flag sample with one moment check; a field given as None is removed."""
+    doc = json.loads((PROBLEMS / "flag_pairing.json").read_text())
+    check = dict(MOMENT_CHECK, **fields)
+    doc["moment_checks"] = [{k: v for k, v in check.items() if v is not None}]
+    return doc
 
 
 def run_cli(*args):
@@ -42,18 +151,7 @@ def test_sample_flag_pairing():
 
 
 def test_grassmannian_quick_mode(tmp_path):
-    doc = {
-        "mode": "grassmannian",
-        "k": 2,
-        "n": 4,
-        "phi": [
-            {"coeff": "1", "exp": [4, 0]},
-            {"coeff": "4", "exp": [3, 1]},
-            {"coeff": "6", "exp": [2, 2]},
-            {"coeff": "4", "exp": [1, 3]},
-            {"coeff": "1", "exp": [0, 4]},
-        ],
-    }
+    doc = MODE_DOCS["grassmannian"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout.strip() == "2"
 
@@ -105,44 +203,13 @@ def test_unknown_mode_rejected(tmp_path):
 
 
 def test_pair_uhat_mode(tmp_path):
-    doc = {
-        "mode": "pair_uhat",
-        "group": {"rank": 1, "grading": ["1"]},
-        "fixed_points": [
-            {
-                "name": "min",
-                "normal_weights": [[["1"], 1]],
-                "lambda_weight": "0",
-                "is_min": True,
-            },
-            {
-                "name": "max",
-                "normal_weights": [[["-1"], 1]],
-                "lambda_weight": "1",
-                "is_min": False,
-            },
-        ],
-        "class": [{"coeff": "1", "exp": [0]}],
-    }
+    doc = MODE_DOCS["pair_uhat"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout.strip() == "1"
 
 
 def test_pair_nonreductive_mode_with_normalization(tmp_path):
-    doc = {
-        "mode": "pair_nonreductive",
-        "group": {"rank": 1, "unipotent_weights": [["2"]], "grading": ["1"]},
-        "fixed_points": [
-            {
-                "name": "--",
-                "normal_weights": [[["2"], 1], [["2"], 1]],
-                "lambda_weight": "-2",
-                "is_min": True,
-            }
-        ],
-        "class": [{"coeff": "1", "exp": [0]}],
-        "options": {"normalization": "2"},
-    }
+    doc = MODE_DOCS["pair_nonreductive"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout.strip() == "1"
 
@@ -155,12 +222,7 @@ def test_pair_abelianized_mode(tmp_path):
 
 
 def test_betti_H_mode(tmp_path):
-    doc = {
-        "mode": "betti_H",
-        "dims": {"dim_x": 6, "dim_u": 3, "dim_zmin": 1},
-        "zmin_series": [1],
-        "options": {"truncation_bound": 12},
-    }
+    doc = MODE_DOCS["betti_H"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout.strip() == "1 + t^2"
 
@@ -177,15 +239,7 @@ def test_truncate_flag_overrides_bound(tmp_path):
 
 
 def test_morse_mode_with_perfection_check(tmp_path):
-    doc = {
-        "mode": "morse",
-        "strata": [
-            {"codim": 0, "series": [1, 0, 1]},
-            {"codim": 2, "series": [1]},
-        ],
-        "total_series": [1, 0, 1, 0, 1],
-        "options": {"truncation_bound": 4},
-    }
+    doc = MODE_DOCS["morse"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "1 + t^2 + t^4"
@@ -193,23 +247,7 @@ def test_morse_mode_with_perfection_check(tmp_path):
 
 
 def test_ring_mode_tables(tmp_path):
-    doc = {
-        "mode": "ring",
-        "group": {
-            "rank": 2,
-            "positive_roots": [["1", "-1"]],
-            "weyl_generators": [[1, 0]],
-            "weyl_order": 2,
-        },
-        "ring": {
-            "nvars": 2,
-            "relations": [
-                [{"coeff": "1", "exp": [3, 0]}],
-                [{"coeff": "1", "exp": [0, 3]}],
-            ],
-            "top_degree": 4,
-        },
-    }
+    doc = MODE_DOCS["ring"]
     out = run_cli(write_problem(tmp_path, doc), "--format", "json")
     parsed = json.loads(out.stdout)
     assert parsed["coeffs"][:5] == [1, 0, 1, 0, 1]
@@ -220,14 +258,7 @@ def test_ring_mode_tables(tmp_path):
 
 
 def test_residue_mode_and_sign_flip(tmp_path):
-    doc = {
-        "mode": "residue",
-        "rank": 1,
-        "integrand": {
-            "numerator": [{"coeff": "1", "exp": [2]}],
-            "denominator": [[["1"], 3]],
-        },
-    }
+    doc = MODE_DOCS["residue"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.stdout.strip() == "1"
     flipped = run_cli(write_problem(tmp_path, doc), "--sign-flip")
@@ -241,18 +272,7 @@ def test_check_invariants_flag():
 
 
 def test_check_moment_flag(tmp_path):
-    doc = json.loads((PROBLEMS / "flag_pairing.json").read_text())
-    doc["moment_checks"] = [
-        {
-            "point": [[1.0, 0.0], [0.0, 0.0]],
-            "matrix": [
-                [[0.0, 6.283185307179586], [0.0, 0.0]],
-                [[0.0, 0.0], [0.0, -6.283185307179586]],
-            ],
-            "weight": 1,
-        }
-    ]
-    out = run_cli(write_problem(tmp_path, doc), "--check-moment")
+    out = run_cli(write_problem(tmp_path, moment_problem()), "--check-moment")
     assert out.returncode == 0
     assert "weight residual" in out.stderr and "ok" in out.stderr
 
@@ -281,3 +301,93 @@ def test_python_m_nrquot_entry_point():
         capture_output=True, text=True, cwd=REPO,
     )
     assert out.returncode == 0 and out.stdout.strip() == "-1"
+
+
+# Runs nrquot.cli.main in one fresh interpreter on each argument list given as
+# JSON in argv[1]; the last stdout line reports whether numpy was loaded after
+# the imports and after each call, with each call's exit code.
+NUMPY_PROBE = """
+import json, sys
+import nrquot, nrquot.cli
+report = {"import": "numpy" in sys.modules, "calls": []}
+for args in json.loads(sys.argv[1]):
+    code = nrquot.cli.main(args)
+    report["calls"].append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def probe_numpy(*calls):
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1]), out.stderr
+
+
+def test_exact_modes_never_load_numpy(tmp_path):
+    paths = sorted(str(p) for p in PROBLEMS.glob("*.json"))
+    abelianized = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    abelianized["mode"] = "pair_abelianized"
+    docs = dict(MODE_DOCS, pair_abelianized=abelianized)
+    paths += [write_problem(tmp_path, doc, mode + ".json") for mode, doc in docs.items()]
+    report, _ = probe_numpy(*([p, "--format", "json"] for p in paths))
+    assert report == {"import": False, "calls": [[0, False]] * len(paths)}
+
+
+def test_check_moment_loads_numpy(tmp_path):
+    path = write_problem(tmp_path, moment_problem())
+    report, stderr = probe_numpy([path, "--check-moment"])
+    assert report == {"import": False, "calls": [[0, True]]}
+    assert stderr == "moment check 0: weight residual 0.000e+00 ok\n"
+
+
+def test_moment_weight_and_shift_accept_rationals(tmp_path):
+    doc = moment_problem(weight="3/2", shift="1/2", tangent=[[0, 0], [1, 0]])
+    out = run_cli(write_problem(tmp_path, doc), "--check-moment")
+    assert out.returncode == 0
+    assert out.stderr.splitlines() == [
+        "moment check 0: weight residual 0.000e+00 ok",
+        "moment check 0: derivative residual 0.000e+00 ok",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"point": None}, "$.moment_checks[0].point"),
+        ({"point": []}, "$.moment_checks[0].point"),
+        ({"point": [[1.0, 0.0]]}, "$.moment_checks[0].matrix"),
+        ({"point": [[0, 0], [0.0, 0.0]]}, "$.moment_checks[0].point"),
+        ({"point": [[1.0], [0.0, 0.0]]}, "$.moment_checks[0].point[0]"),
+        ({"point": [["1", 0], [0, 0]]}, "$.moment_checks[0].point[0]"),
+        ({"point": [[1, True], [0, 0]]}, "$.moment_checks[0].point[0][1]"),
+        ({"point": [[10 ** 400, 0], [0, 0]]}, "$.moment_checks[0].point[0][0]"),
+        ({"matrix": None}, "$.moment_checks[0].matrix"),
+        ({"matrix": [[[0, 1], [0, 0]], [[0, 0]]]}, "$.moment_checks[0].matrix[1]"),
+        ({"tangent": [[0, 1]]}, "$.moment_checks[0].tangent"),
+        ({"weight": "one"}, "$.moment_checks[0].weight"),
+        ({"weight": [1, 0]}, "$.moment_checks[0].weight"),
+        ({"shift": {"re": 0}}, "$.moment_checks[0].shift"),
+    ],
+    ids=[
+        "no-point", "empty-point", "matrix-side", "zero-point", "short-pair",
+        "string-part", "boolean-part", "huge-part", "no-matrix", "ragged-matrix",
+        "tangent-length", "weight-text", "weight-array", "shift-object",
+    ],
+)
+def test_malformed_moment_check_is_validation_error(tmp_path, fields, path):
+    out = run_cli(write_problem(tmp_path, moment_problem(**fields)), "--check-moment")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: %s: " % path)
+    assert out.stderr.count("\n") == 1
+
+
+def test_nonorthogonal_tangent_is_a_computation_error(tmp_path):
+    doc = moment_problem(tangent=[[1, 0], [0, 0]])
+    out = run_cli(write_problem(tmp_path, doc), "--check-moment")
+    assert out.returncode == 2
+    assert out.stderr.splitlines()[-1] == (
+        "moment check error: tangent is not orthogonal to the point"
+    )
