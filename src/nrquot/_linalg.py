@@ -1,8 +1,11 @@
-"""Small exact linear algebra over Fraction: rref, rank, kernel, det, inverse.
+"""Exact linear algebra over Fraction: rref, rank, kernel, det, inverse.
 
-Matrices are lists of row tuples/lists of Fractions.  Sizes here are tiny
-(torus ranks and per-degree basis sizes), so plain Gauss-Jordan with exact
-pivoting is all we need.
+Matrices are lists of row tuples/lists of Fractions.  Torus-rank matrices
+are tiny, but the per-degree matrices of a ring presentation are not: the
+relation multiples of Q[z0,z1,z2]/(z_i^6) reach 165 rows by 136 columns in
+one degree, and almost every cell is zero.  Gauss-Jordan elimination here
+therefore touches only nonzero entries, and the incremental independence
+test keeps its echelon rows as sparse ``(column, value)`` pairs.
 """
 
 from fractions import Fraction
@@ -32,12 +35,13 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
 def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Only the nonzero entries of a pivot row are normalised and subtracted,
+    so a cell outside every pivot row's support keeps the input's object:
+    the zero cells of a sparse matrix are not rebuilt as fresh Fractions.
+    """
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -53,12 +57,19 @@ def rref(rows):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
+        prow = m[row]
+        pv = prow[col]
+        # Left of ``col`` the pivot row is zero: earlier pivot columns were
+        # cleared and the other columns had no pivot in the remaining rows.
+        support = [j for j in range(col, ncols) if prow[j] != 0]
+        for j in support:
+            prow[j] /= pv
         for r in range(len(m)):
             if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+                target = m[r]
+                factor = target[col]
+                for j in support:
+                    target[j] -= factor * prow[j]
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -121,15 +132,31 @@ def kernel_basis(rows, ncols):
 
 
 def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, scanning in order."""
+    """Indices of a maximal linearly independent subset, scanning in order.
+
+    Each kept vector is stored as an echelon row: its pivot column and its
+    nonzero ``(column, value)`` pairs, scaled so the pivot entry is 1.  Every
+    stored row is zero in the pivot columns of the rows stored before it, so
+    one pass in storage order reduces a new vector; it is kept when a
+    nonzero entry survives.
+    """
     picked = []
-    rows = []
-    current_rank = 0
+    echelon = []
     for i, v in enumerate(vectors):
-        candidate = rows + [list(v)]
-        r = rank(candidate)
-        if r > current_rank:
+        w = {j: x for j, x in enumerate(v) if x != 0}
+        for pivot, pairs in echelon:
+            factor = w.get(pivot)
+            if factor is None:
+                continue
+            for j, y in pairs:
+                x = w.get(j, 0) - factor * y
+                if x:
+                    w[j] = x
+                else:
+                    del w[j]
+        if w:
+            pivot = min(w)
+            pv = w[pivot]
+            echelon.append((pivot, [(j, x / pv) for j, x in sorted(w.items())]))
             picked.append(i)
-            rows = candidate
-            current_rank = r
     return picked

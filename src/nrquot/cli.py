@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import problemfile
 from .betti import check_perfect, morse_assemble, poincare_H, poincare_uhat
 from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
-from .exactnum import TruncSeries
 from .groupdata import euler_class_nonreductive
 from .localize import (
     flag_pairing,
@@ -113,10 +112,11 @@ def reemit(text):
     if doc.get("kind") == "rational":
         result = {"kind": "rational", "mode": doc.get("mode"), "value": Fraction(doc["value"])}
     elif doc.get("kind") == "series":
+        bound = problemfile._int(doc.get("bound"), "$.bound", minimum=0)
         result = {
             "kind": "series",
             "mode": doc.get("mode"),
-            "value": TruncSeries(doc["coeffs"], doc["bound"]),
+            "value": problemfile._series(doc.get("coeffs"), bound, "$.coeffs"),
         }
     else:
         raise ProblemFileError("$.kind", "not a result document")

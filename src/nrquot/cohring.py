@@ -102,26 +102,44 @@ class GradedRingPresentation:
     # -- polynomial-quotient internals --------------------------------------
 
     def _degree_data(self, degree):
-        """(monomials, ideal rref rows, pivot set, free column indices)."""
+        """The quotient basis of one degree and how to reduce onto it.
+
+        Returns ``(free, free_index, pivot_rows)``: ``free`` lists the
+        monomials left free by the echelon form of the relation multiples
+        (the quotient basis), ``free_index`` maps each of them to its
+        position, and ``pivot_rows`` maps each pivot monomial to the nonzero
+        ``(position, coefficient)`` pairs of its echelon row off the pivot,
+        so that the monomial is congruent to ``-sum(c * free[k])``.
+        """
         if degree in self._degree_cache:
             return self._degree_cache[degree]
         mons = _monomials(self.nvars, degree)
         index = {m: i for i, m in enumerate(mons)}
+        zero = Fraction(0)
         rows = []
         for rel in self.relations:
             shift = degree - rel.total_degree()
             if shift < 0:
                 continue
             for m in _monomials(self.nvars, shift):
-                row = [Fraction(0)] * len(mons)
+                row = [zero] * len(mons)
                 for expo, coeff in rel.terms.items():
                     key = tuple(a + b for a, b in zip(expo, m))
                     row[index[key]] = coeff
                 rows.append(row)
         reduced, pivots = _linalg.rref(rows)
         pivot_set = set(pivots)
-        free = [i for i in range(len(mons)) if i not in pivot_set]
-        data = (mons, reduced, pivots, free)
+        free = [m for i, m in enumerate(mons) if i not in pivot_set]
+        free_index = {m: k for k, m in enumerate(free)}
+        # In reduced echelon form a row is zero on every other pivot column,
+        # so its entries off its own pivot all sit on free columns.
+        pivot_rows = {
+            mons[p]: tuple(
+                (free_index[mons[j]], x) for j, x in enumerate(row) if j != p and x != 0
+            )
+            for row, p in zip(reduced, pivots)
+        }
+        data = (free, free_index, pivot_rows)
         self._degree_cache[degree] = data
         return data
 
@@ -130,7 +148,7 @@ class GradedRingPresentation:
             return self.dims[degree] if 0 <= degree <= self.top_degree else 0
         if degree < 0:
             return 0
-        return len(self._degree_data(degree)[3])
+        return len(self._degree_data(degree)[0])
 
     def dimension(self, degree):
         """Dimension of the graded piece (zero beyond the top degree)."""
@@ -154,32 +172,33 @@ class GradedRingPresentation:
         degree = poly.total_degree() if degree is None else degree
         if degree > self.top_degree:
             return []
-        mons, reduced, pivots, free = self._degree_data(degree)
-        index = {m: i for i, m in enumerate(mons)}
-        v = [Fraction(0)] * len(mons)
+        free, free_index, pivot_rows = self._degree_data(degree)
+        zero = Fraction(0)
+        v = [zero] * len(free)
         for expo, coeff in poly.terms.items():
-            v[index[expo]] = coeff
-        for row, p in zip(reduced, pivots):
-            factor = v[p]
-            if factor != 0:
-                v = [x - factor * y for x, y in zip(v, row)]
-        return [v[i] for i in free]
+            k = free_index.get(expo)
+            if k is not None:
+                v[k] += coeff
+                continue
+            for k, y in pivot_rows[expo]:
+                v[k] -= coeff * y
+        return v
 
     def element(self, degree, vector):
         """Polynomial representative of quotient coordinates at a degree."""
         if self.form != "polynomial":
             raise TypeError("element requires the polynomial-quotient form")
-        mons, _, _, free = self._degree_data(degree)
+        free = self._degree_data(degree)[0]
         terms = {}
-        for coeff, col in zip(vector, free):
+        for coeff, mono in zip(vector, free):
             if coeff != 0:
-                terms[mons[col]] = coeff
+                terms[mono] = coeff
         return MultiPoly(self.nvars, terms)
 
     def basis_elements(self, degree):
         """Monomial representatives of the quotient basis at a degree."""
-        mons, _, _, free = self._degree_data(degree)
-        return [MultiPoly(self.nvars, {mons[i]: 1}) for i in free]
+        free = self._degree_data(degree)[0]
+        return [MultiPoly(self.nvars, {mono: 1}) for mono in free]
 
     # -- explicit-form multiplication ---------------------------------------
 

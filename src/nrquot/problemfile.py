@@ -253,12 +253,9 @@ def _fixed_points(value, rank, path):
 
 def _ring(value, path):
     _expect(isinstance(value, dict), path, "expected a ring object")
-    if "dims" in value:
-        dims = value["dims"]
-        _expect(isinstance(dims, list) and dims, path + ".dims", "expected a nonempty array")
-        return GradedRingPresentation.explicit(
-            [_int(d, "%s.dims[%d]" % (path, i), minimum=0) for i, d in enumerate(dims)]
-        )
+    _expect(
+        "dims" not in value, path + ".dims", "ring mode needs nvars, relations and top_degree"
+    )
     nvars = _int(value.get("nvars"), path + ".nvars", minimum=1)
     rels = value.get("relations", [])
     _expect(isinstance(rels, list), path + ".relations", "expected an array")

@@ -175,6 +175,33 @@ def test_json_roundtrip_bit_for_bit(tmp_path):
         assert re_emitted.stdout == out.stdout
 
 
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"coeffs": ["1/2", 0, 1]}, "$.coeffs[0]"),
+        ({"coeffs": [1, 0, 1.5]}, "$.coeffs[2]"),
+        ({"coeffs": 5}, "$.coeffs"),
+        ({"coeffs": None}, "$.coeffs"),
+        ({"coeffs": [1, 0, 1, 0, 1, 0]}, "$.coeffs"),
+        ({"bound": -1}, "$.bound"),
+        ({"bound": "4"}, "$.bound"),
+        ({"bound": None}, "$.bound"),
+    ],
+    ids=[
+        "rational-string", "float", "scalar", "no-coeffs", "too-many",
+        "negative-bound", "string-bound", "no-bound",
+    ],
+)
+def test_reemit_rejects_malformed_series(tmp_path, fields, path):
+    doc = {"kind": "series", "mode": "betti_uhat", "coeffs": [1, 0, 1], "bound": 4}
+    doc.update(fields)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    out = run_cli(write_problem(tmp_path, doc), "--reemit")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: %s: " % path)
+    assert out.stderr.count("\n") == 1
+
+
 def test_output_is_deterministic():
     first = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
     second = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
@@ -255,6 +282,15 @@ def test_ring_mode_tables(tmp_path):
     assert parsed["tables"]["invariant_dims"] == [1, 1, 2, 1, 1]
     text = run_cli(write_problem(tmp_path, doc))
     assert "invariant_dims: 1 1 2 1 1" in text.stdout
+
+
+def test_ring_mode_rejects_explicit_dims(tmp_path):
+    doc = dict(MODE_DOCS["ring"], ring={"dims": [1, 1, 2, 1, 1]})
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == (
+        "error: $.ring.dims: ring mode needs nvars, relations and top_degree\n"
+    )
 
 
 def test_residue_mode_and_sign_flip(tmp_path):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nrquot._linalg import rank
 from nrquot.betti import QuotientDims, poincare_H
 from nrquot.cohring import (
     GradedRingPresentation,
@@ -13,7 +16,7 @@ from nrquot.cohring import (
     reynolds_project,
 )
 from nrquot.exactnum import TruncSeries
-from nrquot.groupdata import GroupData
+from nrquot.groupdata import GroupData, euler_class_nonreductive
 from nrquot.localize import WeylInvarianceError
 from nrquot.polyring import MultiPoly
 from oracles import grassmannian_betti
@@ -29,6 +32,13 @@ def truncated_ring(*exponents):
     rels = [z[i] ** e for i, e in enumerate(exponents)]
     top = sum(e - 1 for e in exponents)
     return GradedRingPresentation.polynomial_quotient(n, rels, top)
+
+
+def scaled_ring(nvars, exponent, scalars):
+    """Q[z]/(c_i z_i^exponent): the same ideal as the unscaled truncation."""
+    z = zvars(nvars)
+    rels = [Fraction(c) * z[i] ** exponent for i, c in enumerate(scalars)]
+    return GradedRingPresentation.polynomial_quotient(nvars, rels, nvars * (exponent - 1))
 
 
 S2 = (((1, 0),), 2)
@@ -234,8 +244,6 @@ def test_quotient_betti_dimension_bookkeeping():
     for d in range(5):
         vectors = inv[d]
         images = [ring.reduce(ring.element(d, v) * e, d + 2) for v in vectors]
-        from nrquot._linalg import rank
-
         expected = rank(images) if vectors else 0
         assert series.coefficient(2 * d) == expected
 
@@ -260,3 +268,136 @@ def test_explicit_form_annihilator_with_structure_constants():
             mult[(d, 0, e, 0)] = [1] if target <= 2 else []
     ring = GradedRingPresentation.explicit([1, 1, 1], mult=mult)
     assert annihilator_dims(ring, (2, [1])) == (0, 1, 1)
+
+
+# -- pinned rings with scaled relations ----------------------------------------------
+# Values computed with the dense elimination that the sparse one replaced.
+
+
+A2_ROOTS = [[1, -1, 0], [0, 1, -1], [1, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [((1, 0, 2), (0, 2, 1)), ((1, 0, 2), (1, 2, 0))],
+    ids=["adjacent-transpositions", "transposition-and-cycle"],
+)
+def test_pinned_s3_ring_in_three_variables(generators):
+    ring = scaled_ring(3, 4, (2, 3, 5))
+    weyl = (generators, 6)
+    group = GroupData(
+        rank=3, positive_roots=A2_ROOTS, weyl_generators=generators, weyl_order=6
+    )
+    series = quotient_presentation_betti(ring, weyl, group)
+    assert series == TruncSeries.from_dict({0: 1, 2: 1, 4: 1, 6: 1}, 18)
+    inv = invariant_basis(ring, weyl)
+    assert [len(inv[d]) for d in range(10)] == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
+    assert annihilator_dims(ring, euler_class_nonreductive(group)) == (
+        0, 0, 3, 9, 12, 12, 10, 6, 3, 1,
+    )
+
+
+def test_pinned_s2_ring_with_fifth_powers():
+    ring = scaled_ring(2, 5, (2, 3))
+    group = s2_group()
+    series = quotient_presentation_betti(ring, S2, group)
+    assert series == TruncSeries([1, 0, 1, 0, 2, 0, 2, 0, 2, 0, 1, 0, 1], 16)
+    inv = invariant_basis(ring, S2)
+    assert [len(inv[d]) for d in range(9)] == [1, 1, 2, 2, 3, 2, 2, 1, 1]
+    assert annihilator_dims(ring, euler_class_nonreductive(group)) == (
+        0, 0, 0, 0, 2, 2, 2, 2, 1,
+    )
+
+
+# -- reduce: linear, and zero on the relation ideal ------------------------------------
+
+
+def coinvariant_ring():
+    """Q[z0,z1,z2] modulo scaled elementary symmetric polynomials: dims 1,2,2,1.
+
+    No relation is a monomial, so pivot monomials reduce onto several free
+    monomials."""
+    z0, z1, z2 = zvars(3)
+    rels = [
+        2 * (z0 + z1 + z2),
+        Fraction(1, 3) * (z0 * z1 + z0 * z2 + z1 * z2),
+        -5 * z0 * z1 * z2,
+    ]
+    return GradedRingPresentation.polynomial_quotient(3, rels, 3)
+
+
+def mixed_ring():
+    z0, z1 = zvars(2)
+    return GradedRingPresentation.polynomial_quotient(2, [z0 ** 2 - 3 * z1 ** 2, 2 * z1 ** 3], 3)
+
+
+RINGS = {"coinvariant": coinvariant_ring(), "mixed": mixed_ring()}
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def exponents(nvars, degree):
+    """Every exponent tuple of the given total degree."""
+    if nvars == 1:
+        return [(degree,)]
+    return [
+        (first,) + rest
+        for first in range(degree + 1)
+        for rest in exponents(nvars - 1, degree - first)
+    ]
+
+
+def polys(nvars, degree):
+    """Homogeneous polynomials of one degree with small rational coefficients."""
+    expos = exponents(nvars, degree)
+    return st.lists(SMALL, min_size=len(expos), max_size=len(expos)).map(
+        lambda coeffs: MultiPoly(nvars, dict(zip(expos, coeffs)))
+    )
+
+
+def test_coinvariant_ring_dims():
+    assert graded_dims(coinvariant_ring()) == (1, 2, 2, 1)
+    assert graded_dims(mixed_ring()) == (1, 2, 2, 1)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_reduce_is_linear(name, data):
+    ring = RINGS[name]
+    degree = data.draw(st.integers(0, ring.top_degree))
+    p, q = data.draw(polys(ring.nvars, degree)), data.draw(polys(ring.nvars, degree))
+    a, b = data.draw(SMALL), data.draw(SMALL)
+    expected = [
+        a * x + b * y for x, y in zip(ring.reduce(p, degree), ring.reduce(q, degree))
+    ]
+    assert ring.reduce(a * p + b * q, degree) == expected
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_reduce_kills_relation_multiples(name, data):
+    ring = RINGS[name]
+    for rel in ring.relations:
+        for degree in range(rel.total_degree(), ring.top_degree + 1):
+            multiplier = data.draw(polys(ring.nvars, degree - rel.total_degree()))
+            assert not any(ring.reduce(rel * multiplier, degree))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_reduce_returns_a_representative_of_the_class(name, data):
+    # p minus the element its coordinates name lies in the span of the
+    # relation multiples of that degree
+    ring = RINGS[name]
+    degree = data.draw(st.integers(0, ring.top_degree))
+    p = data.draw(polys(ring.nvars, degree))
+    rest = p - ring.element(degree, ring.reduce(p, degree))
+    expos = exponents(ring.nvars, degree)
+    multiples = [
+        rel * MultiPoly(ring.nvars, {m: 1})
+        for rel in ring.relations
+        if degree >= rel.total_degree()
+        for m in exponents(ring.nvars, degree - rel.total_degree())
+    ]
+    rows = [[f.terms.get(e, Fraction(0)) for e in expos] for f in multiples]
+    rest_row = [rest.terms.get(e, Fraction(0)) for e in expos]
+    assert rank(rows + [rest_row]) == rank(rows)
