@@ -9,15 +9,8 @@ exact rational arithmetic; the only floating point lives in the moment-map
 diagnostics module.
 """
 
-from .exactnum import Rational, TruncSeries, rat, series_geom_div, series_mul
-from .polyring import (
-    LinearForm,
-    MultiPoly,
-    RationalFn,
-    coefficient_of,
-    poly_arith,
-    weyl_act,
-)
+from .exactnum import Rational, TruncSeries, rat, series_geom_div
+from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act
 from .groupdata import (
     ConeChoice,
     GroupData,

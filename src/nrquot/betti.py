@@ -62,7 +62,7 @@ class QuotientDims:
 
 def _kernel(d, bound):
     """1 + t^2 + ... + t^{2(d-1)} as a truncated series."""
-    return TruncSeries.from_dict({2 * i: 1 for i in range(d)}, bound)
+    return TruncSeries.from_dict({2 * i: 1 for i in range(min(d, bound // 2 + 1))}, bound)
 
 
 def _require_nonnegative(series, what):

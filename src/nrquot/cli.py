@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import problemfile
 from .betti import check_perfect, morse_assemble, poincare_H, poincare_uhat
 from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
+from .exactnum import TruncSeries
 from .groupdata import euler_class_nonreductive
 from .localize import (
     flag_pairing,
@@ -109,8 +110,10 @@ def render_result(result, fmt):
 def reemit(text):
     """Re-render a JSON output document; used to verify round-tripping."""
     doc = json.loads(text)
+    problemfile._expect(isinstance(doc, dict), "$", "result document must be a JSON object")
     if doc.get("kind") == "rational":
-        result = {"kind": "rational", "mode": doc.get("mode"), "value": Fraction(doc["value"])}
+        value = problemfile._rational(doc.get("value"), "$.value")
+        result = {"kind": "rational", "mode": doc.get("mode"), "value": value}
     elif doc.get("kind") == "series":
         bound = problemfile._int(doc.get("bound"), "$.bound", minimum=0)
         result = {
@@ -126,76 +129,72 @@ def reemit(text):
     return render_result(result, "json")
 
 
+def _result(value, **extras):
+    """A result document without its mode: a series or an exact scalar."""
+    kind = "series" if isinstance(value, TruncSeries) else "rational"
+    return {"kind": kind, "value": value, **extras}
+
+
+def _pair_abelianized(problem, flip):
+    euler = euler_class_nonreductive(problem.group)
+    pairing = torus_pairing_fn(problem.fixed_points, cone=problem.cone)
+    return _result(
+        integrate_abelianized(pairing, problem.class_eta, euler, problem.group.weyl_order)
+    )
+
+
+def _morse(problem, flip):
+    assembled = morse_assemble(problem.strata)
+    if problem.total_series is None:
+        return _result(assembled)
+    report = check_perfect(problem.total_series, assembled)
+    return _result(assembled, perfection={
+        "perfect": report.perfect,
+        "remainder": str(report.remainder),
+        "nonnegative": report.nonnegative,
+    })
+
+
+def _ring(problem, flip):
+    ring, group = problem.ring, problem.group
+    weyl = (group.weyl_generators, group.weyl_order)
+    series, inv = _quotient_betti_with_invariants(ring, weyl, group)
+    return _result(series, tables={
+        "graded_dims": list(graded_dims(ring)),
+        "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],
+        "annihilator_dims": list(annihilator_dims(ring, euler_class_nonreductive(group))),
+    })
+
+
+def _residue(p, flip):
+    residue = ResidueProblem(p.integrand, p.cone, p.basis, p.epsilon, sign_flip=flip)
+    return _result(jk_residue(residue))
+
+
+# mode -> handler(problem, sign_flip) returning the result document without
+# its mode; the keys are exactly problemfile.MODES.
+_MODE_HANDLERS = {
+    "pair_reductive": lambda p, flip: _result(integrate_reductive(p.pairing_problem())),
+    "pair_uhat": lambda p, flip: _result(integrate_uhat(p.pairing_problem(), flip)),
+    "pair_nonreductive": lambda p, flip: _result(integrate_nonreductive(p.pairing_problem())),
+    "pair_abelianized": _pair_abelianized,
+    "betti_uhat": lambda p, flip: _result(poincare_uhat(p.zmin_series, p.dims)),
+    "betti_H": lambda p, flip: _result(poincare_H(p.zmin_series, p.dims)),
+    "morse": _morse,
+    "ring": _ring,
+    "residue": _residue,
+    "grassmannian": lambda p, flip: _result(grassmannian_pairing(p.k, p.n, p.phi)),
+    "flag": lambda p, flip: _result(flag_pairing(p.k, p.n, p.phi)),
+}
+
+
 def run(problem, sign_flip=False):
     """Dispatch a parsed problem to the computation modules.
 
     Returns a result document: ``{"kind", "mode", "value", ...}``.
     """
-    mode = problem.mode
-    flip = sign_flip or problem.sign_flip
-    if mode == "pair_reductive":
-        value = integrate_reductive(problem.pairing_problem())
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "pair_uhat":
-        value = integrate_uhat(problem.pairing_problem(), sign_flip=flip)
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "pair_nonreductive":
-        value = integrate_nonreductive(problem.pairing_problem())
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "pair_abelianized":
-        euler = euler_class_nonreductive(problem.group)
-        pairing = torus_pairing_fn(problem.fixed_points, cone=problem.cone)
-        value = integrate_abelianized(
-            pairing, problem.class_eta, euler, problem.group.weyl_order
-        )
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "betti_uhat":
-        value = poincare_uhat(problem.zmin_series, problem.dims)
-        return {"kind": "series", "mode": mode, "value": value}
-    if mode == "betti_H":
-        value = poincare_H(problem.zmin_series, problem.dims)
-        return {"kind": "series", "mode": mode, "value": value}
-    if mode == "morse":
-        assembled = morse_assemble(problem.strata)
-        result = {"kind": "series", "mode": mode, "value": assembled}
-        if problem.total_series is not None:
-            report = check_perfect(problem.total_series, assembled)
-            result["perfection"] = {
-                "perfect": report.perfect,
-                "remainder": str(report.remainder),
-                "nonnegative": report.nonnegative,
-            }
-        return result
-    if mode == "ring":
-        weyl = (problem.group.weyl_generators, problem.group.weyl_order)
-        series, inv = _quotient_betti_with_invariants(problem.ring, weyl, problem.group)
-        euler = euler_class_nonreductive(problem.group)
-        tables = {
-            "graded_dims": list(graded_dims(problem.ring)),
-            "invariant_dims": [
-                len(inv.get(d, [])) for d in range(problem.ring.top_degree + 1)
-            ],
-            "annihilator_dims": list(annihilator_dims(problem.ring, euler)),
-        }
-        return {"kind": "series", "mode": mode, "value": series, "tables": tables}
-    if mode == "residue":
-        value = jk_residue(
-            ResidueProblem(
-                integrand=problem.integrand,
-                cone=problem.cone,
-                basis=problem.basis,
-                epsilon=problem.epsilon,
-                sign_flip=flip,
-            )
-        )
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "grassmannian":
-        value = grassmannian_pairing(problem.k, problem.n, problem.phi)
-        return {"kind": "rational", "mode": mode, "value": value}
-    if mode == "flag":
-        value = flag_pairing(problem.k, problem.n, problem.phi)
-        return {"kind": "rational", "mode": mode, "value": value}
-    raise ProblemFileError("$.mode", "unhandled mode %r" % mode)
+    handler = _MODE_HANDLERS[problem.mode]
+    return dict(handler(problem, sign_flip or problem.sign_flip), mode=problem.mode)
 
 
 def _moment_diagnostics(problem, stream):

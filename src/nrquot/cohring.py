@@ -1,11 +1,11 @@
 """Finite graded rings: invariant subrings, annihilators, quotient Betti data.
 
-A cohomology ring is presented either as a polynomial quotient (variables
+A cohomology ring has one form, a polynomial quotient: variables
 ``z_0..z_{r-1}`` and a list of homogeneous relations making every graded
-piece finite dimensional) or as explicit per-degree dimensions with optional
-structure constants.  All operations are per-degree exact linear algebra
-over the rationals: no Groebner bases, just monomial spanning sets and rank
-computations, which is all the finite-dimensional rings in scope require.
+piece finite dimensional.  All operations are per-degree exact linear
+algebra over the rationals: no Groebner bases, just monomial spanning sets
+and rank computations, which is all the finite-dimensional rings in scope
+require.
 
 The headline computation composes three steps: average over the Weyl group
 to present the invariant subring, intersect with the annihilator of the
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import _linalg
-from .exactnum import TruncSeries, as_fraction
+from .exactnum import TruncSeries
 from .groupdata import GroupData, euler_class_nonreductive
 from .localize import WeylInvarianceError
 from .polyring import MultiPoly, weyl_act
@@ -44,25 +44,19 @@ def _monomials(nvars, degree):
 
 
 class GradedRingPresentation:
-    """A graded ring with finite graded pieces up to ``top_degree``.
+    """A polynomial quotient ring with finite graded pieces up to ``top_degree``.
 
-    Polynomial-quotient form (``GradedRingPresentation.polynomial_quotient``):
-    graded pieces are monomials modulo the degree slice of the relation
-    ideal; elements are reduced to coordinates on the non-pivot monomials.
-
-    Explicit form (``GradedRingPresentation.explicit``): declared per-degree
-    dimensions, with optional structure constants
-    ``mult[(d1, i, d2, j)] -> coefficient list in degree d1+d2`` enabling
-    multiplication maps, and optional per-degree Weyl matrices.
+    Built by ``GradedRingPresentation.polynomial_quotient``: graded pieces
+    are monomials modulo the degree slice of the relation ideal, and
+    elements are reduced to coordinates on the non-pivot monomials.
     """
 
     def __init__(self):
-        raise TypeError("use the polynomial_quotient or explicit constructors")
+        raise TypeError("use the polynomial_quotient constructor")
 
     @classmethod
     def polynomial_quotient(cls, nvars, relations, top_degree):
         self = object.__new__(cls)
-        self.form = "polynomial"
         self.nvars = nvars
         self.top_degree = int(top_degree)
         if self.top_degree < 0:
@@ -86,20 +80,6 @@ class GradedRingPresentation:
                 % (self.top_degree + 1)
             )
         return self
-
-    @classmethod
-    def explicit(cls, dims, mult=None, weyl_matrices=None):
-        self = object.__new__(cls)
-        self.form = "explicit"
-        self.dims = tuple(int(d) for d in dims)
-        if any(d < 0 for d in self.dims):
-            raise ValueError("declared dimensions must be nonnegative")
-        self.top_degree = len(self.dims) - 1
-        self.mult = dict(mult) if mult else None
-        self.weyl_matrices = weyl_matrices
-        return self
-
-    # -- polynomial-quotient internals --------------------------------------
 
     def _degree_data(self, degree):
         """The quotient basis of one degree and how to reduce onto it.
@@ -144,8 +124,6 @@ class GradedRingPresentation:
         return data
 
     def _dim(self, degree):
-        if self.form == "explicit":
-            return self.dims[degree] if 0 <= degree <= self.top_degree else 0
         if degree < 0:
             return 0
         return len(self._degree_data(degree)[0])
@@ -162,8 +140,6 @@ class GradedRingPresentation:
         Reduces modulo the degree slice of the relation ideal and returns the
         coefficient vector on the non-pivot monomials of that degree.
         """
-        if self.form != "polynomial":
-            raise TypeError("reduce requires the polynomial-quotient form")
         if poly.is_zero():
             degree = 0 if degree is None else degree
             return [Fraction(0)] * self.dimension(degree)
@@ -186,8 +162,6 @@ class GradedRingPresentation:
 
     def element(self, degree, vector):
         """Polynomial representative of quotient coordinates at a degree."""
-        if self.form != "polynomial":
-            raise TypeError("element requires the polynomial-quotient form")
         free = self._degree_data(degree)[0]
         terms = {}
         for coeff, mono in zip(vector, free):
@@ -199,27 +173,6 @@ class GradedRingPresentation:
         """Monomial representatives of the quotient basis at a degree."""
         free = self._degree_data(degree)[0]
         return [MultiPoly(self.nvars, {mono: 1}) for mono in free]
-
-    # -- explicit-form multiplication ---------------------------------------
-
-    def _explicit_mult_matrix(self, d, e_degree, e_vector):
-        if self.mult is None:
-            raise ValueError("explicit presentation has no structure constants")
-        target = d + e_degree
-        rows_out = self.dimension(target)
-        cols = self.dimension(d)
-        matrix = [[Fraction(0)] * cols for _ in range(rows_out)]
-        for i in range(cols):
-            for j, ec in enumerate(e_vector):
-                if ec == 0:
-                    continue
-                key = (d, i, e_degree, j)
-                entry = self.mult.get(key)
-                if entry is None:
-                    raise ValueError("missing structure constant for %r" % (key,))
-                for r, c in enumerate(entry):
-                    matrix[r][i] += as_fraction(c) * as_fraction(ec)
-        return matrix
 
 
 def graded_dims(ringp):
@@ -259,8 +212,6 @@ def reynolds_project(ringp, weyl, poly, degree=None):
     degree only needs to be passed for the zero polynomial, whose degree is
     not recoverable from its terms.
     """
-    if ringp.form != "polynomial":
-        raise TypeError("projection requires the polynomial-quotient form")
     elements, order, _ = _weyl_elements_as_generators(ringp, weyl)
     if degree is None:
         degree = max(poly.total_degree(), 0)
@@ -279,11 +230,6 @@ def invariant_basis(ringp, weyl):
     independent subset of the projections per degree.  Returns a dict
     ``degree -> list of quotient-coordinate vectors``.
     """
-    if ringp.form == "explicit":
-        raise TypeError(
-            "invariant basis of an explicit presentation needs per-degree "
-            "Weyl matrices; supply the polynomial-quotient form instead"
-        )
     elements, order, generators = _weyl_elements_as_generators(ringp, weyl)
     _check_relations_preserved(ringp, generators)
     out = {}
@@ -301,21 +247,6 @@ def invariant_basis(ringp, weyl):
     return out
 
 
-def _as_ring_element(ringp, e):
-    if isinstance(e, MultiPoly):
-        if ringp.form != "polynomial":
-            raise ValueError(
-                "polynomial element given for an explicit presentation"
-            )
-        if e.nvars != ringp.nvars:
-            raise ValueError("element is not expressible in the ring variables")
-        if not e.is_homogeneous():
-            raise ValueError("element must be homogeneous")
-        return e.total_degree(), e
-    degree, vector = e
-    return int(degree), list(vector)
-
-
 def annihilator_dims(ringp, e):
     """Per-degree dimensions of the annihilator of a homogeneous element.
 
@@ -323,7 +254,11 @@ def annihilator_dims(ringp, e):
     the element into the higher degree (zero beyond the top, where the ring
     itself vanishes).
     """
-    e_degree, e_obj = _as_ring_element(ringp, e)
+    if e.nvars != ringp.nvars:
+        raise ValueError("element is not expressible in the ring variables")
+    if not e.is_homogeneous():
+        raise ValueError("element must be homogeneous")
+    e_degree = e.total_degree()
     dims = []
     for d in range(ringp.top_degree + 1):
         n = ringp.dimension(d)
@@ -334,17 +269,8 @@ def annihilator_dims(ringp, e):
         if ringp.dimension(target) == 0:
             dims.append(n)
             continue
-        if ringp.form == "polynomial":
-            columns = [
-                ringp.reduce(b * e_obj, target) for b in ringp.basis_elements(d)
-            ]
-            rows = [
-                [columns[c][r] for c in range(n)]
-                for r in range(len(columns[0]))
-            ]
-        else:
-            rows = ringp._explicit_mult_matrix(d, e_degree, e_obj)
-        dims.append(n - _linalg.rank(rows))
+        images = [ringp.reduce(b * e, target) for b in ringp.basis_elements(d)]
+        dims.append(n - _linalg.rank(images))
     return tuple(dims)
 
 
@@ -365,8 +291,6 @@ def _quotient_betti_with_invariants(ringp, weyl, group):
     """:func:`quotient_presentation_betti` and the invariant basis it used,
     for callers that also report the invariant dimensions."""
     e = euler_class_nonreductive(group)
-    if ringp.form != "polynomial":
-        raise TypeError("quotient Betti data requires the polynomial-quotient form")
     if e.nvars != ringp.nvars:
         raise ValueError("Euler class is not expressible in the ring variables")
     for index, gen in enumerate(group.weyl_generators):

@@ -15,7 +15,6 @@ __all__ = [
     "rat",
     "as_fraction",
     "TruncSeries",
-    "series_mul",
     "series_geom_div",
 ]
 
@@ -211,11 +210,6 @@ class TruncSeries:
 
     def __repr__(self):
         return "TruncSeries(%r, bound=%d)" % (list(self.coeffs), self.bound)
-
-
-def series_mul(a, b):
-    """Cauchy product of two truncated series (min of the two bounds)."""
-    return a * b
 
 
 def series_geom_div(a, k):

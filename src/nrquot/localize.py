@@ -1,21 +1,25 @@
 """Intersection pairings on quotients from torus fixed-point data.
 
-Each evaluator takes the same kind of input: a list of torus-fixed
-components, each carrying the restriction of the integrand class and the
-weights of its normal bundle, plus the group combinatorics that determine
-the extra Euler factor in the numerator.  The reductive evaluator multiplies
-the fixed-point sum by the product over the full root system; the evaluator
-for a graded unipotent extension works in rank one and keeps only the
-components where the grading circle takes its minimal moment value; the
-general evaluator inserts the product over roots and unipotent weights; and
-the abelianised evaluator reduces everything to a torus-quotient pairing
-divided by the Weyl order.  The per-component pairing terms combine by plain
-addition of exact scalars, so the summation order never matters; components
-selected by the chamber are the caller's data-preparation responsibility.
+Every pairing route evaluates one localisation sum: over a list of
+torus-fixed components, each carrying the restriction of the integrand
+class and the weights of its normal bundle, take the Jeffrey-Kirwan residue
+of (class * factor) / Euler(normal) and add the exact scalars, so the
+summation order never matters.  The routes differ only in the Euler factor
+in the numerator and in their preconditions:
 
-The projective-space and flag wrappers evaluate the classical iterated
-residue at zero and double as the calibration suite for the sign
-conventions.
+* reductive: the product over the full root system of the Levi;
+* nonreductive (``H = U x| R``): the product over the roots and the
+  adjoint weights on Lie(U), for a Weyl-invariant class;
+* graded unipotent extension ``U x| C*``: rank one, the product of the
+  unipotent weights, summed over the components where the grading circle
+  takes its minimal moment value;
+* abelianised: the trivial factor on the torus quotient, paired with the
+  lift times the root-and-unipotent Euler class, divided by the Weyl order.
+
+Components selected by the chamber are the caller's data-preparation
+responsibility.  The projective-space and flag wrappers evaluate the
+classical iterated residue at zero and double as the calibration suite for
+the sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -29,7 +33,7 @@ from math import factorial
 from .exactnum import as_fraction
 from .groupdata import euler_class_nonreductive
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act
-from .residue import ResidueProblem, iterated_residue_at_zero, jk_residue, res_plus
+from .residue import ResidueProblem, iterated_residue_at_zero, jk_residue
 
 __all__ = [
     "FixedPointComponent",
@@ -144,11 +148,12 @@ def _check_weyl_invariant(poly, group):
             raise WeylInvarianceError(index, gen)
 
 
-def _sum_jk(problem, factor):
+def _localization_sum(fixed_points, cls, factor, cone, sign_flip=False):
+    """Sum over the components of the JK residue of (class * factor) / Euler."""
     total = Fraction(0)
-    for comp in problem.fixed_points:
-        term = comp.term(problem.class_eta, factor)
-        total += jk_residue(ResidueProblem(integrand=term, cone=problem.cone))
+    for comp in fixed_points:
+        term = comp.term(cls, factor)
+        total += jk_residue(ResidueProblem(term, cone=cone, sign_flip=sign_flip))
     return total
 
 
@@ -168,15 +173,17 @@ def integrate_reductive(problem):
     if not problem.fixed_points:
         raise ValueError("fixed-point list is empty")
     factor = euler_class_nonreductive(problem.group)
-    return problem.constant() * _sum_jk(problem, factor)
+    return problem.constant() * _localization_sum(
+        problem.fixed_points, problem.class_eta, factor, problem.cone
+    )
 
 
 def integrate_uhat(problem, sign_flip=False):
     """Pairing on the quotient by a graded unipotent extension U x| C*.
 
-    Rank-one torus: the pairing is the signed residue at infinity of the sum
-    over the minimal fixed components of (class * Euler of the Lie(U)
-    bundle) / Euler(normal), times the problem constant.
+    Rank-one torus: the problem constant times the localisation sum over the
+    minimal fixed components, with the product of the unipotent weights as
+    factor and no cone (each residue is then the signed residue at infinity).
     """
     if problem.group.rank != 1:
         raise ValueError("graded-extension pairing requires a rank 1 torus")
@@ -195,12 +202,9 @@ def integrate_uhat(problem, sign_flip=False):
     factor = MultiPoly.one(1)
     for w in problem.group.unipotent_weights:
         factor = factor * w.to_poly()
-    total = Fraction(0)
-    for comp in minimal:
-        term = comp.term(problem.class_eta, factor)
-        value = res_plus(term, 0, 0, sign_flip)
-        total += value.constant_value()
-    return problem.constant() * total
+    return problem.constant() * _localization_sum(
+        minimal, problem.class_eta, factor, None, sign_flip
+    )
 
 
 def integrate_nonreductive(problem):
@@ -216,7 +220,9 @@ def integrate_nonreductive(problem):
     if problem.class_eta is not None:
         _check_weyl_invariant(problem.class_eta, problem.group)
     factor = euler_class_nonreductive(problem.group)
-    return problem.constant() * _sum_jk(problem, factor)
+    return problem.constant() * _localization_sum(
+        problem.fixed_points, problem.class_eta, factor, problem.cone
+    )
 
 
 def torus_pairing_fn(fixed_points, cone=None, normalization=1):
@@ -230,13 +236,8 @@ def torus_pairing_fn(fixed_points, cone=None, normalization=1):
     scale = as_fraction(normalization)
 
     def pairing(cls):
-        nvars = cls.nvars
-        one = MultiPoly.one(nvars)
-        total = Fraction(0)
-        for comp in fixed_points:
-            term = comp.term(cls, one)
-            total += jk_residue(ResidueProblem(integrand=term, cone=cone))
-        return scale * total
+        one = MultiPoly.one(cls.nvars)
+        return scale * _localization_sum(fixed_points, cls, one, cone)
 
     return pairing
 

@@ -24,8 +24,6 @@ __all__ = [
     "MultiPoly",
     "LinearForm",
     "RationalFn",
-    "poly_arith",
-    "coefficient_of",
     "weyl_act",
 ]
 
@@ -107,14 +105,6 @@ class MultiPoly:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, degree):
-        return MultiPoly(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
-
-    def degree_in(self, var):
-        return max((e[var] for e in self.terms), default=-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -202,19 +192,6 @@ class MultiPoly:
                     term = term * power(i, e)
             out = out + term
         return out
-
-    def evaluate(self, point):
-        """Evaluate at a rational point (tuple of scalars)."""
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        point = [as_fraction(x) for x in point]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, expo):
-                value *= x**e
-            total += value
-        return total
 
     # -- display -----------------------------------------------------------
 
@@ -367,10 +344,6 @@ class RationalFn:
     def __setattr__(self, *args):
         raise AttributeError("RationalFn is immutable")
 
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly, ())
-
     @property
     def nvars(self):
         return self.num.nvars
@@ -435,13 +408,6 @@ class RationalFn:
     def __hash__(self):
         raise TypeError("RationalFn is unhashable")
 
-    def clear_denominators(self):
-        """Numerator times all denominator factors, as a polynomial."""
-        out = self.num
-        for form, mult in self.den:
-            out = out * (form.to_poly() ** mult)
-        return out
-
     def render(self, names=None):
         num = self.num.render(names)
         if not self.den:
@@ -457,67 +423,6 @@ class RationalFn:
 
     def __str__(self):
         return self.render()
-
-
-def divide_by_linear_form(poly, form):
-    """Exact division of ``poly`` by a linear form; raises if not divisible.
-
-    Works by synthetic division along any variable the form involves.
-    """
-    pivot = next((i for i, c in enumerate(form.coeffs) if c != 0), None)
-    if pivot is None:
-        raise ValueError("cannot divide by the zero form")
-    lead = form.coeffs[pivot]
-    rest = MultiPoly(
-        poly.nvars,
-        {
-            tuple(1 if j == i else 0 for j in range(poly.nvars)): c
-            for i, c in enumerate(form.coeffs)
-            if c != 0 and i != pivot
-        },
-    )
-    quotient = MultiPoly.zero(poly.nvars)
-    remainder = poly
-    while True:
-        d = remainder.degree_in(pivot)
-        if d <= 0:
-            break
-        top = MultiPoly(
-            poly.nvars,
-            {
-                e: c / lead
-                for e, c in remainder.terms.items()
-                if e[pivot] == d
-            },
-        )
-        shifted = MultiPoly(
-            poly.nvars,
-            {
-                tuple(v - (1 if i == pivot else 0) for i, v in enumerate(e)): c
-                for e, c in top.terms.items()
-            },
-        )
-        quotient = quotient + shifted
-        remainder = remainder - shifted * form.to_poly()
-    if not remainder.is_zero():
-        raise ValueError("polynomial is not divisible by the given form")
-    return quotient
-
-
-def poly_arith(a, b, op):
-    """Dispatching arithmetic entry point: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown operation %r" % (op,))
-
-
-def coefficient_of(poly, monomial):
-    """Coefficient of the given exponent tuple (zero when absent)."""
-    return poly.coefficient(monomial)
 
 
 def _permutation_images(perm, nvars):

@@ -37,6 +37,10 @@ MODES = (
     "flag",
 )
 
+# Largest accepted series truncation bound: a series holds one Python int per
+# coefficient, so the bound is a memory budget.
+MAX_TRUNCATION_BOUND = 10**6
+
 
 class ProblemFileError(ValueError):
     """Schema violation; the message names the offending field path."""
@@ -64,11 +68,13 @@ def _rational(value, path):
     raise ProblemFileError(path, "expected an integer or 'p/q' string")
 
 
-def _int(value, path, minimum=None):
+def _int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFileError(path, "expected an integer")
     if minimum is not None and value < minimum:
         raise ProblemFileError(path, "must be at least %d" % minimum)
+    if maximum is not None and value > maximum:
+        raise ProblemFileError(path, "must be at most %d" % maximum)
     return value
 
 
@@ -155,11 +161,7 @@ def _generator(value, path):
     _expect(isinstance(value, list) and value, path, "expected a nonempty array")
     if isinstance(value[0], list):
         return tuple(
-            tuple(
-                _rational(x, "%s[%d][%d]" % (path, i, j))
-                for j, x in enumerate(row)
-            )
-            for i, row in enumerate(value)
+            tuple(_vector(row, None, "%s[%d]" % (path, i))) for i, row in enumerate(value)
         )
     return tuple(_int(x, "%s[%d]" % (path, i)) for i, x in enumerate(value))
 
@@ -197,7 +199,7 @@ def _group(value, path):
         ]
         _expect(len(ip) == rank, path + ".inner_product", "expected %d rows" % rank)
     try:
-        return GroupData(
+        group = GroupData(
             rank=rank,
             positive_roots=tuple(roots),
             unipotent_weights=tuple(weights),
@@ -208,6 +210,17 @@ def _group(value, path):
         )
     except ValueError as exc:
         raise ProblemFileError(path, str(exc)) from None
+    # Pairings divide by the Weyl order and ring mode averages over the group,
+    # so generators that do not generate a group of that order change answers.
+    try:
+        group.generator_matrices()
+    except ValueError as exc:
+        raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
+    try:
+        group.weyl_elements()
+    except ValueError as exc:
+        raise ProblemFileError(path + ".weyl_order", str(exc)) from None
+    return group
 
 
 def _fixed_points(value, rank, path):
@@ -322,7 +335,10 @@ class ProblemFile:
         self.truncation_bound = None
         if "truncation_bound" in options:
             self.truncation_bound = _int(
-                options["truncation_bound"], "$.options.truncation_bound", minimum=0
+                options["truncation_bound"],
+                "$.options.truncation_bound",
+                minimum=0,
+                maximum=MAX_TRUNCATION_BOUND,
             )
         self.normalization = None
         if "normalization" in options:
@@ -368,6 +384,12 @@ class ProblemFile:
             bound = self.truncation_bound
             if bound is None:
                 bound = 2 * self.dims.dim_x
+                _expect(
+                    bound <= MAX_TRUNCATION_BOUND,
+                    "$.dims.dim_x",
+                    "the default truncation bound 2 * dim_x exceeds %d; "
+                    "set options.truncation_bound" % MAX_TRUNCATION_BOUND,
+                )
             self.zmin_series = _series(
                 doc.get("zmin_series", [1]), bound, "$.zmin_series"
             )
@@ -432,8 +454,6 @@ class ProblemFile:
             self.epsilon = None
             if "epsilon" in doc:
                 self.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon"))
-            if self.cone is None and "cone" in doc:
-                self.cone = ConeChoice(tuple(_vector(doc["cone"], rank, "$.cone")))
 
         if mode in ("grassmannian", "flag"):
             self.k = _int(doc.get("k"), "$.k", minimum=1)

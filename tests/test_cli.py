@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nrquot import cli, problemfile
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -202,6 +203,18 @@ def test_reemit_rejects_malformed_series(tmp_path, fields, path):
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [([1, 2], "$"), ({"kind": "rational", "value": [1]}, "$.value")],
+    ids=["not-an-object", "array-value"],
+)
+def test_reemit_rejects_malformed_document(tmp_path, doc, path):
+    out = run_cli(write_problem(tmp_path, doc), "--reemit")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: %s: " % path)
+    assert out.stderr.count("\n") == 1
+
+
 def test_output_is_deterministic():
     first = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
     second = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
@@ -221,6 +234,50 @@ def test_invalid_cone_is_a_computation_error(tmp_path):
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 2
     assert "wall" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"weyl_order": 3}, "$.group.weyl_order: Weyl generators produce a group "
+         "of order 2, declared 3"),
+        ({"weyl_generators": [[[2, 0], [0, 1]]]}, "$.group.weyl_order: Weyl closure "
+         "exceeds the declared order; data inconsistent"),
+        ({"weyl_generators": [[1, 2]]}, "$.group.weyl_generators: generator is not "
+         "a permutation of 0..1"),
+        ({"weyl_generators": [[[0, 1], 1]]}, "$.group.weyl_generators[0][1]: expected "
+         "an array of rationals"),
+    ],
+    ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix"],
+)
+def test_contradictory_weyl_data_rejected(tmp_path, group, message):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    doc["group"].update(group)
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == "error: %s\n" % message
+
+
+def test_truncation_bound_is_budgeted():
+    out = run_cli(str(PROBLEMS / "borel_sl3_betti.json"), "--truncate", "100000000000")
+    assert out.returncode == 1
+    assert out.stderr == "error: $.options.truncation_bound: must be at most 1000000\n"
+
+
+def test_huge_dim_x_needs_only_the_truncated_terms(tmp_path):
+    doc = json.loads((PROBLEMS / "borel_sl3_betti.json").read_text())
+    doc["dims"]["dim_x"] = 10 ** 11
+    bounded = run_cli(write_problem(tmp_path, doc))
+    assert bounded.returncode == 0
+    assert bounded.stdout == "1 + t^2 + t^4 + t^6 + t^8 + t^10 + t^12\n"
+    del doc["options"]
+    unbounded = run_cli(write_problem(tmp_path, doc))
+    assert unbounded.returncode == 1
+    assert unbounded.stderr.startswith("error: $.dims.dim_x: ")
+
+
+def test_mode_table_covers_every_schema_mode():
+    assert tuple(cli._MODE_HANDLERS) == problemfile.MODES
 
 
 def test_unknown_mode_rejected(tmp_path):

@@ -64,11 +64,6 @@ def test_graded_dims_product():
     assert graded_dims(truncated_ring(3, 3)) == (1, 2, 3, 2, 1)
 
 
-def test_graded_dims_explicit_echo():
-    ring = GradedRingPresentation.explicit([1, 0, 2, 1])
-    assert graded_dims(ring) == (1, 0, 2, 1)
-
-
 def test_top_degree_vanishing_enforced():
     z = MultiPoly.variable(1, 0)
     with pytest.raises(ValueError):
@@ -255,19 +250,6 @@ def test_quotient_betti_cross_checks_poincare_H():
     series = quotient_presentation_betti(ring, ((), 1), g)
     chain = poincare_H(TruncSeries.one(2), QuotientDims(2, 0, 0))
     assert series == chain
-
-
-def test_explicit_form_annihilator_with_structure_constants():
-    # Q[z]/(z^3) written out explicitly: basis 1, z, z^2
-    mult = {}
-    for d in range(3):
-        for e in range(3):
-            target = d + e
-            entry = [0, 0, 0][: 1 if target > 2 else 1]
-            # single basis vector per degree; product is basis vector of the sum
-            mult[(d, 0, e, 0)] = [1] if target <= 2 else []
-    ring = GradedRingPresentation.explicit([1, 1, 1], mult=mult)
-    assert annihilator_dims(ring, (2, [1])) == (0, 1, 1)
 
 
 # -- pinned rings with scaled relations ----------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -183,6 +184,23 @@ def test_uhat_p3_matches_nonreductive_route():
     assert a == Fraction(1, 4)
 
 
+# Values from the rank-one residue-at-infinity loop that the shared
+# localisation sum replaced; the sign flip negates each of them.
+@pytest.mark.parametrize(
+    "problem, value",
+    [
+        (p1_uhat_problem(), 1),
+        (p1_uhat_problem(3 * MultiPoly.one(1)), 3),
+        (p1_uhat_problem(MultiPoly.variable(1, 0)), 0),
+        (p3_uhat_problem(), Fraction(1, 4)),
+    ],
+    ids=["p1-one", "p1-three", "p1-degree-mismatch", "p3-hyperplane"],
+)
+@pytest.mark.parametrize("sign_flip", [False, True], ids=["plain", "flipped"])
+def test_uhat_pinned_values_in_both_orientations(problem, value, sign_flip):
+    assert integrate_uhat(problem, sign_flip=sign_flip) == (-value if sign_flip else value)
+
+
 # -- general graded group -----------------------------------------------------------
 
 
@@ -281,6 +299,47 @@ def test_cross_method_equality_on_gr24_suite():
         direct = integrate_reductive(gr24_problem(eta))
         martin = integrate_abelianized(pairing, eta, e, 2)
         assert direct == martin
+
+
+def grassmannian_origin(k, n):
+    """Gr(k, n) as C^{kn} // U(k): group data and the origin's normal weights."""
+    unit = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+    roots = [
+        [a - b for a, b in zip(unit[i], unit[j])] for i in range(k) for j in range(i + 1, k)
+    ]
+    swaps = [
+        tuple(i + 1 if m == i else i if m == i + 1 else m for m in range(k))
+        for i in range(k - 1)
+    ]
+    group = GroupData(
+        rank=k, positive_roots=roots, weyl_generators=swaps, weyl_order=factorial(k)
+    )
+    origin = FixedPointComponent("origin", [(LinearForm(u), n) for u in unit], is_min=True)
+    return group, origin
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+@pytest.mark.parametrize("with_cone", [False, True], ids=["no-cone", "cone"])
+def test_three_routes_agree_on_grassmannian_origin(k, n, with_cone):
+    group, origin = grassmannian_origin(k, n)
+    cone = ConeChoice(tuple(range(k, 0, -1))) if with_cone else None
+    z = zz(k)
+    s1, top = sum(z, MultiPoly.zero(k)), MultiPoly.one(k)
+    for v in z:
+        top = top * v
+    e = euler_class_nonreductive(group)
+    torus = torus_pairing_fn([origin], cone=cone)
+    values = []
+    for cls in (s1 ** (k * (n - k)), top ** (n - k), s1 ** (k * (n - k) - 1)):
+        problem = PairingProblem(group=group, fixed_points=[origin], class_eta=cls, cone=cone)
+        reductive = integrate_reductive(problem)
+        assert integrate_nonreductive(problem) == reductive
+        assert integrate_abelianized(torus, cls, e, group.weyl_order) == reductive
+        assert reductive == grassmannian_pairing(k, n, cls)
+        values.append(reductive)
+    # sigma_1 to the top power counts tableaux, e_k^(n-k) is the point class,
+    # and a class one degree short pairs to zero
+    assert values == [pieri_power(k, n, (0,) * k, k * (n - k))[(n - k,) * k], 1, 0]
 
 
 # -- classical wrappers ---------------------------------------------------------------

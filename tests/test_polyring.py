@@ -7,9 +7,6 @@ from nrquot.polyring import (
     LinearForm,
     MultiPoly,
     RationalFn,
-    coefficient_of,
-    divide_by_linear_form,
-    poly_arith,
     weyl_act,
 )
 from oracles import dense_from_multipoly, dense_mul
@@ -33,23 +30,23 @@ def random_poly(rng, nvars, max_deg, max_terms=6):
 
 
 def test_product_of_conjugates():
-    p = poly_arith(z(0) + z(1), z(0) - z(1), "mul")
+    p = (z(0) + z(1)) * (z(0) - z(1))
     assert p == MultiPoly(2, {(2, 0): 1, (0, 2): -1})
 
 
 def test_additive_identity():
     p = random_poly(random.Random(1), 2, 4)
-    assert poly_arith(p, MultiPoly.zero(2), "add") == p
+    assert p + MultiPoly.zero(2) == p
 
 
 def test_negated_square():
-    p = poly_arith(z(0) - z(1), z(1) - z(0), "mul")
+    p = (z(0) - z(1)) * (z(1) - z(0))
     assert p == MultiPoly(2, {(2, 0): -1, (1, 1): 2, (0, 2): -1})
 
 
 def test_varcount_mismatch_raises():
     with pytest.raises(ValueError):
-        poly_arith(MultiPoly.one(2), MultiPoly.one(3), "add")
+        MultiPoly.one(2) + MultiPoly.one(3)
 
 
 def test_zero_pruning_and_negative_exponent_rejection():
@@ -71,16 +68,16 @@ def test_float_coefficients_rejected():
 
 def test_coefficient_of_degree_six_product():
     p = (z(0) + z(1)) ** 4 * (z(0) - z(1)) ** 2
-    assert coefficient_of(p, (3, 3)) == -4
+    assert p.coefficient((3, 3)) == -4
 
 
 def test_coefficient_of_zero_poly():
-    assert coefficient_of(MultiPoly.zero(2), (1, 1)) == 0
+    assert MultiPoly.zero(2).coefficient((1, 1)) == 0
 
 
 def test_coefficient_of_squared_difference():
     p = ((z(0) ** 2) - (z(1) ** 2)) ** 2
-    assert coefficient_of(p, (2, 2)) == -2
+    assert p.coefficient((2, 2)) == -2
 
 
 def test_coefficient_convolution_matches_dense_oracle():
@@ -93,7 +90,7 @@ def test_coefficient_convolution_matches_dense_oracle():
         product = p * q
         assert dense_from_multipoly(product) == expected
         for expo in list(expected)[:4]:
-            assert coefficient_of(product, expo) == expected[expo]
+            assert product.coefficient(expo) == expected[expo]
 
 
 # -- Weyl action ---------------------------------------------------------------
@@ -152,31 +149,6 @@ def test_rationalfn_addition_common_denominator():
     # 1/z + 1/z^2 = (z + 1)/z^2
     assert total.num == MultiPoly(1, {(1,): 1, (0,): 1})
     assert total.den == ((LinearForm([1]), 2),)
-
-
-def test_rationalfn_clear_and_redivide_roundtrip():
-    rng = random.Random(7)
-    for _ in range(30):
-        nvars = rng.randint(1, 3)
-        num = random_poly(rng, nvars, 4)
-        forms = []
-        for _ in range(rng.randint(1, 3)):
-            coeffs = [rng.randint(-2, 2) for _ in range(nvars)]
-            if all(c == 0 for c in coeffs):
-                coeffs[rng.randrange(nvars)] = 1
-            forms.append((LinearForm(coeffs), rng.randint(1, 2)))
-        f = RationalFn(num, forms)
-        cleared = f.clear_denominators()
-        recovered = cleared
-        for form, mult in f.den:
-            for _ in range(mult):
-                recovered = divide_by_linear_form(recovered, form)
-        assert recovered == num
-
-
-def test_divide_by_linear_form_detects_nondivisibility():
-    with pytest.raises(ValueError):
-        divide_by_linear_form(MultiPoly.one(2), LinearForm([1, -1]))
 
 
 def test_rationalfn_total_degree():
