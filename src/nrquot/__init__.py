@@ -10,7 +10,7 @@ diagnostics module.
 """
 
 from .exactnum import Rational, TruncSeries, rat, series_geom_div
-from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act
+from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .groupdata import (
     ConeChoice,
     GroupData,

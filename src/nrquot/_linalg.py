@@ -21,20 +21,6 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            ail = a[i][l]
-            if ail == 0:
-                continue
-            for j in range(m):
-                out[i][j] += ail * b[l][j]
-    return out
-
-
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns).
 

@@ -157,8 +157,7 @@ def _morse(problem, flip):
 
 def _ring(problem, flip):
     ring, group = problem.ring, problem.group
-    weyl = (group.weyl_generators, group.weyl_order)
-    series, inv = _quotient_betti_with_invariants(ring, weyl, group)
+    series, inv = _quotient_betti_with_invariants(ring, group, group)
     return _result(series, tables={
         "graded_dims": list(graded_dims(ring)),
         "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],

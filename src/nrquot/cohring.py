@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from . import _linalg
 from .exactnum import TruncSeries
 from .groupdata import GroupData, euler_class_nonreductive
-from .localize import WeylInvarianceError
+from .localize import _check_weyl_invariant
 from .polyring import MultiPoly, weyl_act
 
 __all__ = [
@@ -180,8 +180,9 @@ def graded_dims(ringp):
     return tuple(ringp.dimension(d) for d in range(ringp.top_degree + 1))
 
 
-def _weyl_elements_as_generators(ringp, weyl):
-    """All Weyl elements, realised as variable substitutions for the ring."""
+def _weyl_group(ringp, weyl):
+    """The Weyl group as a :class:`GroupData`, given as one or as
+    ``(generators, order)``."""
     if isinstance(weyl, GroupData):
         group = weyl
     else:
@@ -191,17 +192,15 @@ def _weyl_elements_as_generators(ringp, weyl):
         )
     if group.rank != ringp.nvars:
         raise ValueError("Weyl data rank does not match the ring")
-    return group.weyl_elements(), group.weyl_order, group.weyl_generators
+    return group
 
 
-def _check_relations_preserved(ringp, generators):
-    for gen in generators:
-        for rel in ringp.relations:
-            image = weyl_act(rel, gen)
-            if any(c != 0 for c in ringp.reduce(image)):
-                raise ValueError(
-                    "Weyl generator %r does not preserve the relation ideal" % (gen,)
-                )
+def _average(ringp, elements, poly, degree):
+    """Quotient coordinates of the mean of ``poly`` over the Weyl elements."""
+    total = MultiPoly.zero(ringp.nvars)
+    for element in elements:
+        total = total + weyl_act(poly, element)
+    return [c / len(elements) for c in ringp.reduce(total, degree)]
 
 
 def reynolds_project(ringp, weyl, poly, degree=None):
@@ -212,15 +211,10 @@ def reynolds_project(ringp, weyl, poly, degree=None):
     degree only needs to be passed for the zero polynomial, whose degree is
     not recoverable from its terms.
     """
-    elements, order, _ = _weyl_elements_as_generators(ringp, weyl)
+    elements = _weyl_group(ringp, weyl).weyl_elements()
     if degree is None:
         degree = max(poly.total_degree(), 0)
-    if poly.is_zero():
-        return [Fraction(0)] * ringp.dimension(degree)
-    total = MultiPoly.zero(ringp.nvars)
-    for m in elements:
-        total = total + weyl_act(poly, [list(row) for row in m])
-    return [c / order for c in ringp.reduce(total, degree)]
+    return _average(ringp, elements, poly, degree)
 
 
 def invariant_basis(ringp, weyl):
@@ -230,18 +224,19 @@ def invariant_basis(ringp, weyl):
     independent subset of the projections per degree.  Returns a dict
     ``degree -> list of quotient-coordinate vectors``.
     """
-    elements, order, generators = _weyl_elements_as_generators(ringp, weyl)
-    _check_relations_preserved(ringp, generators)
+    group = _weyl_group(ringp, weyl)
+    elements = group.weyl_elements()
+    for gen, element in zip(group.weyl_generators, group.generator_elements()):
+        for rel in ringp.relations:
+            if any(c != 0 for c in ringp.reduce(weyl_act(rel, element))):
+                raise ValueError(
+                    "Weyl generator %r does not preserve the relation ideal" % (gen,)
+                )
     out = {}
     for degree in range(ringp.top_degree + 1):
-        projections = []
-        for mono in ringp.basis_elements(degree):
-            total = MultiPoly.zero(ringp.nvars)
-            for m in elements:
-                total = total + weyl_act(mono, [list(row) for row in m])
-            projections.append(
-                [c / order for c in ringp.reduce(total, degree)]
-            )
+        projections = [
+            _average(ringp, elements, mono, degree) for mono in ringp.basis_elements(degree)
+        ]
         keep = _linalg.independent_subset(projections)
         out[degree] = [projections[i] for i in keep]
     return out
@@ -293,9 +288,7 @@ def _quotient_betti_with_invariants(ringp, weyl, group):
     e = euler_class_nonreductive(group)
     if e.nvars != ringp.nvars:
         raise ValueError("Euler class is not expressible in the ring variables")
-    for index, gen in enumerate(group.weyl_generators):
-        if weyl_act(e, gen) != e:
-            raise WeylInvarianceError(index, gen)
+    _check_weyl_invariant(e, group)
     e_degree = e.total_degree() if not e.is_constant() else 0
     inv = invariant_basis(ringp, weyl)
     bound = 2 * ringp.top_degree

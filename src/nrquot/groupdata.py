@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .exactnum import as_fraction
-from .polyring import LinearForm, MultiPoly
+from .polyring import LinearForm, MultiPoly, weyl_element
 
 __all__ = [
     "GroupData",
@@ -37,26 +37,38 @@ def _as_form(value):
     return value if isinstance(value, LinearForm) else LinearForm(value)
 
 
-def _is_permutation(gen):
-    return gen and not isinstance(gen[0], (list, tuple))
+def _compose(g, m):
+    """The Weyl element of the matrix product ``g m``, in variable images."""
+    out = []
+    for row in g:
+        acc = {}
+        for l, a in row:
+            for j, b in m[l]:
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(tuple((j, c) for j, c in sorted(acc.items()) if c != 0))
+    return tuple(out)
 
 
-def _generator_matrix(gen, rank):
-    """Normalise a Weyl generator (permutation or matrix) to a rank x rank matrix."""
-    if _is_permutation(gen):
-        perm = [int(x) for x in gen]
-        if sorted(perm) != list(range(rank)):
-            raise ValueError("generator is not a permutation of 0..%d" % (rank - 1))
-        m = [[Fraction(0)] * rank for _ in range(rank)]
-        for i, j in enumerate(perm):
-            m[i][j] = Fraction(1)
-        return m
-    m = _linalg.to_matrix(gen)
-    if len(m) != rank or any(len(row) != rank for row in m):
-        raise ValueError("generator matrix size does not match rank")
-    if _linalg.det(m) == 0:
-        raise ValueError("Weyl generator is not invertible")
-    return m
+def _weyl_closure(generators, order, rank):
+    """Every element of the group the generators generate, breadth first.
+
+    Raises ValueError when the closure does not have ``order`` elements.
+    """
+    elements = [weyl_element(range(rank), rank)]
+    seen = set(elements)
+    for m in elements:
+        for g in generators:
+            prod = _compose(g, m)
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+        if len(elements) > 4 * order + 16:
+            raise ValueError("Weyl closure exceeds the declared order; data inconsistent")
+    if len(elements) != order:
+        raise ValueError(
+            "Weyl generators produce a group of order %d, declared %d" % (len(elements), order)
+        )
+    return tuple(elements)
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class GroupData:
         object.__setattr__(self, "unipotent_weights", weights)
         if self.weyl_order < 1:
             raise ValueError("Weyl order must be at least 1")
-        gens = tuple(tuple(g) if _is_permutation(g) else tuple(map(tuple, g))
+        gens = tuple(tuple(tuple(x) if isinstance(x, list) else x for x in g)
                      for g in self.weyl_generators)
         object.__setattr__(self, "weyl_generators", gens)
         grading = self.grading
@@ -123,42 +135,26 @@ class GroupData:
 
     # -- Weyl group --------------------------------------------------------
 
-    def generator_matrices(self):
-        return [_generator_matrix(g, self.rank) for g in self.weyl_generators]
+    # Both memoise in __dict__, which a frozen dataclass still lets them write.
+    def generator_elements(self):
+        """The Weyl generators in the form of :func:`weyl_element`."""
+        if "_generator_elements" not in self.__dict__:
+            self.__dict__["_generator_elements"] = tuple(
+                weyl_element(g, self.rank) for g in self.weyl_generators
+            )
+        return self.__dict__["_generator_elements"]
 
     def weyl_elements(self):
-        """All Weyl elements as matrices, generated by closure.
+        """All Weyl elements, in the form of :func:`weyl_element`.
 
         The closure is checked against ``weyl_order``; disagreement means the
         supplied generators and order are inconsistent.
         """
-        gens = self.generator_matrices()
-        elements = {self._key(_linalg.identity(self.rank)): _linalg.identity(self.rank)}
-        frontier = list(elements.values())
-        while frontier:
-            fresh = []
-            for m in frontier:
-                for g in gens:
-                    prod = _linalg.mat_mul(g, m)
-                    key = self._key(prod)
-                    if key not in elements:
-                        elements[key] = prod
-                        fresh.append(prod)
-            frontier = fresh
-            if len(elements) > 4 * self.weyl_order + 16:
-                raise ValueError(
-                    "Weyl closure exceeds the declared order; data inconsistent"
-                )
-        if len(elements) != self.weyl_order:
-            raise ValueError(
-                "Weyl generators produce a group of order %d, declared %d"
-                % (len(elements), self.weyl_order)
+        if "_weyl_elements" not in self.__dict__:
+            self.__dict__["_weyl_elements"] = _weyl_closure(
+                self.generator_elements(), self.weyl_order, self.rank
             )
-        return list(elements.values())
-
-    @staticmethod
-    def _key(matrix):
-        return tuple(tuple(row) for row in matrix)
+        return self.__dict__["_weyl_elements"]
 
     def pairing(self, u, v):
         """The fixed inner product of two coefficient vectors."""

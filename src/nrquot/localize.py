@@ -32,7 +32,7 @@ from math import factorial
 
 from .exactnum import as_fraction
 from .groupdata import euler_class_nonreductive
-from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act
+from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .residue import ResidueProblem, iterated_residue_at_zero, jk_residue
 
 __all__ = [
@@ -143,9 +143,9 @@ class PairingProblem:
 
 
 def _check_weyl_invariant(poly, group):
-    for index, gen in enumerate(group.weyl_generators):
-        if weyl_act(poly, gen) != poly:
-            raise WeylInvarianceError(index, gen)
+    for index, element in enumerate(group.generator_elements()):
+        if weyl_act(poly, element) != poly:
+            raise WeylInvarianceError(index, group.weyl_generators[index])
 
 
 def _localization_sum(fixed_points, cls, factor, cone, sign_flip=False):
@@ -294,7 +294,7 @@ def grassmannian_pairing(k, n, phi):
     for i in range(k - 1):
         swap = list(range(k))
         swap[i], swap[i + 1] = swap[i + 1], swap[i]
-        if weyl_act(phi, swap) != phi:
+        if weyl_act(phi, weyl_element(swap, k)) != phi:
             raise ValueError(
                 "class is not symmetric in the torus variables (swap %d,%d)"
                 % (i, i + 1)

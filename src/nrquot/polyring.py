@@ -24,6 +24,7 @@ __all__ = [
     "MultiPoly",
     "LinearForm",
     "RationalFn",
+    "weyl_element",
     "weyl_act",
 ]
 
@@ -425,37 +426,39 @@ class RationalFn:
         return self.render()
 
 
-def _permutation_images(perm, nvars):
-    if sorted(perm) != list(range(nvars)):
-        raise ValueError("not a permutation of 0..%d" % (nvars - 1))
-    return [MultiPoly.variable(nvars, perm[i]) for i in range(nvars)]
+def weyl_element(gen, nvars):
+    """Validate a Weyl element and normalise it to its variable images.
+
+    ``gen`` is a permutation of ``0..nvars-1`` (``z_i -> z_{gen[i]}``) or an
+    invertible rational matrix (``z_i -> sum_j gen[i][j] z_j``).  The result
+    holds, per ``z_i``, the nonzero ``(j, c)`` pairs of its image by ``j``.
+
+    >>> swap = weyl_element((1, 0), 2)
+    >>> swap == weyl_element([[0, 1], [1, 0]], 2)
+    True
+    >>> z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    >>> weyl_act(z0 ** 2 * z1, swap) == z0 * z1 ** 2
+    True
+    """
+    if gen and not isinstance(gen[0], (list, tuple)):
+        perm = [int(x) for x in gen]
+        if sorted(perm) != list(range(nvars)):
+            raise ValueError("generator is not a permutation of 0..%d" % (nvars - 1))
+        return tuple(((j, Fraction(1)),) for j in perm)
+    matrix = _linalg.to_matrix(gen)
+    if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
+        raise ValueError("generator matrix size does not match rank")
+    if _linalg.det(matrix) == 0:
+        raise ValueError("Weyl generator is not invertible")
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in matrix)
 
 
 def weyl_act(poly, element):
-    """Apply a Weyl group element to a polynomial.
-
-    ``element`` is either a permutation of the variable indices (tuple/list
-    of ints, ``z_i -> z_{element[i]}``) or an invertible square matrix of
-    rationals acting by ``z_i -> sum_j element[i][j] z_j``.
-    """
+    """Apply a Weyl element, in the form :func:`weyl_element` returns, to a
+    polynomial: substitute each ``z_i`` by its image."""
     n = poly.nvars
-    if element and isinstance(element[0], (list, tuple)):
-        matrix = _linalg.to_matrix(element)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("matrix size does not match variable count")
-        if _linalg.det(matrix) == 0:
-            raise ValueError("Weyl element matrix is not invertible")
-        images = [
-            MultiPoly(
-                n,
-                {
-                    tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
-                    for j in range(n)
-                    if matrix[i][j] != 0
-                },
-            )
-            for i in range(n)
-        ]
-        return poly.substitute_linear(images)
-    perm = [int(x) for x in element]
-    return poly.substitute_linear(_permutation_images(perm, n))
+    images = [
+        MultiPoly(n, {tuple(int(k == j) for k in range(n)): c for j, c in row})
+        for row in element
+    ]
+    return poly.substitute_linear(images)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .betti import QuotientDims, StratumDatum
 from .exactnum import TruncSeries
 from .cohring import GradedRingPresentation
-from .groupdata import ConeChoice, GroupData
+from .groupdata import ConeChoice, GroupData, check_grading
 from .localize import FixedPointComponent, PairingProblem
 from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly, RationalFn
@@ -40,6 +40,10 @@ MODES = (
 # Largest accepted series truncation bound: a series holds one Python int per
 # coefficient, so the bound is a memory budget.
 MAX_TRUNCATION_BOUND = 10**6
+
+# Largest accepted Weyl group order, |S_7|: parsing closes the group to check
+# the declared order, so the order is a time and memory budget.
+MAX_WEYL_ORDER = 5040
 
 
 class ProblemFileError(ValueError):
@@ -186,7 +190,8 @@ def _group(value, path):
     gens = [
         _generator(g, "%s.weyl_generators[%d]" % (path, i)) for i, g in enumerate(gens)
     ]
-    order = _int(value.get("weyl_order", 1), path + ".weyl_order", minimum=1)
+    order = _int(value.get("weyl_order", 1), path + ".weyl_order",
+                 minimum=1, maximum=MAX_WEYL_ORDER)
     grading = value.get("grading")
     if grading is not None:
         grading = _vector(grading, rank, path + ".grading")
@@ -213,7 +218,7 @@ def _group(value, path):
     # Pairings divide by the Weyl order and ring mode averages over the group,
     # so generators that do not generate a group of that order change answers.
     try:
-        group.generator_matrices()
+        group.generator_elements()
     except ValueError as exc:
         raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
     try:
@@ -381,6 +386,23 @@ class ProblemFile:
                 )
             except ValueError as exc:
                 raise ProblemFileError("$.dims", str(exc)) from None
+            if self.group is not None:
+                # The Betti formulas assume one Lie(U) weight per dimension of
+                # U, each pairing positively with the grading.
+                weights = self.group.unipotent_weights
+                _expect(
+                    self.dims.dim_u == len(weights),
+                    "$.dims.dim_u",
+                    "expected %d, the number of group.unipotent_weights" % len(weights),
+                )
+                failures = check_grading(self.group).failures
+                if failures:
+                    weight, value = failures[0]
+                    raise ProblemFileError(
+                        "$.group.grading",
+                        "unipotent weight %s pairs to %s with the grading; "
+                        "it must be positive" % (weight.render(), value),
+                    )
             bound = self.truncation_bound
             if bound is None:
                 bound = 2 * self.dims.dim_x

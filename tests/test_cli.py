@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nrquot import cli, problemfile
+from nrquot import cli, groupdata, problemfile
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -247,12 +247,51 @@ def test_invalid_cone_is_a_computation_error(tmp_path):
          "a permutation of 0..1"),
         ({"weyl_generators": [[[0, 1], 1]]}, "$.group.weyl_generators[0][1]: expected "
          "an array of rationals"),
+        ({"weyl_order": 5041}, "$.group.weyl_order: must be at most 5040"),
     ],
-    ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix"],
+    ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix", "over-budget"],
 )
 def test_contradictory_weyl_data_rejected(tmp_path, group, message):
     doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
     doc["group"].update(group)
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == "error: %s\n" % message
+
+
+def test_ring_mode_closes_the_weyl_group_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    closure = groupdata._weyl_closure
+
+    def spy(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(groupdata, "_weyl_closure", spy)
+    assert cli.main([write_problem(tmp_path, MODE_DOCS["ring"])]) == 0
+    assert capsys.readouterr().out.startswith("1 + t^2 + t^4\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc["dims"].update(dim_u=2),
+         "$.dims.dim_u: expected 3, the number of group.unipotent_weights"),
+        (lambda doc: doc["group"].update(grading=["1", "1", "-2"]),
+         "$.group.grading: unipotent weight z0 - z1 pairs to 0 with the grading; "
+         "it must be positive"),
+        (lambda doc: doc["group"].update(grading=["1", "2", "3"]),
+         "$.group.grading: unipotent weight z0 - z1 pairs to -1 with the grading; "
+         "it must be positive"),
+    ],
+    ids=["dim_u-mismatch", "zero-pairing", "negative-pairing"],
+)
+@pytest.mark.parametrize("mode", ["betti_uhat", "betti_H"])
+def test_betti_modes_check_the_group_hypotheses(tmp_path, mode, change, message):
+    doc = json.loads((PROBLEMS / "borel_sl3_betti.json").read_text())
+    doc["mode"] = mode
+    change(doc)
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 1
     assert out.stderr == "error: %s\n" % message

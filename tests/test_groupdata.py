@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrquot.groupdata import (
     ConeChoice,
@@ -12,7 +14,7 @@ from nrquot.groupdata import (
     euler_class_nonreductive,
     lambda_projection,
 )
-from nrquot.polyring import LinearForm, MultiPoly, weyl_act
+from nrquot.polyring import LinearForm, MultiPoly, weyl_act, weyl_element
 
 
 def test_grading_sl2_borel():
@@ -122,7 +124,7 @@ def test_euler_class_weyl_invariant():
     )
     e = euler_class_nonreductive(g)
     for gen in g.weyl_generators:
-        assert weyl_act(e, gen) == e
+        assert weyl_act(e, weyl_element(gen, 2)) == e
     # swap also permutes a pair of unipotent weights
     g2 = GroupData(
         rank=2,
@@ -134,7 +136,7 @@ def test_euler_class_weyl_invariant():
     )
     e2 = euler_class_nonreductive(g2)
     for gen in g2.weyl_generators:
-        assert weyl_act(e2, gen) == e2
+        assert weyl_act(e2, weyl_element(gen, 2)) == e2
 
 
 def test_cone_validation():
@@ -165,3 +167,89 @@ def test_inner_product_validation():
 def test_nondefault_inner_product_changes_projection():
     g = GroupData(rank=2, grading=(1, 0), inner_product=((2, 0), (0, 1)))
     assert lambda_projection(LinearForm([1, 0]), g) == 2
+
+
+# -- the one Weyl element form against a dense matrix closure ----------------------
+
+
+def dense_closure(matrices, n):
+    """Every product of the generator matrices, by breadth-first search over
+    dense row tuples: the reference for ``GroupData.weyl_elements``."""
+    matrices = [[[Fraction(x) for x in row] for row in g] for g in matrices]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in matrices:
+                prod = tuple(
+                    tuple(sum((g[i][l] * m[l][j] for l in range(n)), Fraction(0))
+                          for j in range(n))
+                    for i in range(n)
+                )
+                if prod not in seen:
+                    seen.add(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    return seen
+
+
+def permutation_matrix(perm):
+    n = len(perm)
+    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+def dense(element, n):
+    return tuple(
+        tuple(dict(row).get(j, Fraction(0)) for j in range(n)) for row in element
+    )
+
+
+SIGNED_B2 = [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]]
+
+
+@st.composite
+def generator_spellings(draw):
+    """A rank and one or two spellings of the same generator set: permutations
+    of S2-S4 and the same permutations as matrices, or W(B2) as matrices.
+    The matrix spelling comes last."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        return n, [perms, [permutation_matrix(p) for p in perms]]
+    return 2, [SIGNED_B2]
+
+
+@st.composite
+def polynomials(draw, n):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n), st.integers(-5, 5), max_size=5
+    ))
+    return MultiPoly(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weyl_closure_and_action_match_the_dense_reference(data):
+    n, spellings = data.draw(generator_spellings())
+    reference = dense_closure(spellings[-1], n)
+    poly = data.draw(polynomials(n))
+    actions = []
+    for gens in spellings:
+        group = GroupData(rank=n, weyl_generators=gens, weyl_order=len(reference))
+        elements = group.weyl_elements()
+        assert len(elements) == len(reference)
+        assert {dense(e, n) for e in elements} == reference
+        actions.append([weyl_act(poly, weyl_element(g, n)) for g in gens])
+    assert all(images == actions[0] for images in actions)
+    if len(spellings) == 2:
+        # z_i -> z_{perm[i]} moves exponent e_i to position perm[i]
+        for perm, image in zip(spellings[0], actions[0]):
+            moved = {}
+            for expo, c in poly.terms.items():
+                target = [0] * n
+                for i, e in enumerate(expo):
+                    target[perm[i]] = e
+                moved[tuple(target)] = c
+            assert image == MultiPoly(n, moved)

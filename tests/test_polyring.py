@@ -8,6 +8,7 @@ from nrquot.polyring import (
     MultiPoly,
     RationalFn,
     weyl_act,
+    weyl_element,
 )
 from oracles import dense_from_multipoly, dense_mul
 
@@ -98,25 +99,25 @@ def test_coefficient_convolution_matches_dense_oracle():
 
 def test_weyl_swap_monomial():
     p = z(0) ** 2 * z(1)
-    assert weyl_act(p, (1, 0)) == z(0) * z(1) ** 2
+    assert weyl_act(p, weyl_element((1, 0), 2)) == z(0) * z(1) ** 2
 
 
 def test_weyl_identity():
     p = random_poly(random.Random(3), 3, 5)
-    assert weyl_act(p, (0, 1, 2)) == p
+    assert weyl_act(p, weyl_element((0, 1, 2), 3)) == p
 
 
 def test_weyl_fixes_even_power():
     p = (z(0) - z(1)) ** 2
-    assert weyl_act(p, (1, 0)) == p
+    assert weyl_act(p, weyl_element((1, 0), 2)) == p
 
 
 def test_weyl_matrix_action_and_invertibility():
     p = z(0) + z(1)
     m = [[1, 1], [0, 1]]  # z0 -> z0 + z1, z1 -> z1
-    assert weyl_act(p, m) == z(0) + 2 * z(1)
-    with pytest.raises(ValueError):
-        weyl_act(p, [[1, 1], [1, 1]])
+    assert weyl_act(p, weyl_element(m, 2)) == z(0) + 2 * z(1)
+    with pytest.raises(ValueError, match="not invertible"):
+        weyl_element([[1, 1], [1, 1]], 2)
 
 
 def test_weyl_act_is_ring_homomorphism():
@@ -124,7 +125,7 @@ def test_weyl_act_is_ring_homomorphism():
     for _ in range(25):
         p = random_poly(rng, 2, 4)
         q = random_poly(rng, 2, 4)
-        g = rng.choice([(1, 0), (0, 1), [[0, 1], [1, 0]], [[1, 2], [0, 1]]])
+        g = weyl_element(rng.choice([(1, 0), (0, 1), [[0, 1], [1, 0]], [[1, 2], [0, 1]]]), 2)
         assert weyl_act(p * q, g) == weyl_act(p, g) * weyl_act(q, g)
         assert weyl_act(p + q, g) == weyl_act(p, g) + weyl_act(q, g)
 
