@@ -9,7 +9,7 @@ exact rational arithmetic; the only floating point lives in the moment-map
 diagnostics module.
 """
 
-from .exactnum import Rational, TruncSeries, rat, series_geom_div
+from .exactnum import TruncSeries, rat, series_geom_div
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .groupdata import (
     ConeChoice,
@@ -22,11 +22,9 @@ from .groupdata import (
 )
 from .residue import (
     ResidueProblem,
-    iterated_residue_at_zero,
     jk_residue,
     res_plus,
     residue_at_infinity,
-    residue_at_zero,
 )
 from .localize import (
     FixedPointComponent,
@@ -44,7 +42,6 @@ from .betti import (
     QuotientDims,
     StratumDatum,
     check_perfect,
-    equivariant_circle_series,
     morse_assemble,
     poincare_H,
     poincare_uhat,
@@ -56,7 +53,6 @@ from .cohring import (
     graded_dims,
     invariant_basis,
     quotient_presentation_betti,
-    reynolds_project,
 )
 from .momentdiag import (
     LinearActionSample,

@@ -11,7 +11,7 @@ quotient series vanishes and whether it is coefficientwise nonnegative.
 
 from dataclasses import dataclass
 
-from .exactnum import TruncSeries, series_geom_div
+from .exactnum import TruncSeries
 
 __all__ = [
     "StratumDatum",
@@ -21,7 +21,6 @@ __all__ = [
     "poincare_H",
     "morse_assemble",
     "check_perfect",
-    "equivariant_circle_series",
     "weighted_projective_poincare",
 ]
 
@@ -155,12 +154,6 @@ def check_perfect(total, strata_sum):
         remainder=remainder,
         nonnegative=all(c >= 0 for c in remainder.coeffs),
     )
-
-
-def equivariant_circle_series(p):
-    """Series of the circle-equivariant theory of a trivial circle action:
-    multiply by the classifying-space series, i.e. divide by ``1 - t^2``."""
-    return _require_nonnegative(series_geom_div(p, 2), "equivariant series")
 
 
 def weighted_projective_poincare(weights, bound=None):

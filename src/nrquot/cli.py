@@ -291,6 +291,9 @@ def main(argv=None):
         try:
             with open(args.problem, "r", encoding="utf-8") as handle:
                 sys.stdout.write(reemit(handle.read()))
+        except RecursionError as exc:
+            print("error: invalid JSON: %s" % exc, file=sys.stderr)
+            return 1
         except (OSError, ValueError, KeyError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
@@ -302,7 +305,7 @@ def main(argv=None):
     except OSError as exc:
         print("error: cannot read %s: %s" % (args.problem, exc), file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print("error: invalid JSON: %s" % exc, file=sys.stderr)
         return 1
     if args.truncate is not None:

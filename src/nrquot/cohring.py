@@ -26,7 +26,6 @@ __all__ = [
     "GradedRingPresentation",
     "graded_dims",
     "invariant_basis",
-    "reynolds_project",
     "annihilator_dims",
     "quotient_presentation_betti",
 ]
@@ -201,20 +200,6 @@ def _average(ringp, elements, poly, degree):
     for element in elements:
         total = total + weyl_act(poly, element)
     return [c / len(elements) for c in ringp.reduce(total, degree)]
-
-
-def reynolds_project(ringp, weyl, poly, degree=None):
-    """Average a homogeneous element over the Weyl group, reduced.
-
-    Returns quotient coordinates of the invariant projection; averaging is
-    idempotent, so projecting a projected element changes nothing.  The
-    degree only needs to be passed for the zero polynomial, whose degree is
-    not recoverable from its terms.
-    """
-    elements = _weyl_group(ringp, weyl).weyl_elements()
-    if degree is None:
-        degree = max(poly.total_degree(), 0)
-    return _average(ringp, elements, poly, degree)
 
 
 def invariant_basis(ringp, weyl):

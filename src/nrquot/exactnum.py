@@ -11,17 +11,11 @@ numerical diagnostics live in :mod:`nrquot.momentdiag` and nowhere else.
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "rat",
     "as_fraction",
     "TruncSeries",
     "series_geom_div",
 ]
-
-# The exact rational scalar type.  fractions.Fraction already guarantees
-# lowest terms, positive denominator and canonical 0/1, so we use it
-# directly; ``rat``/``as_fraction`` are the only sanctioned constructors.
-Rational = Fraction
 
 
 def rat(numerator, denominator=None):

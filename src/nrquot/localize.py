@@ -17,9 +17,10 @@ in the numerator and in their preconditions:
   lift times the root-and-unipotent Euler class, divided by the Weyl order.
 
 Components selected by the chamber are the caller's data-preparation
-responsibility.  The projective-space and flag wrappers evaluate the
-classical iterated residue at zero and double as the calibration suite for
-the sign conventions.
+responsibility.  The Grassmannian and flag wrappers take the same JK residue
+of a class over ``prod_i z_i^n``, whose only pole is the origin, so it equals
+the classical iterated residue at zero; they double as the calibration suite
+for the sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -33,7 +34,7 @@ from math import factorial
 from .exactnum import as_fraction
 from .groupdata import euler_class_nonreductive
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
-from .residue import ResidueProblem, iterated_residue_at_zero, jk_residue
+from .residue import ResidueProblem, jk_residue
 
 __all__ = [
     "FixedPointComponent",
@@ -254,13 +255,14 @@ def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
     return torus_pairing_value_fn(a_tilde * e) / weyl_order
 
 
-def _pure_power_denominator(k, n):
-    forms = []
-    for i in range(k):
-        coeffs = [Fraction(0)] * k
-        coeffs[i] = Fraction(1)
-        forms.append((LinearForm(coeffs), n))
-    return tuple(forms)
+def _residue_over_pure_powers(num, n):
+    """JK residue of ``num / prod_i z_i^n``: the coefficient of
+    ``prod_i z_i^(n-1)`` in ``num``, since the origin is the only pole."""
+    k = num.nvars
+    den = [
+        (LinearForm([1 if j == i else 0 for j in range(k)]), n) for i in range(k)
+    ]
+    return jk_residue(ResidueProblem(RationalFn(num, den)))
 
 
 def flag_pairing(k, n, phi):
@@ -279,7 +281,7 @@ def flag_pairing(k, n, phi):
     for i in range(k):
         for j in range(i + 1, k):
             num = num * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
-    return iterated_residue_at_zero(RationalFn(num, _pure_power_denominator(k, n)))
+    return _residue_over_pure_powers(num, n)
 
 
 def grassmannian_pairing(k, n, phi):
@@ -304,7 +306,4 @@ def grassmannian_pairing(k, n, phi):
         for j in range(k):
             if i != j:
                 num = num * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
-    value = iterated_residue_at_zero(
-        RationalFn(num, _pure_power_denominator(k, n))
-    )
-    return value / factorial(k)
+    return _residue_over_pure_powers(num, n) / factorial(k)

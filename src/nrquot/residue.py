@@ -2,15 +2,17 @@
 
 Everything here is exact.  A residue in the variable ``z_i`` is extracted by
 formally expanding each denominator factor ``a*z_i + b(z')`` in powers of
-``z_i`` (around zero) or ``1/z_i`` (around infinity), truncated at the finite
-order that can contribute to the ``z_i^{-1}`` coefficient; that order is
-bounded by the numerator degree, so no division of polynomials is ever
-needed.  The signed operator :func:`res_plus` keeps the coefficient of
-``z_i^{-1}`` of the expansion at infinity when its direction component is
-nonnegative and returns zero otherwise; the sign is calibrated so that the
-degree of the hyperplane class on projective space comes out +1.  The
-iterated operator :func:`jk_residue` runs the variables in basis order and
-normalises by the Gram determinant of the basis.
+``1/z_i`` around infinity, truncated at the finite order that can contribute
+to the ``z_i^{-1}`` coefficient; that order is bounded by the numerator
+degree, so no division of polynomials is ever needed.  The signed operator
+:func:`res_plus` keeps the coefficient of ``z_i^{-1}`` of the expansion at
+infinity when its direction component is nonnegative and returns zero
+otherwise; the sign is calibrated so that the degree of the hyperplane class
+on projective space comes out +1.  The iterated operator :func:`jk_residue`
+runs the variables in basis order and normalises by the Gram determinant of
+the basis.  When every denominator factor is a power of one coordinate the
+origin is the only pole, so the coefficient at infinity is also the
+classical residue at zero.
 """
 
 from dataclasses import dataclass
@@ -20,15 +22,13 @@ from math import comb
 from . import _linalg
 from .exactnum import as_fraction
 from .groupdata import ConeChoice
-from .polyring import LinearForm, MultiPoly, RationalFn
+from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 
 __all__ = [
     "ResidueProblem",
-    "residue_at_zero",
     "residue_at_infinity",
     "res_plus",
     "jk_residue",
-    "iterated_residue_at_zero",
 ]
 
 
@@ -88,40 +88,6 @@ def _split_factors(fn, var):
     return pole_mult, pole_scale, mixed, params
 
 
-def residue_at_zero(fn, var):
-    """Coefficient of ``z_var^{-1}`` in the expansion around ``z_var = 0``.
-
-    Other variables ride along as parameters; the result is a rational
-    function which no longer involves ``z_var``.
-    """
-    n = fn.nvars
-    pole_mult, pole_scale, mixed, params = _split_factors(fn, var)
-    if pole_mult == 0 or fn.num.is_zero():
-        return RationalFn(MultiPoly.zero(n))
-    order = pole_mult - 1
-    # each mixed factor 1/(a z + b)^m contributes, over the common factor
-    # b^(m + order), the polynomial sum_j (-1)^j C(m+j-1, j) a^j b^(order-j) z^j
-    series = {0: MultiPoly.one(n)}
-    for a, rest, mult in mixed:
-        rest_poly = rest.to_poly()
-        expansion = {}
-        for j in range(order + 1):
-            coeff = Fraction((-1) ** j) * comb(mult + j - 1, j) * a**j
-            expansion[j] = (rest_poly ** (order - j)) * coeff
-        series = _series_mul(series, expansion, order, n)
-    num_slices = _var_slices(fn.num, var)
-    total = MultiPoly.zero(n)
-    for k, slice_poly in num_slices.items():
-        j = order - k
-        if j in series:
-            total = total + slice_poly * series[j]
-    if total.is_zero():
-        return RationalFn(MultiPoly.zero(n))
-    total = total * (1 / pole_scale)
-    den = list(params) + [(rest, mult + order) for _, rest, mult in mixed]
-    return RationalFn(total, den)
-
-
 def residue_at_infinity(fn, var):
     """Coefficient of ``z_var^{-1}`` in the expansion around ``z_var = infinity``.
 
@@ -170,15 +136,6 @@ def res_plus(fn, var, epsilon_component=0, sign_flip=False):
         return RationalFn(MultiPoly.zero(fn.nvars))
     out = residue_at_infinity(fn, var)
     return -out if sign_flip else out
-
-
-def iterated_residue_at_zero(fn):
-    """Iterate :func:`residue_at_zero` over all variables; returns a scalar."""
-    for var in range(fn.nvars):
-        fn = residue_at_zero(fn, var)
-    if not fn.is_constant():
-        raise ArithmeticError("iterated residue left a non-scalar remainder")
-    return fn.constant_value()
 
 
 @dataclass(frozen=True)
@@ -257,18 +214,7 @@ def jk_residue(problem):
     if problem.basis is not None:
         matrix = problem.basis_matrix()
         inverse = _linalg.inverse(matrix)
-        images = [
-            MultiPoly(
-                n,
-                {
-                    tuple(1 if k == i else 0 for k in range(n)): inverse[j][i]
-                    for i in range(n)
-                    if inverse[j][i] != 0
-                },
-            )
-            for j in range(n)
-        ]
-        num = fn.num.substitute_linear(images)
+        num = weyl_act(fn.num, weyl_element(inverse, n))
         den = [(form.transform(inverse), mult) for form, mult in fn.den]
         fn = RationalFn(num, den)
     epsilon = problem.epsilon or (Fraction(0),) * n

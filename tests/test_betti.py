@@ -6,7 +6,6 @@ from nrquot.betti import (
     QuotientDims,
     StratumDatum,
     check_perfect,
-    equivariant_circle_series,
     morse_assemble,
     poincare_H,
     poincare_uhat,
@@ -116,16 +115,6 @@ def test_check_perfect_indivisible_input_raises():
         check_perfect(total, bad)
 
 
-def test_equivariant_circle_series():
-    assert equivariant_circle_series(TruncSeries.one(6)) == TruncSeries(
-        [1, 0, 1, 0, 1, 0, 1], 6
-    )
-    assert equivariant_circle_series(TruncSeries([1, 0, 1], 6)) == TruncSeries(
-        [1, 0, 2, 0, 2, 0, 2], 6
-    )
-    assert equivariant_circle_series(TruncSeries.zero(5)).is_zero()
-
-
 def test_weighted_projective_space():
     assert weighted_projective_poincare([2, 3, 3]) == TruncSeries([1, 0, 1, 0, 1], 4)
     assert weighted_projective_poincare([1]) == TruncSeries.one(0)
@@ -177,8 +166,6 @@ def test_negative_coefficients_are_a_hard_error():
         poincare_uhat(TruncSeries([1, 0, -1], 8), QuotientDims(4, 1, 0))
     with pytest.raises(ValueError):
         morse_assemble([StratumDatum(0, TruncSeries([-1], 4))])
-    with pytest.raises(ValueError):
-        equivariant_circle_series(TruncSeries([1, 0, -2], 6))
 
 
 def test_perfect_stratifications_random():

@@ -215,6 +215,19 @@ def test_reemit_rejects_malformed_document(tmp_path, doc, path):
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")], ids=["array", "object"])
+@pytest.mark.parametrize("flags", [(), ("--reemit",)], ids=["problem", "reemit"])
+def test_deeply_nested_json_is_rejected_in_one_line(tmp_path, opening, closing, flags):
+    depth = 10 ** 5
+    path = tmp_path / "deep.json"
+    path.write_text(opening * depth + ("1" if closing == "}" else "") + closing * depth)
+    out = run_cli(str(path), *flags)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: invalid JSON: ")
+    assert out.stderr.count("\n") == 1
+    assert out.stdout == ""
+
+
 def test_output_is_deterministic():
     first = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
     second = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")

