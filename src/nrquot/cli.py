@@ -1,8 +1,9 @@
 """Command-line front end: run a problem file, render the result.
 
 Exit codes: 0 on success, 1 on a validation error (bad file or schema), 2 on
-a computation error (invalid cone, inconsistent data).  Results go to
-stdout; diagnostics go to stderr.
+a computation error (invalid cone, inconsistent data) or on any unexpected
+internal error, reported as one ``error: internal error: ...`` line.  Results
+go to stdout; diagnostics go to stderr.
 """
 
 import argparse
@@ -286,12 +287,19 @@ def main(argv=None):
         help="treat the input as a JSON result document and re-render it",
     )
     args = parser.parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:  # last resort: one line and exit 2, never a traceback
+        print("error: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
+
+def _main(args):
     if args.reemit:
         try:
             with open(args.problem, "r", encoding="utf-8") as handle:
                 sys.stdout.write(reemit(handle.read()))
-        except RecursionError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             print("error: invalid JSON: %s" % exc, file=sys.stderr)
             return 1
         except (OSError, ValueError, KeyError) as exc:

@@ -17,10 +17,14 @@ in the numerator and in their preconditions:
   lift times the root-and-unipotent Euler class, divided by the Weyl order.
 
 Components selected by the chamber are the caller's data-preparation
-responsibility.  The Grassmannian and flag wrappers take the same JK residue
-of a class over ``prod_i z_i^n``, whose only pole is the origin, so it equals
-the classical iterated residue at zero; they double as the calibration suite
-for the sign conventions.
+responsibility.  When every denominator factor of a component is a multiple
+of one coordinate, the residue reads a single coefficient of the numerator,
+so the component multiplies class by factor only up to that coefficient's
+degree in each variable (see :meth:`FixedPointComponent.term`).  The
+Grassmannian and flag wrappers run the same sum over the origin alone, with
+normal weights ``z_i`` of order ``n`` and the Vandermonde factor; the origin
+is then the only pole, so the sum is the classical iterated residue at zero.
+They double as the calibration suite for the sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -97,7 +101,16 @@ class FixedPointComponent:
         object.__setattr__(self, "lambda_weight", as_fraction(self.lambda_weight))
 
     def term(self, default_class, extra_factor):
-        """The component's contribution (class * factor) / Euler(normal)."""
+        """The component's contribution (class * factor) / Euler(normal).
+
+        When every denominator factor (the restriction's and the normal
+        weights) is ``a*z_i`` for a single ``i``, the numerator is truncated
+        to the monomials with ``e[i] <= caps[i]``, where ``caps[i]`` is the
+        total multiplicity on ``z_i`` minus 1.  The JK residue in standard
+        coordinates (no basis, which :func:`_localization_sum` never passes)
+        reads only the coefficient at the caps, so the truncated term has the
+        same residue; it is not the same rational function.
+        """
         restriction = self.restriction
         if restriction is None:
             restriction = default_class
@@ -108,8 +121,25 @@ class FixedPointComponent:
             )
         if isinstance(restriction, MultiPoly):
             restriction = RationalFn(restriction)
-        out = restriction * extra_factor
-        return RationalFn(out.num, out.den + self.normal_weights)
+        den = restriction.den + self.normal_weights
+        caps = _pole_caps(den, restriction.nvars)
+        if caps is None:
+            num = restriction.num * extra_factor
+        else:
+            num = restriction.num.capped_mul(extra_factor, caps)
+        return RationalFn(num, den)
+
+
+def _pole_caps(den, nvars):
+    """Per variable, the multiplicity of the pole at ``z_i = 0`` minus 1, when
+    every factor of ``den`` is ``a*z_i`` for a single ``i``; otherwise None."""
+    caps = [-1] * nvars
+    for form, mult in den:
+        support = [i for i, c in enumerate(form.coeffs) if c != 0]
+        if len(support) != 1 or form.nvars != nvars:
+            return None
+        caps[support[0]] += mult
+    return caps
 
 
 @dataclass(frozen=True)
@@ -167,12 +197,15 @@ def integrate_reductive(problem):
     positive roots up to (-1)^(number of positive roots); using the full
     product is what makes the hyperplane-class calibration come out +1, and
     it keeps this evaluator consistent with the general one below on data
-    with no unipotent directions.
+    with no unipotent directions.  The class must be Weyl-invariant (a
+    failing generator is reported).
     """
     if problem.group.unipotent_weights:
         raise ValueError("reductive pairing requires no unipotent weights")
     if not problem.fixed_points:
         raise ValueError("fixed-point list is empty")
+    if problem.class_eta is not None:
+        _check_weyl_invariant(problem.class_eta, problem.group)
     factor = euler_class_nonreductive(problem.group)
     return problem.constant() * _localization_sum(
         problem.fixed_points, problem.class_eta, factor, problem.cone
@@ -255,14 +288,10 @@ def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
     return torus_pairing_value_fn(a_tilde * e) / weyl_order
 
 
-def _residue_over_pure_powers(num, n):
-    """JK residue of ``num / prod_i z_i^n``: the coefficient of
-    ``prod_i z_i^(n-1)`` in ``num``, since the origin is the only pole."""
-    k = num.nvars
-    den = [
-        (LinearForm([1 if j == i else 0 for j in range(k)]), n) for i in range(k)
-    ]
-    return jk_residue(ResidueProblem(RationalFn(num, den)))
+def _origin(k, n):
+    """The origin of C^(kn) as the one fixed component: weight z_i, order n."""
+    unit = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+    return (FixedPointComponent("origin", [(LinearForm(u), n) for u in unit]),)
 
 
 def flag_pairing(k, n, phi):
@@ -277,11 +306,11 @@ def flag_pairing(k, n, phi):
         raise ValueError("need 1 <= k <= n")
     if phi.nvars != k:
         raise ValueError("class must live in %d variables" % k)
-    num = phi
+    factor = MultiPoly.one(k)
     for i in range(k):
         for j in range(i + 1, k):
-            num = num * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
-    return _residue_over_pure_powers(num, n)
+            factor = factor * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
+    return _localization_sum(_origin(k, n), phi, factor, None)
 
 
 def grassmannian_pairing(k, n, phi):
@@ -301,9 +330,9 @@ def grassmannian_pairing(k, n, phi):
                 "class is not symmetric in the torus variables (swap %d,%d)"
                 % (i, i + 1)
             )
-    num = phi
+    factor = MultiPoly.one(k)
     for i in range(k):
         for j in range(k):
             if i != j:
-                num = num * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
-    return _residue_over_pure_powers(num, n) / factorial(k)
+                factor = factor * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
+    return _localization_sum(_origin(k, n), phi, factor, None) / factorial(k)

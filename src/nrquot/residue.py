@@ -54,12 +54,10 @@ def _series_mul(a, b, jmax, nvars):
         for j, pj in b.items():
             if i + j > jmax:
                 continue
-            prod = pi * pj
-            if (i + j) in out:
-                out[i + j] = out[i + j] + prod
-            else:
-                out[i + j] = prod
-    return out
+            acc = out.setdefault(i + j, {})
+            for e, c in (pi * pj).terms.items():
+                acc[e] = acc.get(e, 0) + c
+    return {order: MultiPoly(nvars, terms) for order, terms in out.items()}
 
 
 def _split_factors(fn, var):
@@ -114,11 +112,13 @@ def residue_at_infinity(fn, var):
             coeff = Fraction((-1) ** j) * comb(mult + j - 1, j) / a ** (mult + j)
             expansion[j] = (rest_poly**j) * coeff
         series = _series_mul(series, expansion, jmax, n)
-    total = MultiPoly.zero(n)
+    terms = {}
     for k, slice_poly in num_slices.items():
         j = k - base_mult + 1
         if j >= 0 and j in series:
-            total = total + slice_poly * series[j]
+            for e, c in (slice_poly * series[j]).terms.items():
+                terms[e] = terms.get(e, 0) + c
+    total = MultiPoly(n, terms)
     if total.is_zero():
         return RationalFn(MultiPoly.zero(n))
     return RationalFn(total, params)

@@ -228,6 +228,38 @@ def test_deeply_nested_json_is_rejected_in_one_line(tmp_path, opening, closing, 
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [(), ("--reemit",)], ids=["problem", "reemit"])
+def test_malformed_json_is_reported_as_invalid_json(tmp_path, flags):
+    path = tmp_path / "bad.json"
+    path.write_text("[")
+    out = run_cli(str(path), *flags)
+    assert out.returncode == 1
+    assert out.stderr == "error: invalid JSON: Expecting value: line 1 column 2 (char 1)\n"
+    assert out.stdout == ""
+
+
+def test_unexpected_failure_is_one_line_with_exit_2(monkeypatch, capsys):
+    def broken(problem, flip):
+        raise TypeError("boom")
+
+    monkeypatch.setitem(cli._MODE_HANDLERS, "pair_reductive", broken)
+    assert cli.main([str(PROBLEMS / "gr24_pairing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: TypeError: boom\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["pair_reductive", "pair_nonreductive"])
+def test_pairing_modes_reject_a_class_that_is_not_weyl_invariant(tmp_path, mode):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    doc["mode"] = mode
+    doc["class"] = [{"coeff": "1", "exp": [4, 0]}]
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 2
+    assert out.stderr == "error: class is not Weyl-invariant; witness generator #0: (1, 0)\n"
+    assert out.stdout == ""
+
+
 def test_output_is_deterministic():
     first = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
     second = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nrquot.groupdata import ConeChoice, GroupData, euler_class_nonreductive
 from nrquot.localize import (
     FixedPointComponent,
+    _localization_sum,
     PairingProblem,
     WeylInvarianceError,
     flag_pairing,
@@ -20,7 +21,8 @@ from nrquot.localize import (
     integrate_uhat,
     torus_pairing_fn,
 )
-from nrquot.polyring import LinearForm, MultiPoly
+from nrquot.polyring import LinearForm, MultiPoly, RationalFn
+from nrquot.residue import ResidueProblem, jk_residue
 from oracles import dense_mul, pieri_power
 
 
@@ -263,6 +265,50 @@ def test_nonreductive_rejects_asymmetric_class():
     with pytest.raises(WeylInvarianceError) as err:
         integrate_nonreductive(p)
     assert err.value.generator_index == 0
+
+
+# -- the localisation sum ----------------------------------------------------------
+
+# Normal weights of one rank-2 component: pure powers of single coordinates
+# (the numerator is truncated at the pole orders) and a set with the mixed
+# weight z0 + z1 (the numerator is multiplied out in full).
+LOCALIZATION_WEIGHTS = {
+    "pure": [((2, 0), 2), ((0, -1), 3)],
+    "mixed": [((1, 0), 2), ((1, 1), 1), ((0, 1), 2)],
+}
+
+
+def _homogeneous(degree):
+    return [(a, degree - a) for a in range(degree + 1)]
+
+
+@st.composite
+def localization_cases(draw):
+    """(weights, restriction pole, class, factor, sign flip): a class mostly
+    in the degree where the residue can be nonzero, optionally restricted as
+    a ratio with one more pole at z0."""
+    weights = LOCALIZATION_WEIGHTS[draw(st.sampled_from(sorted(LOCALIZATION_WEIGHTS)))]
+    pole = draw(st.booleans())
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    fdeg = draw(st.integers(0, 2))
+    factor = draw(st.dictionaries(st.sampled_from(_homogeneous(fdeg)), coeff, min_size=1, max_size=3))
+    degree = sum(m for _, m in weights) + pole - 2 - fdeg
+    cls = draw(st.dictionaries(st.sampled_from(_homogeneous(degree)), coeff, min_size=1, max_size=4))
+    cls.update(draw(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), coeff, max_size=2)))
+    return weights, pole, MultiPoly(2, cls), MultiPoly(2, factor), draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(localization_cases())
+def test_localization_sum_matches_residue_of_the_expanded_term(case):
+    weights, pole, cls, factor, sign_flip = case
+    restriction_den = [((1, 0), 1)] if pole else []
+    comp = FixedPointComponent(
+        "c", weights, restriction=RationalFn(cls, restriction_den) if pole else None
+    )
+    expanded = RationalFn(cls * factor, restriction_den + weights)
+    expected = jk_residue(ResidueProblem(expanded, sign_flip=sign_flip))
+    assert _localization_sum([comp], cls, factor, None, sign_flip) == expected
 
 
 # -- abelianisation -----------------------------------------------------------------
