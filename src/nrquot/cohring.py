@@ -196,10 +196,11 @@ def _weyl_group(ringp, weyl):
 
 def _average(ringp, elements, poly, degree):
     """Quotient coordinates of the mean of ``poly`` over the Weyl elements."""
-    total = MultiPoly.zero(ringp.nvars)
+    total = {}
     for element in elements:
-        total = total + weyl_act(poly, element)
-    return [c / len(elements) for c in ringp.reduce(total, degree)]
+        for e, c in weyl_act(poly, element).terms.items():
+            total[e] = total.get(e, 0) + c
+    return [c / len(elements) for c in ringp.reduce(MultiPoly(ringp.nvars, total), degree)]
 
 
 def invariant_basis(ringp, weyl):

@@ -8,6 +8,8 @@ its coefficient vector, and a :class:`RationalFn` keeps its denominator as a
 multiset of linear-form factors, never expanded.  All the residue machinery
 consumes exactly these shapes: equivariant Euler classes and Weyl factors are
 products of linear forms, so the factored representation is the natural one.
+Products, powers and the Weyl action share one private kernel on
+``{monomial: coefficient}`` dicts, so int coefficients stay ints through it.
 
 >>> p = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)   # z0 + z1
 >>> q = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)   # z0 - z1
@@ -16,6 +18,7 @@ True
 """
 
 from fractions import Fraction
+from operator import add
 
 from .exactnum import as_fraction
 from . import _linalg
@@ -27,6 +30,29 @@ __all__ = [
     "weyl_element",
     "weyl_act",
 ]
+
+
+def _times(a, b):
+    """Product of two ``{monomial: coefficient}`` dicts, int or Fraction; a
+    sum that cancels stays as a zero until a :class:`MultiPoly` prunes it."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _power(a, k):
+    """``a ** k`` for a dict as in :func:`_times` and ``k >= 1``, by squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _times(result, a)
+        k >>= 1
+        if not k:
+            return result
+        a = _times(a, a)
 
 
 class MultiPoly:
@@ -135,12 +161,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_compatible(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.nvars, out)
+            return MultiPoly(self.nvars, _times(self.terms, other.terms))
         coeff = as_fraction(other)
         return MultiPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
@@ -204,14 +225,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return MultiPoly(self.nvars, _power(self.terms, n) if n else {(0,) * self.nvars: 1})
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -220,34 +234,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute_linear(self, images):
-        """Substitute each variable by a linear polynomial.
-
-        ``images[i]`` is the MultiPoly (in the target ring) replacing ``z_i``.
-        """
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        target = images[0].nvars if images else self.nvars
-        out = {}
-        power_cache = [{} for _ in range(self.nvars)]
-
-        def power(i, k):
-            cache = power_cache[i]
-            if k not in cache:
-                cache[k] = images[i] ** k
-            return cache[k]
-
-        for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(target, coeff)
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * power(i, e)
-            for mono, c in term.terms.items():
-                out[mono] = out.get(mono, 0) + c
-        return MultiPoly(target, out)
 
     # -- display -----------------------------------------------------------
 
@@ -439,17 +425,14 @@ class RationalFn:
         mine = dict(self.den)
         theirs = dict(other.den)
         common = {f: max(mine.get(f, 0), theirs.get(f, 0)) for f in {*mine, *theirs}}
-        left = self.num
-        for f, m in common.items():
-            deficit = m - mine.get(f, 0)
-            if deficit:
-                left = left * (f.to_poly() ** deficit)
-        right = other.num
-        for f, m in common.items():
-            deficit = m - theirs.get(f, 0)
-            if deficit:
-                right = right * (f.to_poly() ** deficit)
-        return RationalFn(left + right, tuple(common.items()))
+
+        def lift(num, den):
+            for f, m in common.items():
+                if m > den.get(f, 0):
+                    num = num * f.to_poly() ** (m - den.get(f, 0))
+            return num
+
+        return RationalFn(lift(self.num, mine) + lift(other.num, theirs), tuple(common.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -487,10 +470,16 @@ def weyl_element(gen, nvars):
     ``gen`` is a permutation of ``0..nvars-1`` (``z_i -> z_{gen[i]}``) or an
     invertible rational matrix (``z_i -> sum_j gen[i][j] z_j``).  The result
     holds, per ``z_i``, the nonzero ``(j, c)`` pairs of its image by ``j``.
+    An integral ``c`` is an ``int``, so permutations and signed permutations
+    compose and act in int arithmetic.
 
     >>> swap = weyl_element((1, 0), 2)
+    >>> swap
+    (((1, 1),), ((0, 1),))
     >>> swap == weyl_element([[0, 1], [1, 0]], 2)
     True
+    >>> weyl_element([[-1, 0], ["1/2", 1]], 2)
+    (((0, -1),), ((0, Fraction(1, 2)), (1, 1)))
     >>> z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     >>> weyl_act(z0 ** 2 * z1, swap) == z0 * z1 ** 2
     True
@@ -499,21 +488,34 @@ def weyl_element(gen, nvars):
         perm = [int(x) for x in gen]
         if sorted(perm) != list(range(nvars)):
             raise ValueError("generator is not a permutation of 0..%d" % (nvars - 1))
-        return tuple(((j, Fraction(1)),) for j in perm)
+        return tuple(((j, 1),) for j in perm)
     matrix = _linalg.to_matrix(gen)
     if len(matrix) != nvars or any(len(row) != nvars for row in matrix):
         raise ValueError("generator matrix size does not match rank")
     if _linalg.det(matrix) == 0:
         raise ValueError("Weyl generator is not invertible")
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c != 0) for row in matrix)
+    return tuple(
+        tuple((j, int(c) if c.denominator == 1 else c) for j, c in enumerate(row) if c != 0)
+        for row in matrix
+    )
 
 
 def weyl_act(poly, element):
     """Apply a Weyl element, in the form :func:`weyl_element` returns, to a
-    polynomial: substitute each ``z_i`` by its image."""
+    polynomial: substitute each ``z_i`` by its image.  A term is the product
+    of the image powers it needs, each taken once, times its coefficient."""
     n = poly.nvars
-    images = [
-        MultiPoly(n, {tuple(int(k == j) for k in range(n)): c for j, c in row})
-        for row in element
-    ]
-    return poly.substitute_linear(images)
+    unit = (0,) * n
+    images = [{unit[:j] + (1,) + unit[j + 1:]: c for j, c in row} for row in element]
+    powers = [{} for _ in range(n)]
+    out = {}
+    for expo, coeff in poly.terms.items():
+        term = {unit: 1}
+        for i, e in enumerate(expo):
+            if e:
+                if e not in powers[i]:
+                    powers[i][e] = _power(images[i], e)
+                term = _times(term, powers[i][e])
+        for mono, c in term.items():
+            out[mono] = out.get(mono, 0) + c * coeff
+    return MultiPoly(n, out)

@@ -22,7 +22,7 @@ from math import comb
 from . import _linalg
 from .exactnum import as_fraction
 from .groupdata import ConeChoice
-from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
+from .polyring import LinearForm, MultiPoly, RationalFn, _times, weyl_act, weyl_element
 
 __all__ = [
     "ResidueProblem",
@@ -33,31 +33,24 @@ __all__ = [
 
 
 def _var_slices(poly, var):
-    """Split a polynomial by its degree in ``var``; slices do not involve ``var``."""
+    """Split a polynomial by its degree in ``var``: ``{degree: {monomial:
+    coefficient}}``, each monomial with its ``var`` exponent set to zero."""
     slices = {}
     for expo, coeff in poly.terms.items():
-        k = expo[var]
-        stripped = tuple(0 if i == var else e for i, e in enumerate(expo))
-        bucket = slices.setdefault(k, {})
-        bucket[stripped] = bucket.get(stripped, Fraction(0)) + coeff
-    return {
-        k: MultiPoly(poly.nvars, terms) for k, terms in slices.items()
-    }
+        slices.setdefault(expo[var], {})[expo[:var] + (0,) + expo[var + 1:]] = coeff
+    return slices
 
 
-def _series_mul(a, b, jmax, nvars):
-    """Truncated product of two {order: MultiPoly} expansions."""
+def _series_mul(a, b, jmax):
+    """Truncated product of two {order: {monomial: coefficient}} expansions."""
     out = {}
     for i, pi in a.items():
-        if i > jmax:
-            continue
         for j, pj in b.items():
-            if i + j > jmax:
-                continue
-            acc = out.setdefault(i + j, {})
-            for e, c in (pi * pj).terms.items():
-                acc[e] = acc.get(e, 0) + c
-    return {order: MultiPoly(nvars, terms) for order, terms in out.items()}
+            if i + j <= jmax:
+                acc = out.setdefault(i + j, {})
+                for e, c in _times(pi, pj).items():
+                    acc[e] = acc.get(e, 0) + c
+    return out
 
 
 def _split_factors(fn, var):
@@ -104,19 +97,19 @@ def residue_at_infinity(fn, var):
         return RationalFn(MultiPoly.zero(n))
     # 1/(a z + b)^m expands at infinity as
     # sum_j (-1)^j C(m+j-1, j) b^j a^(-m-j) z^(-m-j); pure poles only keep j=0
-    series = {0: MultiPoly.constant(n, 1 / pole_scale)}
+    series = {0: {(0,) * n: 1 / pole_scale}}
     for a, rest, mult in mixed:
         rest_poly = rest.to_poly()
         expansion = {}
         for j in range(jmax + 1):
             coeff = Fraction((-1) ** j) * comb(mult + j - 1, j) / a ** (mult + j)
-            expansion[j] = (rest_poly**j) * coeff
-        series = _series_mul(series, expansion, jmax, n)
+            expansion[j] = ((rest_poly**j) * coeff).terms
+        series = _series_mul(series, expansion, jmax)
     terms = {}
-    for k, slice_poly in num_slices.items():
+    for k, slice_terms in num_slices.items():
         j = k - base_mult + 1
         if j >= 0 and j in series:
-            for e, c in (slice_poly * series[j]).terms.items():
+            for e, c in _times(slice_terms, series[j]).items():
                 terms[e] = terms.get(e, 0) + c
     total = MultiPoly(n, terms)
     if total.is_zero():

@@ -417,6 +417,19 @@ def test_grassmannian_values():
     assert grassmannian_pairing(1, 3, z ** 2) == 1
 
 
+def test_grassmannian_gr510_degree():
+    # sigma_1^25 by the multinomial theorem: sigma_1 ** 25 through __pow__
+    # expands every intermediate power
+    terms = {}
+    for combo in combinations_with_replacement(range(5), 25):
+        expo = tuple(combo.count(i) for i in range(5))
+        coeff = factorial(25)
+        for e in expo:
+            coeff //= factorial(e)
+        terms[expo] = coeff
+    assert grassmannian_pairing(5, 10, MultiPoly(5, terms)) == 701149020
+
+
 def test_grassmannian_symmetry_check():
     z0, _ = zz()
     with pytest.raises(ValueError):

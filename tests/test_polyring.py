@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrquot._linalg import det
 from nrquot.polyring import (
     LinearForm,
     MultiPoly,
@@ -152,14 +153,63 @@ def test_weyl_matrix_action_and_invertibility():
         weyl_element([[1, 1], [1, 1]], 2)
 
 
-def test_weyl_act_is_ring_homomorphism():
-    rng = random.Random(11)
-    for _ in range(25):
-        p = random_poly(rng, 2, 4)
-        q = random_poly(rng, 2, 4)
-        g = weyl_element(rng.choice([(1, 0), (0, 1), [[0, 1], [1, 0]], [[1, 2], [0, 1]]]), 2)
-        assert weyl_act(p * q, g) == weyl_act(p, g) * weyl_act(q, g)
-        assert weyl_act(p + q, g) == weyl_act(p, g) + weyl_act(q, g)
+def test_weyl_act_takes_powers_by_squaring():
+    # a power grown one factor at a time would need 10**9 products here
+    p = z(0) ** 10**9 * z(1)
+    assert weyl_act(p, weyl_element((1, 0), 2)) == z(0) * z(1) ** 10**9
+
+
+def substitute(poly, gen):
+    """Reference action: replace each ``z_i`` by its image under the raw
+    generator, a permutation or a matrix, with ``MultiPoly`` ``+``, ``**``
+    and ``*``."""
+    n = poly.nvars
+    if isinstance(gen, tuple):
+        images = [z(j, n) for j in gen]
+    else:
+        images = [
+            sum((c * z(j, n) for j, c in enumerate(row)), MultiPoly.zero(n))
+            for row in gen
+        ]
+    out = MultiPoly.zero(n)
+    for expo, coeff in poly.terms.items():
+        term = MultiPoly.constant(n, coeff)
+        for image, e in zip(images, expo):
+            term = term * image ** e
+        out = out + term
+    return out
+
+
+@st.composite
+def weyl_cases(draw):
+    """Rank 1-3; a permutation, a signed permutation or an invertible
+    rational matrix; two polynomials with exponents up to 2."""
+    n = draw(st.integers(1, 3))
+    perm = tuple(draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(["permutation", "signed", "matrix"]))
+    if kind == "permutation":
+        gen = perm
+    elif kind == "signed":
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        gen = [[signs[i] * int(j == perm[i]) for j in range(n)] for i in range(n)]
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        row = st.lists(entry, min_size=n, max_size=n)
+        gen = draw(st.lists(row, min_size=n, max_size=n).filter(lambda m: det(m) != 0))
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    poly = st.dictionaries(expo, coeff, max_size=5)
+    return gen, MultiPoly(n, draw(poly)), MultiPoly(n, draw(poly))
+
+
+@settings(max_examples=120, deadline=None)
+@given(weyl_cases())
+def test_weyl_act_is_ring_homomorphism(case):
+    gen, p, q = case
+    g = weyl_element(gen, p.nvars)
+    assert weyl_act(p, g) == substitute(p, gen)
+    assert weyl_act(p * q, g) == weyl_act(p, g) * weyl_act(q, g)
+    assert weyl_act(p + q, g) == weyl_act(p, g) + weyl_act(q, g)
 
 
 # -- rational functions --------------------------------------------------------
