@@ -94,12 +94,7 @@ def poincare_H(p_zmin_quotient, dims):
     itself (a minimal fixed point, say) the caller supplies the effective
     dimensions of the fibration instead; the kernel is unchanged.
     """
-    d = dims.codim
-    if d < 1:
-        raise ValueError("quotient codimension must be at least 1")
-    return _require_nonnegative(
-        p_zmin_quotient * _kernel(d, p_zmin_quotient.bound), "quotient series"
-    )
+    return poincare_uhat(p_zmin_quotient, dims)
 
 
 def morse_assemble(strata):

@@ -19,12 +19,12 @@ in the numerator and in their preconditions:
 Components selected by the chamber are the caller's data-preparation
 responsibility.  When every denominator factor of a component is a multiple
 of one coordinate, the residue reads a single coefficient of the numerator,
-so the component multiplies class by factor only up to that coefficient's
-degree in each variable (see :meth:`FixedPointComponent.term`).  The
-Grassmannian and flag wrappers run the same sum over the origin alone, with
-normal weights ``z_i`` of order ``n`` and the Vandermonde factor; the origin
-is then the only pole, so the sum is the classical iterated residue at zero.
-They double as the calibration suite for the sign conventions.
+so the component computes only that coefficient of class * factor (see
+:meth:`FixedPointComponent.term`).  The Grassmannian and flag wrappers run
+the same sum over the origin alone, with normal weights ``z_i`` of order
+``n`` and the Vandermonde factor; the origin is then the only pole, so the
+sum is the classical iterated residue at zero.  They double as the
+calibration suite for the sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -34,6 +34,7 @@ Fraction(2, 1)
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from .exactnum import as_fraction
 from .groupdata import euler_class_nonreductive
@@ -104,12 +105,13 @@ class FixedPointComponent:
         """The component's contribution (class * factor) / Euler(normal).
 
         When every denominator factor (the restriction's and the normal
-        weights) is ``a*z_i`` for a single ``i``, the numerator is truncated
-        to the monomials with ``e[i] <= caps[i]``, where ``caps[i]`` is the
-        total multiplicity on ``z_i`` minus 1.  The JK residue in standard
-        coordinates (no basis, which :func:`_localization_sum` never passes)
-        reads only the coefficient at the caps, so the truncated term has the
-        same residue; it is not the same rational function.
+        weights) is ``a*z_i`` for a single ``i``, the numerator is the one
+        monomial ``z^caps`` of class * factor, where ``caps[i]`` is the total
+        multiplicity on ``z_i`` minus 1, and it is zero when some ``z_i`` has
+        no pole.  The JK residue in standard coordinates (no basis, which
+        :func:`_localization_sum` never passes) reads only that coefficient,
+        so the term has the same residue; it is not the same rational
+        function.
         """
         restriction = self.restriction
         if restriction is None:
@@ -121,13 +123,17 @@ class FixedPointComponent:
             )
         if isinstance(restriction, MultiPoly):
             restriction = RationalFn(restriction)
+        num = restriction.num
         den = restriction.den + self.normal_weights
-        caps = _pole_caps(den, restriction.nvars)
+        caps = _pole_caps(den, num.nvars)
         if caps is None:
-            num = restriction.num * extra_factor
-        else:
-            num = restriction.num.capped_mul(extra_factor, caps)
-        return RationalFn(num, den)
+            return RationalFn(num * extra_factor, den)
+        num._check_compatible(extra_factor)
+        if -1 in caps:
+            return RationalFn(MultiPoly.zero(num.nvars), den)
+        small, large = sorted((num.terms, extra_factor.terms), key=len)
+        corner = sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
+        return RationalFn(MultiPoly(num.nvars, {caps: corner}), den)
 
 
 def _pole_caps(den, nvars):
@@ -139,7 +145,7 @@ def _pole_caps(den, nvars):
         if len(support) != 1 or form.nvars != nvars:
             return None
         caps[support[0]] += mult
-    return caps
+    return tuple(caps)
 
 
 @dataclass(frozen=True)
@@ -202,14 +208,7 @@ def integrate_reductive(problem):
     """
     if problem.group.unipotent_weights:
         raise ValueError("reductive pairing requires no unipotent weights")
-    if not problem.fixed_points:
-        raise ValueError("fixed-point list is empty")
-    if problem.class_eta is not None:
-        _check_weyl_invariant(problem.class_eta, problem.group)
-    factor = euler_class_nonreductive(problem.group)
-    return problem.constant() * _localization_sum(
-        problem.fixed_points, problem.class_eta, factor, problem.cone
-    )
+    return integrate_nonreductive(problem)
 
 
 def integrate_uhat(problem, sign_flip=False):

@@ -165,60 +165,6 @@ class MultiPoly:
         coeff = as_fraction(other)
         return MultiPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
-    def capped_mul(self, other, caps):
-        """The part of ``self * other`` whose monomials have ``e[i] <= caps[i]``.
-
-        Both factors are split variable by variable, and a pair of partial
-        monomials is dropped as soon as its exponent on the current variable
-        exceeds the cap, or the least degree either side still adds exceeds
-        what the remaining caps allow.  Exponents only grow, so this keeps
-        every coefficient that survives exact.  A cap of -1 keeps nothing.
-
-        >>> z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        >>> (z0 + z1).capped_mul(z0 + z1, (1, 1)) == 2 * z0 * z1
-        True
-        """
-        self._check_compatible(other)
-        n = self.nvars
-        if len(caps) != n:
-            raise ValueError("need one cap per variable")
-        budget = [sum(caps[i:]) for i in range(1, n + 1)]
-
-        def within(terms):
-            return [
-                (e, c) for e, c in terms.items()
-                if all(a <= cap for a, cap in zip(e, caps))
-            ]
-
-        def split(items, i):
-            # [(e[i], least degree of e[i+1:], split of the rest)], or the
-            # coefficient once every variable is split off
-            if i == n:
-                return items[0][1]
-            groups = {}
-            for e, c in items:
-                groups.setdefault(e[i], []).append((e, c))
-            return [
-                (x, min(sum(e[i + 1:]) for e, _ in group), split(group, i + 1))
-                for x, group in groups.items()
-            ]
-
-        out = {}
-
-        def walk(left, right, i, prefix):
-            if i == n:
-                out[prefix] = out.get(prefix, 0) + left * right
-                return
-            for a, a_rest, a_sub in left:
-                for b, b_rest, b_sub in right:
-                    if a + b <= caps[i] and a_rest + b_rest <= budget[i]:
-                        walk(a_sub, b_sub, i + 1, prefix + (a + b,))
-
-        left, right = within(self.terms), within(other.terms)
-        if left and right:
-            walk(split(left, 0), split(right, 0), 0, ())
-        return MultiPoly(n, out)
-
     def __rmul__(self, other):
         return self.__mul__(other)
 

@@ -228,6 +228,22 @@ def _group(value, path):
     return group
 
 
+def _weights(value, rank, path):
+    """An array of ``[form, multiplicity]`` pairs, as (LinearForm, int) pairs."""
+    _expect(isinstance(value, list), path, "expected an array")
+    out = []
+    for i, pair in enumerate(value):
+        ppath = "%s[%d]" % (path, i)
+        _expect(
+            isinstance(pair, list) and len(pair) == 2,
+            ppath,
+            "expected [form, multiplicity]",
+        )
+        form = LinearForm(_vector(pair[0], rank, ppath + "[0]"))
+        out.append((form, _int(pair[1], ppath + "[1]", minimum=1)))
+    return tuple(out)
+
+
 def _fixed_points(value, rank, path):
     _expect(isinstance(value, list) and value, path, "expected a nonempty array")
     out = []
@@ -237,17 +253,7 @@ def _fixed_points(value, rank, path):
         _expect("normal_weights" in item, ipath, "missing 'normal_weights'")
         nw = item["normal_weights"]
         _expect(isinstance(nw, list) and nw, ipath + ".normal_weights", "expected a nonempty array")
-        weights = []
-        for j, pair in enumerate(nw):
-            wpath = "%s.normal_weights[%d]" % (ipath, j)
-            _expect(
-                isinstance(pair, list) and len(pair) == 2,
-                wpath,
-                "expected [form, multiplicity]",
-            )
-            form = LinearForm(_vector(pair[0], rank, wpath + "[0]"))
-            mult = _int(pair[1], wpath + "[1]", minimum=1)
-            weights.append((form, mult))
+        weights = _weights(nw, rank, ipath + ".normal_weights")
         restriction = item.get("restriction")
         if restriction is not None:
             restriction = _poly(restriction, rank, ipath + ".restriction")
@@ -258,7 +264,7 @@ def _fixed_points(value, rank, path):
             out.append(
                 FixedPointComponent(
                     name=str(item.get("name", "F%d" % i)),
-                    normal_weights=tuple(weights),
+                    normal_weights=weights,
                     restriction=restriction,
                     lambda_weight=lam,
                     is_min=is_min,
@@ -447,20 +453,9 @@ class ProblemFile:
                 doc.get("rank"), "$.rank", minimum=1
             )
             num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")
-            den = []
-            for i, pair in enumerate(section.get("denominator", [])):
-                dpath = "$.integrand.denominator[%d]" % i
-                _expect(
-                    isinstance(pair, list) and len(pair) == 2,
-                    dpath,
-                    "expected [form, multiplicity]",
-                )
-                den.append(
-                    (
-                        LinearForm(_vector(pair[0], rank, dpath + "[0]")),
-                        _int(pair[1], dpath + "[1]", minimum=1),
-                    )
-                )
+            den = _weights(
+                section.get("denominator", []), rank, "$.integrand.denominator"
+            )
             try:
                 self.integrand = RationalFn(num, den)
             except ValueError as exc:

@@ -260,6 +260,14 @@ def test_pairing_modes_reject_a_class_that_is_not_weyl_invariant(tmp_path, mode)
     assert out.stdout == ""
 
 
+def test_grassmannian_mode_rejects_a_class_that_is_not_symmetric(tmp_path):
+    doc = dict(MODE_DOCS["grassmannian"], phi=[{"coeff": "1", "exp": [4, 0]}])
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 2
+    assert out.stderr.count("\n") == 1 and "not symmetric" in out.stderr
+    assert out.stdout == ""
+
+
 def test_output_is_deterministic():
     first = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
     second = run_cli(str(PROBLEMS / "gr24_pairing.json"), "--format", "json")
@@ -440,6 +448,19 @@ def test_residue_mode_and_sign_flip(tmp_path):
     assert out.stdout.strip() == "1"
     flipped = run_cli(write_problem(tmp_path, doc), "--sign-flip")
     assert flipped.stdout.strip() == "-1"
+
+
+@pytest.mark.parametrize("denominator", [5, {"a": 1}], ids=["number", "object"])
+def test_residue_denominator_must_be_an_array(tmp_path, denominator):
+    doc = {
+        "mode": "residue",
+        "rank": 1,
+        "integrand": {"numerator": [{"coeff": 1, "exp": [0]}], "denominator": denominator},
+    }
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: $.integrand.denominator:")
 
 
 def test_check_invariants_flag():

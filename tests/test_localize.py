@@ -270,10 +270,12 @@ def test_nonreductive_rejects_asymmetric_class():
 # -- the localisation sum ----------------------------------------------------------
 
 # Normal weights of one rank-2 component: pure powers of single coordinates
-# (the numerator is truncated at the pole orders) and a set with the mixed
-# weight z0 + z1 (the numerator is multiplied out in full).
+# (the term keeps only the coefficient at the pole orders), the same with no
+# pole on z1 (the term is zero) and a set with the mixed weight z0 + z1 (the
+# numerator is multiplied out in full).
 LOCALIZATION_WEIGHTS = {
     "pure": [((2, 0), 2), ((0, -1), 3)],
+    "one-sided": [((3, 0), 4)],
     "mixed": [((1, 0), 2), ((1, 1), 1), ((0, 1), 2)],
 }
 
@@ -309,6 +311,12 @@ def test_localization_sum_matches_residue_of_the_expanded_term(case):
     expanded = RationalFn(cls * factor, restriction_den + weights)
     expected = jk_residue(ResidueProblem(expanded, sign_flip=sign_flip))
     assert _localization_sum([comp], cls, factor, None, sign_flip) == expected
+
+
+def test_localization_sum_checks_the_factor_variable_count():
+    comp = FixedPointComponent("c", LOCALIZATION_WEIGHTS["pure"])
+    with pytest.raises(ValueError, match="variable count"):
+        _localization_sum([comp], MultiPoly.one(2), MultiPoly.one(3), None)
 
 
 # -- abelianisation -----------------------------------------------------------------

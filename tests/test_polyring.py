@@ -97,36 +97,6 @@ def test_coefficient_convolution_matches_dense_oracle():
             assert product.coefficient(expo) == expected[expo]
 
 
-@st.composite
-def capped_cases(draw):
-    """Two polynomials in 0-3 variables with exponents up to 4, and caps from
-    -1 (keep nothing) to 9 (above every degree of the product)."""
-    nvars = draw(st.integers(0, 3))
-    expo = st.tuples(*[st.integers(0, 4)] * nvars)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
-    poly = st.dictionaries(expo, coeff, max_size=6)
-    caps = draw(st.lists(st.integers(-1, 9), min_size=nvars, max_size=nvars))
-    return MultiPoly(nvars, draw(poly)), MultiPoly(nvars, draw(poly)), caps
-
-
-@settings(max_examples=150, deadline=None)
-@given(capped_cases())
-def test_capped_product_is_the_filtered_full_product(case):
-    p, q, caps = case
-    full = dense_mul(dense_from_multipoly(p), dense_from_multipoly(q))
-    kept = {
-        e: c for e, c in full.items() if all(a <= cap for a, cap in zip(e, caps))
-    }
-    assert p.capped_mul(q, caps) == MultiPoly(p.nvars, kept)
-
-
-def test_capped_product_checks_its_arguments():
-    with pytest.raises(ValueError):
-        z(0).capped_mul(z(0, 3), (1, 1))
-    with pytest.raises(ValueError):
-        z(0).capped_mul(z(1), (1,))
-
-
 # -- Weyl action ---------------------------------------------------------------
 
 
