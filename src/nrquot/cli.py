@@ -138,10 +138,15 @@ def _result(value, **extras):
 
 def _pair_abelianized(problem, flip):
     euler = euler_class_nonreductive(problem.group)
-    pairing = torus_pairing_fn(problem.fixed_points, cone=problem.cone)
-    return _result(
-        integrate_abelianized(pairing, problem.class_eta, euler, problem.group.weyl_order)
+    order = problem.group.weyl_order
+    # the route divides by the Weyl order itself, so only an override of the
+    # default constant 1/|W| leaves a scale on the torus pairing
+    pairing = torus_pairing_fn(
+        problem.fixed_points,
+        cone=problem.cone,
+        normalization=order * problem.pairing_problem().constant(),
     )
+    return _result(integrate_abelianized(pairing, problem.class_eta, euler, order))
 
 
 def _morse(problem, flip):

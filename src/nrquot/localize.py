@@ -13,8 +13,8 @@ in the numerator and in their preconditions:
 * graded unipotent extension ``U x| C*``: rank one, the product of the
   unipotent weights, summed over the components where the grading circle
   takes its minimal moment value;
-* abelianised: the trivial factor on the torus quotient, paired with the
-  lift times the root-and-unipotent Euler class, divided by the Weyl order.
+* abelianised: the torus-quotient pairing of the lift with the
+  root-and-unipotent Euler class as the factor, divided by the Weyl order.
 
 Components selected by the chamber are the caller's data-preparation
 responsibility.  When every denominator factor of a component is a multiple
@@ -261,22 +261,24 @@ def integrate_nonreductive(problem):
 def torus_pairing_fn(fixed_points, cone=None, normalization=1):
     """Pairing evaluator on the maximal-torus quotient itself.
 
-    Returns a function of a class (MultiPoly) that runs the iterated residue
-    over all supplied fixed components with a trivial Euler factor in the
-    numerator.  This is the abelian side of the abelianisation formula.
+    Returns the bilinear pairing ``(a, b)``: ``normalization`` times the
+    localisation sum over all supplied fixed components of the JK residue of
+    (a * b) / Euler(normal), with ``b`` the factor every component multiplies
+    in, its own restriction included.  This is the abelian side of the
+    abelianisation formula; :func:`integrate_abelianized` passes the lift and
+    the Euler class as the two arguments, so their product is never formed.
     """
     fixed_points = tuple(fixed_points)
     scale = as_fraction(normalization)
 
-    def pairing(cls):
-        one = MultiPoly.one(cls.nvars)
-        return scale * _localization_sum(fixed_points, cls, one, cone)
+    def pairing(a, b):
+        return scale * _localization_sum(fixed_points, a, b, cone)
 
     return pairing
 
 
 def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
-    """Pairing through the torus quotient: pair the lift cup the root-and-
+    """Pairing through the torus quotient: pair the lift with the root-and-
     unipotent Euler class, then divide by the Weyl order.
 
     It is the caller's responsibility that ``a_tilde`` is a genuine lift of
@@ -284,7 +286,7 @@ def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
     """
     if weyl_order < 1:
         raise ValueError("Weyl order must be positive")
-    return torus_pairing_value_fn(a_tilde * e) / weyl_order
+    return torus_pairing_value_fn(a_tilde, e) / weyl_order
 
 
 def _origin(k, n):

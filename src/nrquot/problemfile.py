@@ -8,7 +8,6 @@ by the exponent of ``t``.  Validation failures carry the path of the
 offending field.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .localize import FixedPointComponent, PairingProblem
 from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly, RationalFn
 
-__all__ = ["ProblemFileError", "ProblemFile", "load", "parse"]
+__all__ = ["ProblemFileError", "ProblemFile", "parse"]
 
 MODES = (
     "pair_reductive",
@@ -44,6 +43,11 @@ MAX_TRUNCATION_BOUND = 10**6
 # Largest accepted Weyl group order, |S_7|: parsing closes the group to check
 # the declared order, so the order is a time and memory budget.
 MAX_WEYL_ORDER = 5040
+
+# Largest accepted number of monomials of degree at most top_degree + 1 in a
+# ring's variables: ring mode builds every graded piece up to that degree, so
+# the count is a time and memory budget.
+MAX_RING_MONOMIALS = 5000
 
 
 class ProblemFileError(ValueError):
@@ -275,6 +279,20 @@ def _fixed_points(value, rank, path):
     return tuple(out)
 
 
+def _more_monomials(nvars, degree, budget):
+    """Whether C(nvars + degree, nvars), the number of monomials of degree at
+    most ``degree`` in ``nvars`` variables, exceeds ``budget``.  It is built
+    as C(m + i, i) for i = 1..min(nvars, degree), with m the larger of the
+    two; those values grow with i, so the loop stops once one passes."""
+    k = min(nvars, degree)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (nvars + degree - k + i) // i
+        if count > budget:
+            return True
+    return False
+
+
 def _ring(value, path):
     _expect(isinstance(value, dict), path, "expected a ring object")
     _expect(
@@ -287,6 +305,11 @@ def _ring(value, path):
         _poly(r, nvars, "%s.relations[%d]" % (path, i)) for i, r in enumerate(rels)
     ]
     top = _int(value.get("top_degree"), path + ".top_degree", minimum=0)
+    _expect(
+        not _more_monomials(nvars, top + 1, MAX_RING_MONOMIALS),
+        path + ".top_degree",
+        "more than %d monomials in degrees 0..%d" % (MAX_RING_MONOMIALS, top + 1),
+    )
     try:
         return GradedRingPresentation.polynomial_quotient(nvars, relations, top)
     except ValueError as exc:
@@ -498,13 +521,4 @@ class ProblemFile:
 
 
 def parse(doc):
-    return ProblemFile(doc)
-
-
-def load(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError("$", "invalid JSON: %s" % exc) from None
     return ProblemFile(doc)

@@ -9,8 +9,8 @@ degree, so no division of polynomials is ever needed.  The signed operator
 infinity when its direction component is nonnegative and returns zero
 otherwise; the sign is calibrated so that the degree of the hyperplane class
 on projective space comes out +1.  The iterated operator :func:`jk_residue`
-runs the variables in basis order and normalises by the Gram determinant of
-the basis.  When every denominator factor is a power of one coordinate the
+runs the variables in basis order and divides by the square of the basis
+determinant.  When every denominator factor is a power of one coordinate the
 origin is the only pole, so the coefficient at infinity is also the
 classical residue at zero.
 """
@@ -149,7 +149,6 @@ class ResidueProblem:
     cone: ConeChoice = None
     basis: tuple = None
     epsilon: tuple = None
-    inner_product: tuple = None
     sign_flip: bool = False
 
     def __post_init__(self):
@@ -169,17 +168,13 @@ class ResidueProblem:
         if self.cone is not None and not isinstance(self.cone, ConeChoice):
             object.__setattr__(self, "cone", ConeChoice(tuple(self.cone)))
 
-    def basis_matrix(self):
-        n = self.integrand.nvars
-        if self.basis is None:
-            return _linalg.identity(n)
-        return [list(b.coeffs) for b in self.basis]
-
     def validate(self):
-        n = self.integrand.nvars
-        matrix = self.basis_matrix()
-        if _linalg.det(matrix) == 0:
-            raise ValueError("residue basis is not invertible")
+        """Check the basis and the cone; return the basis determinant."""
+        det = Fraction(1)
+        if self.basis is not None:
+            det = _linalg.det([b.coeffs for b in self.basis])
+            if det == 0:
+                raise ValueError("residue basis is not invertible")
         if self.cone is not None:
             self.cone.validate(form for form, _ in self.integrand.den)
             if self.basis is not None:
@@ -189,24 +184,24 @@ class ResidueProblem:
                         "basis is not normalised against the cone vector: "
                         "expected values (1, 0, ..., 0), got %s" % (values,)
                     )
+        return det
 
 
 def jk_residue(problem):
-    """Iterated residue in basis order, over the Gram determinant of the basis.
+    """Iterated residue in basis order, over the squared basis determinant.
 
     The integrand is rewritten in the basis coordinates, the signed residue
     :func:`res_plus` is applied variable by variable in basis order, and the
-    resulting scalar is divided by the determinant of the matrix of inner
-    products of the basis forms.  The scalar is exact; a nonzero answer
-    requires the integrand's homogeneity degree to be minus the number of
-    variables, otherwise the degree bookkeeping forces zero.
+    resulting scalar is divided by ``det(B)**2``, the Gram determinant of the
+    basis forms under the standard inner product.  The scalar is exact; a
+    nonzero answer requires the integrand's homogeneity degree to be minus
+    the number of variables, otherwise the degree bookkeeping forces zero.
     """
-    problem.validate()
+    det = problem.validate()
     fn = problem.integrand
     n = fn.nvars
     if problem.basis is not None:
-        matrix = problem.basis_matrix()
-        inverse = _linalg.inverse(matrix)
+        inverse = _linalg.inverse([b.coeffs for b in problem.basis])
         num = weyl_act(fn.num, weyl_element(inverse, n))
         den = [(form.transform(inverse), mult) for form, mult in fn.den]
         fn = RationalFn(num, den)
@@ -215,29 +210,4 @@ def jk_residue(problem):
         fn = res_plus(fn, var, epsilon[var], problem.sign_flip)
     if not fn.is_constant():
         raise ArithmeticError("iterated residue left a non-scalar remainder")
-    value = fn.constant_value()
-    basis = problem.basis
-    if basis is None:
-        basis = tuple(
-            LinearForm([1 if j == i else 0 for j in range(n)]) for i in range(n)
-        )
-    ip = problem.inner_product
-    ip = _linalg.to_matrix(ip) if ip is not None else _linalg.identity(n)
-    gram = [
-        [
-            sum(
-                (
-                    basis[i].coeffs[a] * ip[a][b] * basis[j].coeffs[b]
-                    for a in range(n)
-                    for b in range(n)
-                ),
-                Fraction(0),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    gram_det = _linalg.det(gram)
-    if gram_det == 0:
-        raise ValueError("basis Gram determinant vanishes")
-    return value / gram_det
+    return fn.constant_value() / det**2

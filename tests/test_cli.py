@@ -397,6 +397,23 @@ def test_pair_abelianized_mode(tmp_path):
     assert out.returncode == 0 and out.stdout.strip() == "2"
 
 
+@pytest.mark.parametrize("mode", ["pair_reductive", "pair_nonreductive", "pair_abelianized"])
+def test_pairing_modes_apply_the_normalization(tmp_path, mode):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    doc.update(mode=mode, options={"normalization": "2"})
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 0 and out.stdout == "8\n"
+
+
+@pytest.mark.parametrize("mode", ["pair_reductive", "pair_nonreductive", "pair_abelianized"])
+def test_pairing_modes_agree_on_a_component_restriction(tmp_path, mode):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    doc["mode"] = mode
+    doc["fixed_points"][0]["restriction"] = doc["class"]
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 0 and out.stdout == "2\n"
+
+
 def test_betti_H_mode(tmp_path):
     doc = MODE_DOCS["betti_H"]
     out = run_cli(write_problem(tmp_path, doc))
@@ -442,12 +459,43 @@ def test_ring_mode_rejects_explicit_dims(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [
+        {"top_degree": 10 ** 30},
+        {
+            "nvars": 1,
+            "relations": [[{"coeff": "1", "exp": [10 ** 8]}]],
+            "top_degree": 10 ** 8 - 1,
+        },
+    ],
+    ids=["huge-degree", "one-variable"],
+)
+def test_ring_size_is_budgeted(tmp_path, ring):
+    doc = dict(MODE_DOCS["ring"])
+    doc["ring"] = dict(doc["ring"], **ring)
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: $.ring.top_degree: more than %d monomials"
+                                 % problemfile.MAX_RING_MONOMIALS)
+
+
 def test_residue_mode_and_sign_flip(tmp_path):
     doc = MODE_DOCS["residue"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.stdout.strip() == "1"
     flipped = run_cli(write_problem(tmp_path, doc), "--sign-flip")
     assert flipped.stdout.strip() == "-1"
+
+
+@pytest.mark.parametrize("group", [{}, {"group": {"rank": 1, "inner_product": [["4"]]}}],
+                         ids=["rank", "group-inner-product"])
+def test_residue_mode_divides_by_the_squared_basis_determinant(tmp_path, group):
+    # 1/z in the coordinate w = 2z is 2/w; over det(B)^2 = 4
+    doc = dict(MODE_DOCS["residue"], basis=[["2"]], **group)
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 0 and out.stdout == "1/2\n"
 
 
 @pytest.mark.parametrize("denominator", [5, {"a": 1}], ids=["number", "object"])

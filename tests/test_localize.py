@@ -334,7 +334,26 @@ def test_abelianized_trivial_weyl_is_plain_torus_pairing():
     z0, z1 = zz()
     pairing = torus_pairing_fn([gr24_origin()])
     cls = (z0 * z1) ** 3 + (z0 ** 2 * z1) * z1 ** 3
-    assert integrate_abelianized(pairing, cls, MultiPoly.one(2), 1) == pairing(cls)
+    assert integrate_abelianized(pairing, cls, MultiPoly.one(2), 1) == pairing(
+        cls, MultiPoly.one(2)
+    )
+
+
+def test_abelianized_pairs_the_lift_with_the_euler_class(monkeypatch):
+    # the product lift * e is never formed: each component reads only the
+    # coefficient of it that its residue takes
+    z0, z1 = zz()
+    lift, e = (z0 + z1) ** 4, euler_class_nonreductive(gr24_group())
+    product = MultiPoly.__mul__
+
+    def guarded(a, b):
+        if {id(a), id(b)} == {id(lift), id(e)}:
+            raise AssertionError("formed the lift times the Euler class")
+        return product(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", guarded)
+    pairing = torus_pairing_fn([gr24_origin()], cone=ConeChoice((1, 1)))
+    assert integrate_abelianized(pairing, lift, e, 2) == 2
 
 
 def test_abelianized_zero_class():

@@ -244,12 +244,17 @@ def test_jk_basis_covariance_100():
     assert checked_nonzero >= 20
 
 
-def test_gram_normalisation_uses_inner_product():
-    # same integrand and basis, doubled metric doubles the Gram determinant
-    f = RationalFn(MultiPoly.one(1), [(LinearForm([1]), 1)])
-    plain = jk_residue(ResidueProblem(integrand=f))
-    scaled = jk_residue(ResidueProblem(integrand=f, inner_product=((2,),)))
-    assert plain == 1 and scaled == Fraction(1, 2)
+def test_normalisation_divides_by_the_squared_basis_determinant():
+    # the iterated residue of 1/(z0 z1) in the coordinates of B is det(B),
+    # so the value is det(B) / det(B)^2
+    f = RationalFn(
+        MultiPoly.one(2), [(LinearForm([1, 0]), 1), (LinearForm([0, 1]), 1)]
+    )
+    shear = ResidueProblem(integrand=f, basis=((2, 1), (0, 1)))
+    stretch = ResidueProblem(integrand=f, basis=((1, 0), (0, 3)))
+    assert shear.validate() == 2 and jk_residue(shear) == Fraction(1, 2)
+    assert stretch.validate() == 3 and jk_residue(stretch) == Fraction(1, 3)
+    assert ResidueProblem(integrand=f).validate() == 1
 
 
 def test_non_scalar_leftover_guard():
