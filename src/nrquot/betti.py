@@ -9,9 +9,7 @@ perfection check divides the defect by ``(1 + t)``, reporting whether the
 quotient series vanishes and whether it is coefficientwise nonnegative.
 """
 
-from dataclasses import dataclass
-
-from .exactnum import TruncSeries
+from .exactnum import TruncSeries, _ReadOnly
 
 __all__ = [
     "StratumDatum",
@@ -25,34 +23,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumDatum:
+class StratumDatum(_ReadOnly):
     """A stratum: complex codimension and its (equivariant) Poincare series."""
 
-    codim: int
-    series: TruncSeries
-
-    def __post_init__(self):
-        if self.codim < 0:
+    def __init__(self, codim, series):
+        if codim < 0:
             raise ValueError("codimension must be nonnegative")
+        vars(self).update(codim=codim, series=series)
 
 
-@dataclass(frozen=True)
-class QuotientDims:
+class QuotientDims(_ReadOnly):
     """Complex dimensions of the ambient space, the unipotent group and the
     minimal fixed locus; the quotient fibre codimension is their difference."""
 
-    dim_x: int
-    dim_u: int
-    dim_zmin: int
-
-    def __post_init__(self):
-        if min(self.dim_x, self.dim_u, self.dim_zmin) < 0:
+    def __init__(self, dim_x, dim_u, dim_zmin):
+        if min(dim_x, dim_u, dim_zmin) < 0:
             raise ValueError("dimensions must be nonnegative")
-        if self.dim_x < self.dim_u + self.dim_zmin:
+        if dim_x < dim_u + dim_zmin:
             raise ValueError(
                 "ambient dimension must be at least dim U + dim of the minimal locus"
             )
+        vars(self).update(dim_x=dim_x, dim_u=dim_u, dim_zmin=dim_zmin)
 
     @property
     def codim(self):
@@ -110,11 +101,10 @@ def morse_assemble(strata):
     return _require_nonnegative(total, "Morse assembly")
 
 
-@dataclass(frozen=True)
-class PerfectionReport:
-    perfect: bool
-    remainder: TruncSeries  # R with strata_sum - total = (1 + t) R
-    nonnegative: bool
+class PerfectionReport(_ReadOnly):
+    def __init__(self, perfect, remainder, nonnegative):
+        # remainder is R with strata_sum - total = (1 + t) R
+        vars(self).update(perfect=perfect, remainder=remainder, nonnegative=nonnegative)
 
     def __bool__(self):
         return self.perfect

@@ -61,6 +61,21 @@ def _as_int_coeff(value):
     raise TypeError("series coefficients must be integers, got %r" % (value,))
 
 
+class _ReadOnly:
+    """Base of the package's value records.
+
+    A subclass's ``__init__`` validates its arguments and stores the fields
+    through ``vars(self)``; after that no field can be assigned or deleted.
+    Methods may still memoise derived values in ``vars(self)``.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 class TruncSeries:
     """Integer power series in ``t`` truncated above a fixed bound.
 

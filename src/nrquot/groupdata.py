@@ -9,11 +9,10 @@ character interval, cone validity) are the combinatorial shadows of the
 geometric hypotheses under which the pairing and Betti formulas hold.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .exactnum import as_fraction
+from .exactnum import _ReadOnly, as_fraction
 from .polyring import LinearForm, MultiPoly, weyl_element
 
 __all__ = [
@@ -71,8 +70,7 @@ def _weyl_closure(generators, order, rank):
     return tuple(elements)
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(_ReadOnly):
     """Torus rank, roots, Lie(U) weights, Weyl data and the grading direction.
 
     ``grading`` is the derivative of the one-parameter subgroup that grades
@@ -83,59 +81,50 @@ class GroupData:
     they generate.  ``inner_product`` defaults to the identity.
     """
 
-    rank: int
-    positive_roots: tuple = ()
-    unipotent_weights: tuple = ()
-    weyl_generators: tuple = ()
-    weyl_order: int = 1
-    grading: tuple = None
-    inner_product: tuple = None
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank, positive_roots=(), unipotent_weights=(), weyl_generators=(),
+                 weyl_order=1, grading=None, inner_product=None):
+        if rank < 1:
             raise ValueError("torus rank must be positive")
-        roots = tuple(_as_form(f) for f in self.positive_roots)
-        weights = tuple(_as_form(f) for f in self.unipotent_weights)
+        roots = tuple(_as_form(f) for f in positive_roots)
+        weights = tuple(_as_form(f) for f in unipotent_weights)
         for f in roots + weights:
-            if f.nvars != self.rank:
+            if f.nvars != rank:
                 raise ValueError("root/weight length does not match rank")
             if f.is_zero():
                 raise ValueError("roots and unipotent weights must be nonzero")
-        object.__setattr__(self, "positive_roots", roots)
-        object.__setattr__(self, "unipotent_weights", weights)
-        if self.weyl_order < 1:
+        if weyl_order < 1:
             raise ValueError("Weyl order must be at least 1")
         gens = tuple(tuple(tuple(x) if isinstance(x, list) else x for x in g)
-                     for g in self.weyl_generators)
-        object.__setattr__(self, "weyl_generators", gens)
-        grading = self.grading
+                     for g in weyl_generators)
         if grading is None:
-            grading = [0] * self.rank
-        object.__setattr__(
-            self, "grading", tuple(as_fraction(x) for x in grading)
-        )
-        if len(self.grading) != self.rank:
+            grading = [0] * rank
+        grading = tuple(as_fraction(x) for x in grading)
+        if len(grading) != rank:
             raise ValueError("grading vector length does not match rank")
-        ip = self.inner_product
+        ip = inner_product
         if ip is None:
-            ip = _linalg.identity(self.rank)
+            ip = _linalg.identity(rank)
         else:
             ip = _linalg.to_matrix(ip)
-        if len(ip) != self.rank or any(len(row) != self.rank for row in ip):
+        if len(ip) != rank or any(len(row) != rank for row in ip):
             raise ValueError("inner product size does not match rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
                 if ip[i][j] != ip[j][i]:
                     raise ValueError("inner product must be symmetric")
-        for k in range(1, self.rank + 1):
+        for k in range(1, rank + 1):
             minor = [row[:k] for row in ip[:k]]
             if _linalg.det(minor) <= 0:
                 raise ValueError("inner product must be positive definite")
-        object.__setattr__(self, "inner_product", tuple(map(tuple, ip)))
+        vars(self).update(
+            rank=rank, positive_roots=roots, unipotent_weights=weights,
+            weyl_generators=gens, weyl_order=weyl_order, grading=grading,
+            inner_product=tuple(map(tuple, ip)),
+        )
 
     # -- Weyl group --------------------------------------------------------
 
-    # Both memoise in __dict__, which a frozen dataclass still lets them write.
+    # Both memoise in __dict__, which _ReadOnly leaves writable.
     def generator_elements(self):
         """The Weyl generators in the form of :func:`weyl_element`."""
         if "_generator_elements" not in self.__dict__:
@@ -167,17 +156,14 @@ class GroupData:
         )
 
 
-@dataclass(frozen=True)
-class ConeChoice:
+class ConeChoice(_ReadOnly):
     """A chamber vector for the iterated residue.
 
     Valid for a given problem when no denominator form vanishes on it.
     """
 
-    xi: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(as_fraction(x) for x in self.xi))
+    def __init__(self, xi):
+        vars(self)["xi"] = tuple(as_fraction(x) for x in xi)
 
     def validate(self, forms):
         """Raise :class:`InvalidConeError` if any form vanishes on ``xi``."""
@@ -190,21 +176,21 @@ class ConeChoice:
                 )
 
 
-@dataclass(frozen=True)
-class GradingReport:
-    ok: bool
-    pairings: tuple  # (weight, <weight, grading>) for every unipotent weight
-    failures: tuple  # subset with nonpositive pairing
+class GradingReport(_ReadOnly):
+    def __init__(self, ok, pairings, failures):
+        # pairings: (weight, <weight, grading>) for every unipotent weight;
+        # failures: the subset with nonpositive pairing
+        vars(self).update(ok=ok, pairings=pairings, failures=failures)
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class WellAdaptedReport:
-    in_interval: bool
-    interval: tuple  # (omega_0, omega_1), open
-    margin: Fraction  # chi/c - omega_0; "sufficiently small" is the caller's call
+class WellAdaptedReport(_ReadOnly):
+    def __init__(self, in_interval, interval, margin):
+        # interval: (omega_0, omega_1), open; margin: chi/c - omega_0, and
+        # whether it is "sufficiently small" is the caller's call
+        vars(self).update(in_interval=in_interval, interval=interval, margin=margin)
 
     def __bool__(self):
         return self.in_interval

@@ -31,12 +31,11 @@ calibration suite for the sign conventions.
 Fraction(2, 1)
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from .exactnum import as_fraction
+from .exactnum import _ReadOnly, as_fraction
 from .groupdata import euler_class_nonreductive
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .residue import ResidueProblem, jk_residue
@@ -67,8 +66,7 @@ class WeylInvarianceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class FixedPointComponent:
+class FixedPointComponent(_ReadOnly):
     """One torus-fixed component with its localisation data.
 
     ``restriction`` is the restricted integrand class (a MultiPoly or a
@@ -82,24 +80,21 @@ class FixedPointComponent:
     membership in the minimal level.
     """
 
-    name: str
-    normal_weights: tuple
-    restriction: object = None
-    lambda_weight: Fraction = Fraction(0)
-    is_min: bool = False
-
-    def __post_init__(self):
+    def __init__(self, name, normal_weights, restriction=None, lambda_weight=Fraction(0),
+                 is_min=False):
         weights = []
-        for form, mult in self.normal_weights:
+        for form, mult in normal_weights:
             if not isinstance(form, LinearForm):
                 form = LinearForm(form)
             if form.is_zero():
                 raise ValueError(
-                    "component %r has a zero normal weight" % (self.name,)
+                    "component %r has a zero normal weight" % (name,)
                 )
             weights.append((form, int(mult)))
-        object.__setattr__(self, "normal_weights", tuple(weights))
-        object.__setattr__(self, "lambda_weight", as_fraction(self.lambda_weight))
+        vars(self).update(
+            name=name, normal_weights=tuple(weights), restriction=restriction,
+            lambda_weight=as_fraction(lambda_weight), is_min=is_min,
+        )
 
     def term(self, default_class, extra_factor):
         """The component's contribution (class * factor) / Euler(normal).
@@ -148,8 +143,7 @@ def _pole_caps(den, nvars):
     return tuple(caps)
 
 
-@dataclass(frozen=True)
-class PairingProblem:
+class PairingProblem(_ReadOnly):
     """A pairing instance: group data, fixed components, class, chamber.
 
     ``normalization`` is the overall rational constant; when omitted it
@@ -157,18 +151,14 @@ class PairingProblem:
     and is overridable for actions whose generic stabiliser is nontrivial.
     """
 
-    group: object
-    fixed_points: tuple
-    class_eta: MultiPoly = None
-    cone: object = None
-    normalization: Fraction = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
-        if self.normalization is not None:
-            object.__setattr__(
-                self, "normalization", as_fraction(self.normalization)
-            )
+    def __init__(self, group, fixed_points, class_eta=None, cone=None, normalization=None):
+        fixed_points = tuple(fixed_points)
+        if normalization is not None:
+            normalization = as_fraction(normalization)
+        vars(self).update(
+            group=group, fixed_points=fixed_points, class_eta=class_eta,
+            cone=cone, normalization=normalization,
+        )
 
     def constant(self):
         if self.normalization is not None:

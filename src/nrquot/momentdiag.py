@@ -12,7 +12,8 @@ it; only a diagnostic call does.
 """
 
 import math
-from dataclasses import dataclass
+
+from .exactnum import _ReadOnly
 
 __all__ = [
     "LinearActionSample",
@@ -24,8 +25,7 @@ __all__ = [
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class LinearActionSample:
+class LinearActionSample(_ReadOnly):
     """A point on projective space, an infinitesimal action, a character shift.
 
     ``point`` is a nonzero lift in C^{n+1}; ``lie_element`` is the matrix of
@@ -33,9 +33,8 @@ class LinearActionSample:
     twist added to the evaluated moment component.
     """
 
-    point: tuple
-    lie_element: tuple
-    shift: complex = 0.0
+    def __init__(self, point, lie_element, shift=0.0):
+        vars(self).update(point=point, lie_element=lie_element, shift=shift)
 
     def arrays(self):
         import numpy as np

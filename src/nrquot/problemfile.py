@@ -9,11 +9,10 @@ offending field.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .betti import QuotientDims, StratumDatum
-from .exactnum import TruncSeries
+from .exactnum import TruncSeries, _ReadOnly
 from .cohring import GradedRingPresentation
 from .groupdata import ConeChoice, GroupData, check_grading
 from .localize import FixedPointComponent, PairingProblem
@@ -316,14 +315,12 @@ def _ring(value, path):
         raise ProblemFileError(path, str(exc)) from None
 
 
-@dataclass(frozen=True)
-class MomentCheck:
+class MomentCheck(_ReadOnly):
     """One ``moment_checks`` item: the sample, and the declared weight and
     tangent vector to check it against, each ``None`` when absent."""
 
-    sample: LinearActionSample
-    weight: float
-    tangent: tuple
+    def __init__(self, sample, weight, tangent):
+        vars(self).update(sample=sample, weight=weight, tangent=tangent)
 
 
 def _moment_check(item, path):
@@ -467,6 +464,11 @@ class ProblemFile:
             _expect("ring" in doc, "$.ring", "ring mode needs a ring section")
             _expect(self.group is not None, "$.group", "ring mode needs a group section")
             self.ring = _ring(doc["ring"], "$.ring")
+            _expect(
+                self.ring.nvars == self.group.rank,
+                "$.ring.nvars",
+                "expected %d, the group rank" % self.group.rank,
+            )
 
         if mode == "residue":
             _expect("integrand" in doc, "$.integrand", "residue mode needs an integrand")

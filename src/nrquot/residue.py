@@ -15,12 +15,11 @@ origin is the only pole, so the coefficient at infinity is also the
 classical residue at zero.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import _linalg
-from .exactnum import as_fraction
+from .exactnum import _ReadOnly, as_fraction
 from .groupdata import ConeChoice
 from .polyring import LinearForm, MultiPoly, RationalFn, _times, weyl_act, weyl_element
 
@@ -131,8 +130,7 @@ def res_plus(fn, var, epsilon_component=0, sign_flip=False):
     return -out if sign_flip else out
 
 
-@dataclass(frozen=True)
-class ResidueProblem:
+class ResidueProblem(_ReadOnly):
     """An iterated-residue instance.
 
     ``basis`` is an ordered tuple of linear forms giving the coordinates in
@@ -145,28 +143,21 @@ class ResidueProblem:
     one per variable; the default (all zero) takes every residue at infinity.
     """
 
-    integrand: RationalFn
-    cone: ConeChoice = None
-    basis: tuple = None
-    epsilon: tuple = None
-    sign_flip: bool = False
-
-    def __post_init__(self):
-        n = self.integrand.nvars
-        if self.basis is not None:
-            basis = tuple(
-                b if isinstance(b, LinearForm) else LinearForm(b) for b in self.basis
-            )
+    def __init__(self, integrand, cone=None, basis=None, epsilon=None, sign_flip=False):
+        n = integrand.nvars
+        if basis is not None:
+            basis = tuple(b if isinstance(b, LinearForm) else LinearForm(b) for b in basis)
             if len(basis) != n:
                 raise ValueError("basis must contain one form per variable")
-            object.__setattr__(self, "basis", basis)
-        if self.epsilon is not None:
-            eps = tuple(as_fraction(x) for x in self.epsilon)
-            if len(eps) != n:
+        if epsilon is not None:
+            epsilon = tuple(as_fraction(x) for x in epsilon)
+            if len(epsilon) != n:
                 raise ValueError("epsilon needs one component per variable")
-            object.__setattr__(self, "epsilon", eps)
-        if self.cone is not None and not isinstance(self.cone, ConeChoice):
-            object.__setattr__(self, "cone", ConeChoice(tuple(self.cone)))
+        if cone is not None and not isinstance(cone, ConeChoice):
+            cone = ConeChoice(tuple(cone))
+        vars(self).update(
+            integrand=integrand, cone=cone, basis=basis, epsilon=epsilon, sign_flip=sign_flip
+        )
 
     def validate(self):
         """Check the basis and the cone; return the basis determinant."""

@@ -481,6 +481,29 @@ def test_ring_size_is_budgeted(tmp_path, ring):
                                  % problemfile.MAX_RING_MONOMIALS)
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [
+        {"nvars": 1, "relations": [[{"coeff": "1", "exp": [3]}]]},
+        {
+            "nvars": 3,
+            "relations": [
+                [{"coeff": "1", "exp": [3 if j == i else 0 for j in range(3)]}]
+                for i in range(3)
+            ],
+            "top_degree": 6,
+        },
+    ],
+    ids=["one-variable", "three-variables"],
+)
+def test_ring_nvars_must_match_group_rank(tmp_path, ring):
+    doc = dict(MODE_DOCS["ring"])
+    doc["ring"] = dict(doc["ring"], **ring)
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == "error: $.ring.nvars: expected 2, the group rank\n"
+
+
 def test_residue_mode_and_sign_flip(tmp_path):
     doc = MODE_DOCS["residue"]
     out = run_cli(write_problem(tmp_path, doc))
@@ -550,42 +573,51 @@ def test_python_m_nrquot_entry_point():
 
 
 # Runs nrquot.cli.main in one fresh interpreter on each argument list given as
-# JSON in argv[1]; the last stdout line reports whether numpy was loaded after
-# the imports and after each call, with each call's exit code.
-NUMPY_PROBE = """
+# JSON in argv[2]; the last stdout line lists which of the modules named in
+# argv[1] the imports had added to sys.modules, and which had been added after
+# each call, with each call's exit code.
+MODULE_PROBE = """
 import json, sys
+watched = json.loads(sys.argv[1])
+before = set(sys.modules)
 import nrquot, nrquot.cli
-report = {"import": "numpy" in sys.modules, "calls": []}
-for args in json.loads(sys.argv[1]):
+def added():
+    return [m for m in watched if m in sys.modules and m not in before]
+report = {"import": added(), "calls": []}
+for args in json.loads(sys.argv[2]):
     code = nrquot.cli.main(args)
-    report["calls"].append([code, "numpy" in sys.modules])
+    report["calls"].append([code, added()])
 print(json.dumps(report))
 """
 
+# Modules no exact mode uses: numpy serves --check-moment only, and the
+# others are what dataclasses pulls in at every start-up.
+UNUSED_MODULES = ["dataclasses", "inspect", "ast", "dis", "numpy"]
 
-def probe_numpy(*calls):
+
+def probe_modules(watched, *calls):
     out = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(watched), json.dumps(calls)],
         capture_output=True, text=True, cwd=REPO,
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1]), out.stderr
 
 
-def test_exact_modes_never_load_numpy(tmp_path):
+def test_exact_modes_load_no_unused_module(tmp_path):
     paths = sorted(str(p) for p in PROBLEMS.glob("*.json"))
     abelianized = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
     abelianized["mode"] = "pair_abelianized"
     docs = dict(MODE_DOCS, pair_abelianized=abelianized)
     paths += [write_problem(tmp_path, doc, mode + ".json") for mode, doc in docs.items()]
-    report, _ = probe_numpy(*([p, "--format", "json"] for p in paths))
-    assert report == {"import": False, "calls": [[0, False]] * len(paths)}
+    report, _ = probe_modules(UNUSED_MODULES, *([p, "--format", "json"] for p in paths))
+    assert report == {"import": [], "calls": [[0, []]] * len(paths)}
 
 
 def test_check_moment_loads_numpy(tmp_path):
     path = write_problem(tmp_path, moment_problem())
-    report, stderr = probe_numpy([path, "--check-moment"])
-    assert report == {"import": False, "calls": [[0, True]]}
+    report, stderr = probe_modules(["numpy"], [path, "--check-moment"])
+    assert report == {"import": [], "calls": [[0, ["numpy"]]]}
     assert stderr == "moment check 0: weight residual 0.000e+00 ok\n"
 
 

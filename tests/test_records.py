@@ -1,0 +1,129 @@
+"""The package's value records: constructors, defaults, immutability and the
+messages of their validation."""
+
+from fractions import Fraction
+
+import pytest
+
+from nrquot import betti, groupdata, localize, momentdiag, problemfile, residue
+from nrquot.exactnum import TruncSeries
+from nrquot.polyring import LinearForm, MultiPoly, RationalFn
+
+SERIES = TruncSeries([1, 0, 1], 2)
+GROUP = groupdata.GroupData(1)
+COMPONENT = localize.FixedPointComponent("min", [([1], 1)], is_min=True)
+SAMPLE = momentdiag.LinearActionSample((1, 0), ((0, 0), (0, 0)))
+INTEGRAND = RationalFn(MultiPoly.one(1), [([1], 1)])
+
+# Per record: the class, positional arguments leaving every default out, and
+# every field in parameter order with the value the constructor stores.
+RECORDS = [
+    (betti.StratumDatum, (1, SERIES), {"codim": 1, "series": SERIES}),
+    (betti.QuotientDims, (6, 3, 0), {"dim_x": 6, "dim_u": 3, "dim_zmin": 0}),
+    (
+        betti.PerfectionReport,
+        (True, SERIES, True),
+        {"perfect": True, "remainder": SERIES, "nonnegative": True},
+    ),
+    (
+        groupdata.GroupData,
+        (1,),
+        {
+            "rank": 1,
+            "positive_roots": (),
+            "unipotent_weights": (),
+            "weyl_generators": (),
+            "weyl_order": 1,
+            "grading": (0,),
+            "inner_product": ((1,),),
+        },
+    ),
+    (groupdata.ConeChoice, (("1/2", 2),), {"xi": (Fraction(1, 2), 2)}),
+    (groupdata.GradingReport, (True, (), ()), {"ok": True, "pairings": (), "failures": ()}),
+    (
+        groupdata.WellAdaptedReport,
+        (True, (0, 1), Fraction(1, 2)),
+        {"in_interval": True, "interval": (0, 1), "margin": Fraction(1, 2)},
+    ),
+    (
+        localize.FixedPointComponent,
+        ("max", [([-1], 2)]),
+        {
+            "name": "max",
+            "normal_weights": ((LinearForm([-1]), 2),),
+            "restriction": None,
+            "lambda_weight": 0,
+            "is_min": False,
+        },
+    ),
+    (
+        localize.PairingProblem,
+        (GROUP, [COMPONENT]),
+        {
+            "group": GROUP,
+            "fixed_points": (COMPONENT,),
+            "class_eta": None,
+            "cone": None,
+            "normalization": None,
+        },
+    ),
+    (
+        momentdiag.LinearActionSample,
+        ((1, 0), ((0, 0), (0, 0))),
+        {"point": (1, 0), "lie_element": ((0, 0), (0, 0)), "shift": 0.0},
+    ),
+    (
+        problemfile.MomentCheck,
+        (SAMPLE, 1.0, None),
+        {"sample": SAMPLE, "weight": 1.0, "tangent": None},
+    ),
+    (
+        residue.ResidueProblem,
+        (INTEGRAND,),
+        {
+            "integrand": INTEGRAND,
+            "cone": None,
+            "basis": None,
+            "epsilon": None,
+            "sign_flip": False,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, fields", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
+    by_keyword = dict(zip(fields, args))
+    for record in (cls(*args), cls(**by_keyword)):
+        assert vars(record) == fields
+        for name in fields:
+            with pytest.raises(AttributeError, match="cannot assign to field %r" % name):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match="cannot delete field %r" % name):
+                delattr(record, name)
+        assert vars(record) == fields
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: groupdata.GroupData(rank=0), "torus rank must be positive"),
+        (lambda: betti.QuotientDims(6, -1, 0), "dimensions must be nonnegative"),
+        (lambda: betti.StratumDatum(-1, SERIES), "codimension must be nonnegative"),
+        (
+            lambda: localize.FixedPointComponent("p", [([0], 1)]),
+            "component 'p' has a zero normal weight",
+        ),
+        (
+            lambda: residue.ResidueProblem(RationalFn(MultiPoly.one(2)), basis=[[1, 0]]),
+            "basis must contain one form per variable",
+        ),
+    ],
+    ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem"],
+)
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
