@@ -20,12 +20,7 @@ from .groupdata import (
     euler_class_nonreductive,
     lambda_projection,
 )
-from .residue import (
-    ResidueProblem,
-    jk_residue,
-    res_plus,
-    residue_at_infinity,
-)
+from .residue import ResidueProblem, jk_residue, residue_at_infinity
 from .localize import (
     FixedPointComponent,
     PairingProblem,

@@ -136,7 +136,14 @@ def _result(value, **extras):
     return {"kind": kind, "value": value, **extras}
 
 
-def _pair_abelianized(problem, flip):
+def _oriented(value, problem, rank):
+    """The value in the orientation the problem asks for: ``options.sign_flip``
+    (or ``--sign-flip``) takes each of the ``rank`` residues at infinity with
+    the opposite sign, which multiplies the value by (-1)^rank."""
+    return value * (-1) ** rank if problem.sign_flip else value
+
+
+def _pair_abelianized(problem):
     euler = euler_class_nonreductive(problem.group)
     order = problem.group.weyl_order
     # the route divides by the Weyl order itself, so only an override of the
@@ -149,7 +156,7 @@ def _pair_abelianized(problem, flip):
     return _result(integrate_abelianized(pairing, problem.class_eta, euler, order))
 
 
-def _morse(problem, flip):
+def _morse(problem):
     assembled = morse_assemble(problem.strata)
     if problem.total_series is None:
         return _result(assembled)
@@ -161,45 +168,48 @@ def _morse(problem, flip):
     })
 
 
-def _ring(problem, flip):
+def _ring(problem):
     ring, group = problem.ring, problem.group
-    series, inv = _quotient_betti_with_invariants(ring, group, group)
+    series, inv, euler = _quotient_betti_with_invariants(ring, group, group)
     return _result(series, tables={
         "graded_dims": list(graded_dims(ring)),
         "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],
-        "annihilator_dims": list(annihilator_dims(ring, euler_class_nonreductive(group))),
+        "annihilator_dims": list(annihilator_dims(ring, euler)),
     })
 
 
-def _residue(p, flip):
-    residue = ResidueProblem(p.integrand, p.cone, p.basis, p.epsilon, sign_flip=flip)
-    return _result(jk_residue(residue))
+def _residue(p):
+    residue = ResidueProblem(p.integrand, p.cone, p.basis)
+    if p.epsilon is not None and min(p.epsilon) < 0:
+        residue.validate()  # a bad cone or basis still fails
+        return _result(Fraction(0))
+    return _result(_oriented(jk_residue(residue), p, p.integrand.nvars))
 
 
-# mode -> handler(problem, sign_flip) returning the result document without
-# its mode; the keys are exactly problemfile.MODES.
+# mode -> handler(problem) returning the result document without its mode;
+# the keys are exactly problemfile.MODES.  Only pair_uhat and residue read
+# the orientation.
 _MODE_HANDLERS = {
-    "pair_reductive": lambda p, flip: _result(integrate_reductive(p.pairing_problem())),
-    "pair_uhat": lambda p, flip: _result(integrate_uhat(p.pairing_problem(), flip)),
-    "pair_nonreductive": lambda p, flip: _result(integrate_nonreductive(p.pairing_problem())),
+    "pair_reductive": lambda p: _result(integrate_reductive(p.pairing_problem())),
+    "pair_uhat": lambda p: _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1)),
+    "pair_nonreductive": lambda p: _result(integrate_nonreductive(p.pairing_problem())),
     "pair_abelianized": _pair_abelianized,
-    "betti_uhat": lambda p, flip: _result(poincare_uhat(p.zmin_series, p.dims)),
-    "betti_H": lambda p, flip: _result(poincare_H(p.zmin_series, p.dims)),
+    "betti_uhat": lambda p: _result(poincare_uhat(p.zmin_series, p.dims)),
+    "betti_H": lambda p: _result(poincare_H(p.zmin_series, p.dims)),
     "morse": _morse,
     "ring": _ring,
     "residue": _residue,
-    "grassmannian": lambda p, flip: _result(grassmannian_pairing(p.k, p.n, p.phi)),
-    "flag": lambda p, flip: _result(flag_pairing(p.k, p.n, p.phi)),
+    "grassmannian": lambda p: _result(grassmannian_pairing(p.k, p.n, p.phi)),
+    "flag": lambda p: _result(flag_pairing(p.k, p.n, p.phi)),
 }
 
 
-def run(problem, sign_flip=False):
+def run(problem):
     """Dispatch a parsed problem to the computation modules.
 
     Returns a result document: ``{"kind", "mode", "value", ...}``.
     """
-    handler = _MODE_HANDLERS[problem.mode]
-    return dict(handler(problem, sign_flip or problem.sign_flip), mode=problem.mode)
+    return dict(_MODE_HANDLERS[problem.mode](problem), mode=problem.mode)
 
 
 def _moment_diagnostics(problem, stream):
@@ -277,7 +287,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--sign-flip", action="store_true",
-        help="use the opposite orientation for residues at infinity",
+        help="take residues at infinity with the opposite sign "
+        "(pair_uhat and residue modes; sets options.sign_flip)",
     )
     parser.add_argument(
         "--check-invariants", action="store_true",
@@ -321,8 +332,16 @@ def _main(args):
     except (json.JSONDecodeError, RecursionError) as exc:
         print("error: invalid JSON: %s" % exc, file=sys.stderr)
         return 1
-    if args.truncate is not None:
-        doc.setdefault("options", {})["truncation_bound"] = args.truncate
+    # The flags go into the document's options, so that a re-run of the
+    # parsed document (as --check-invariants does) sees them too.  Options
+    # that are not an object, or a sign_flip that is not a boolean, are left
+    # for the parser to reject.
+    options = doc.setdefault("options", {}) if isinstance(doc, dict) else None
+    if isinstance(options, dict):
+        if args.truncate is not None:
+            options["truncation_bound"] = args.truncate
+        if args.sign_flip and options.get("sign_flip", False) is False:
+            options["sign_flip"] = True
 
     try:
         problem = problemfile.parse(doc)
@@ -331,7 +350,7 @@ def _main(args):
         return 1
 
     try:
-        result = run(problem, sign_flip=args.sign_flip)
+        result = run(problem)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

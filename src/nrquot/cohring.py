@@ -269,8 +269,9 @@ def quotient_presentation_betti(ringp, weyl, group):
 
 
 def _quotient_betti_with_invariants(ringp, weyl, group):
-    """:func:`quotient_presentation_betti` and the invariant basis it used,
-    for callers that also report the invariant dimensions."""
+    """:func:`quotient_presentation_betti`, the invariant basis and the Euler
+    class it used, for callers that also report the invariant dimensions and
+    the annihilator of the class."""
     e = euler_class_nonreductive(group)
     if e.nvars != ringp.nvars:
         raise ValueError("Euler class is not expressible in the ring variables")
@@ -291,4 +292,4 @@ def _quotient_betti_with_invariants(ringp, weyl, group):
         r = _linalg.rank(images)
         if r:
             coeffs[2 * d] = r
-    return TruncSeries.from_dict(coeffs, bound), inv
+    return TruncSeries.from_dict(coeffs, bound), inv, e

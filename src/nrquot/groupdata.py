@@ -2,16 +2,13 @@
 
 The computational inputs are purely combinatorial: the rank of a maximal
 torus, the positive roots of the Levi factor R, the torus weights of the
-adjoint action on Lie(U), generators and order of the Weyl group, the
-derivative of the grading one-parameter subgroup, and an invariant inner
-product.  The checks here (positivity of the grading, the admissible
-character interval, cone validity) are the combinatorial shadows of the
-geometric hypotheses under which the pairing and Betti formulas hold.
+adjoint action on Lie(U), generators and order of the Weyl group, and the
+derivative of the grading one-parameter subgroup.  The checks here
+(positivity of the grading, the admissible character interval, cone
+validity) are the combinatorial shadows of the geometric hypotheses under
+which the pairing and Betti formulas hold.
 """
 
-from fractions import Fraction
-
-from . import _linalg
 from .exactnum import _ReadOnly, as_fraction
 from .polyring import LinearForm, MultiPoly, weyl_element
 
@@ -74,15 +71,16 @@ class GroupData(_ReadOnly):
     """Torus rank, roots, Lie(U) weights, Weyl data and the grading direction.
 
     ``grading`` is the derivative of the one-parameter subgroup that grades
-    the unipotent radical (all its pairings with the Lie(U) weights must be
-    positive for the data to be admissible; see :func:`check_grading`).
+    the unipotent radical, a vector of the Lie algebra of the torus; a
+    Lie(U) weight pairs with it by evaluation, and every such pairing must
+    be positive for the data to be admissible (see :func:`check_grading`).
     ``weyl_generators`` may be permutations of the variable indices or
     invertible rational matrices; ``weyl_order`` is the order of the group
-    they generate.  ``inner_product`` defaults to the identity.
+    they generate.
     """
 
     def __init__(self, rank, positive_roots=(), unipotent_weights=(), weyl_generators=(),
-                 weyl_order=1, grading=None, inner_product=None):
+                 weyl_order=1, grading=None):
         if rank < 1:
             raise ValueError("torus rank must be positive")
         roots = tuple(_as_form(f) for f in positive_roots)
@@ -101,25 +99,9 @@ class GroupData(_ReadOnly):
         grading = tuple(as_fraction(x) for x in grading)
         if len(grading) != rank:
             raise ValueError("grading vector length does not match rank")
-        ip = inner_product
-        if ip is None:
-            ip = _linalg.identity(rank)
-        else:
-            ip = _linalg.to_matrix(ip)
-        if len(ip) != rank or any(len(row) != rank for row in ip):
-            raise ValueError("inner product size does not match rank")
-        for i in range(rank):
-            for j in range(i):
-                if ip[i][j] != ip[j][i]:
-                    raise ValueError("inner product must be symmetric")
-        for k in range(1, rank + 1):
-            minor = [row[:k] for row in ip[:k]]
-            if _linalg.det(minor) <= 0:
-                raise ValueError("inner product must be positive definite")
         vars(self).update(
             rank=rank, positive_roots=roots, unipotent_weights=weights,
             weyl_generators=gens, weyl_order=weyl_order, grading=grading,
-            inner_product=tuple(map(tuple, ip)),
         )
 
     # -- Weyl group --------------------------------------------------------
@@ -144,16 +126,6 @@ class GroupData(_ReadOnly):
                 self.generator_elements(), self.weyl_order, self.rank
             )
         return self.__dict__["_weyl_elements"]
-
-    def pairing(self, u, v):
-        """The fixed inner product of two coefficient vectors."""
-        g = self.inner_product
-        u = [as_fraction(x) for x in u]
-        v = [as_fraction(x) for x in v]
-        return sum(
-            (u[i] * g[i][j] * v[j] for i in range(self.rank) for j in range(self.rank)),
-            Fraction(0),
-        )
 
 
 class ConeChoice(_ReadOnly):
@@ -206,7 +178,7 @@ def check_grading(group):
     pairings = []
     failures = []
     for w in group.unipotent_weights:
-        value = group.pairing(w.coeffs, group.grading)
+        value = w(group.grading)
         pairings.append((w, value))
         if value <= 0:
             failures.append((w, value))
@@ -232,11 +204,12 @@ def check_well_adapted(fixed_weights, chi_over_c):
 
 
 def lambda_projection(weight, group):
-    """Inner-product pairing of a weight with the grading direction."""
+    """The pairing of a weight with the grading direction: the weight
+    evaluated at the grading vector."""
     w = _as_form(weight)
     if w.nvars != group.rank:
         raise ValueError("weight length does not match rank")
-    return group.pairing(w.coeffs, group.grading)
+    return w(group.grading)
 
 
 def euler_class_nonreductive(group):

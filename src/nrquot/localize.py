@@ -175,12 +175,12 @@ def _check_weyl_invariant(poly, group):
             raise WeylInvarianceError(index, group.weyl_generators[index])
 
 
-def _localization_sum(fixed_points, cls, factor, cone, sign_flip=False):
+def _localization_sum(fixed_points, cls, factor, cone):
     """Sum over the components of the JK residue of (class * factor) / Euler."""
     total = Fraction(0)
     for comp in fixed_points:
         term = comp.term(cls, factor)
-        total += jk_residue(ResidueProblem(term, cone=cone, sign_flip=sign_flip))
+        total += jk_residue(ResidueProblem(term, cone=cone))
     return total
 
 
@@ -201,12 +201,12 @@ def integrate_reductive(problem):
     return integrate_nonreductive(problem)
 
 
-def integrate_uhat(problem, sign_flip=False):
+def integrate_uhat(problem):
     """Pairing on the quotient by a graded unipotent extension U x| C*.
 
     Rank-one torus: the problem constant times the localisation sum over the
     minimal fixed components, with the product of the unipotent weights as
-    factor and no cone (each residue is then the signed residue at infinity).
+    factor and no cone (each residue is then the residue at infinity).
     """
     if problem.group.rank != 1:
         raise ValueError("graded-extension pairing requires a rank 1 torus")
@@ -225,9 +225,7 @@ def integrate_uhat(problem, sign_flip=False):
     factor = MultiPoly.one(1)
     for w in problem.group.unipotent_weights:
         factor = factor * w.to_poly()
-    return problem.constant() * _localization_sum(
-        minimal, problem.class_eta, factor, None, sign_flip
-    )
+    return problem.constant() * _localization_sum(minimal, problem.class_eta, factor, None)
 
 
 def integrate_nonreductive(problem):

@@ -98,17 +98,18 @@ def _float(value, path):
         raise ProblemFileError(path, "number out of floating-point range") from None
 
 
+def _length(value, length, path):
+    """Check that an array has ``length`` entries; ``None`` allows any."""
+    if length is not None:
+        _expect(len(value) == length, path, "expected length %d, got %d" % (length, len(value)))
+
+
 def _complex_vector(value, length, path):
     """A nonempty array of ``[re, im]`` number pairs, as a tuple of complex."""
     _expect(
         isinstance(value, list) and value, path, "expected a nonempty array of [re, im] pairs"
     )
-    if length is not None:
-        _expect(
-            len(value) == length,
-            path,
-            "expected length %d, got %d" % (length, len(value)),
-        )
+    _length(value, length, path)
     out = []
     for i, pair in enumerate(value):
         ppath = "%s[%d]" % (path, i)
@@ -125,12 +126,7 @@ def _complex_vector(value, length, path):
 
 def _vector(value, length, path):
     _expect(isinstance(value, list), path, "expected an array of rationals")
-    if length is not None:
-        _expect(
-            len(value) == length,
-            path,
-            "expected length %d, got %d" % (length, len(value)),
-        )
+    _length(value, length, path)
     return [_rational(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
@@ -145,11 +141,7 @@ def _poly(value, nvars, path):
         coeff = _rational(term["coeff"], tpath + ".coeff")
         exp = term["exp"]
         _expect(isinstance(exp, list), tpath + ".exp", "expected an array")
-        _expect(
-            len(exp) == nvars,
-            tpath + ".exp",
-            "expected length %d, got %d" % (nvars, len(exp)),
-        )
+        _length(exp, nvars, tpath + ".exp")
         expo = tuple(_int(e, "%s.exp[%d]" % (tpath, j), minimum=0) for j, e in enumerate(exp))
         terms[expo] = terms.get(expo, Fraction(0)) + coeff
     return MultiPoly(nvars, terms)
@@ -198,14 +190,11 @@ def _group(value, path):
     grading = value.get("grading")
     if grading is not None:
         grading = _vector(grading, rank, path + ".grading")
-    ip = value.get("inner_product")
-    if ip is not None:
-        _expect(isinstance(ip, list), path + ".inner_product", "expected a matrix")
-        ip = [
-            _vector(row, rank, "%s.inner_product[%d]" % (path, i))
-            for i, row in enumerate(ip)
-        ]
-        _expect(len(ip) == rank, path + ".inner_product", "expected %d rows" % rank)
+    _expect(
+        "inner_product" not in value,
+        path + ".inner_product",
+        "unsupported: a weight pairs with the grading by evaluation, which needs no metric",
+    )
     try:
         group = GroupData(
             rank=rank,
@@ -214,7 +203,6 @@ def _group(value, path):
             weyl_generators=tuple(gens),
             weyl_order=order,
             grading=tuple(grading) if grading is not None else None,
-            inner_product=tuple(map(tuple, ip)) if ip is not None else None,
         )
     except ValueError as exc:
         raise ProblemFileError(path, str(exc)) from None
@@ -477,6 +465,8 @@ class ProblemFile:
             rank = self.group.rank if self.group else _int(
                 doc.get("rank"), "$.rank", minimum=1
             )
+            if self.cone is not None:
+                _length(self.cone.xi, rank, "$.cone")
             num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")
             den = _weights(
                 section.get("denominator", []), rank, "$.integrand.denominator"
@@ -489,6 +479,7 @@ class ProblemFile:
             if "basis" in doc:
                 basis = doc["basis"]
                 _expect(isinstance(basis, list), "$.basis", "expected an array of forms")
+                _length(basis, rank, "$.basis")
                 self.basis = tuple(
                     LinearForm(_vector(b, rank, "$.basis[%d]" % i))
                     for i, b in enumerate(basis)

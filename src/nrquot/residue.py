@@ -4,29 +4,26 @@ Everything here is exact.  A residue in the variable ``z_i`` is extracted by
 formally expanding each denominator factor ``a*z_i + b(z')`` in powers of
 ``1/z_i`` around infinity, truncated at the finite order that can contribute
 to the ``z_i^{-1}`` coefficient; that order is bounded by the numerator
-degree, so no division of polynomials is ever needed.  The signed operator
-:func:`res_plus` keeps the coefficient of ``z_i^{-1}`` of the expansion at
-infinity when its direction component is nonnegative and returns zero
-otherwise; the sign is calibrated so that the degree of the hyperplane class
-on projective space comes out +1.  The iterated operator :func:`jk_residue`
-runs the variables in basis order and divides by the square of the basis
-determinant.  When every denominator factor is a power of one coordinate the
-origin is the only pole, so the coefficient at infinity is also the
-classical residue at zero.
+degree, so no division of polynomials is ever needed.  The sign of that
+coefficient makes the degree of the hyperplane class on projective space
+come out +1.  The iterated operator :func:`jk_residue` takes it variable by
+variable in basis order and divides by the square of the basis determinant.
+When every denominator factor is a power of one coordinate the origin is
+the only pole, so the coefficient at infinity is also the classical residue
+at zero.
 """
 
 from fractions import Fraction
 from math import comb
 
 from . import _linalg
-from .exactnum import _ReadOnly, as_fraction
+from .exactnum import _ReadOnly
 from .groupdata import ConeChoice
 from .polyring import LinearForm, MultiPoly, RationalFn, _times, weyl_act, weyl_element
 
 __all__ = [
     "ResidueProblem",
     "residue_at_infinity",
-    "res_plus",
     "jk_residue",
 ]
 
@@ -116,20 +113,6 @@ def residue_at_infinity(fn, var):
     return RationalFn(total, params)
 
 
-def res_plus(fn, var, epsilon_component=0, sign_flip=False):
-    """Signed residue at infinity with the nonnegative-direction branch.
-
-    When ``epsilon_component`` is negative the operator is identically zero;
-    otherwise it returns the ``z_var^{-1}`` coefficient of the expansion at
-    infinity, with an optional global sign flip for callers who prefer the
-    classical orientation of the residue at infinity.
-    """
-    if as_fraction(epsilon_component) < 0:
-        return RationalFn(MultiPoly.zero(fn.nvars))
-    out = residue_at_infinity(fn, var)
-    return -out if sign_flip else out
-
-
 class ResidueProblem(_ReadOnly):
     """An iterated-residue instance.
 
@@ -139,25 +122,17 @@ class ResidueProblem(_ReadOnly):
     is a :class:`~nrquot.groupdata.ConeChoice`; when present it must avoid
     every denominator wall, and when a basis is supplied alongside it the
     basis must be normalised against it (first form 1, the rest 0).
-    ``epsilon`` holds the direction components used for the branch decisions,
-    one per variable; the default (all zero) takes every residue at infinity.
     """
 
-    def __init__(self, integrand, cone=None, basis=None, epsilon=None, sign_flip=False):
+    def __init__(self, integrand, cone=None, basis=None):
         n = integrand.nvars
         if basis is not None:
             basis = tuple(b if isinstance(b, LinearForm) else LinearForm(b) for b in basis)
             if len(basis) != n:
                 raise ValueError("basis must contain one form per variable")
-        if epsilon is not None:
-            epsilon = tuple(as_fraction(x) for x in epsilon)
-            if len(epsilon) != n:
-                raise ValueError("epsilon needs one component per variable")
         if cone is not None and not isinstance(cone, ConeChoice):
             cone = ConeChoice(tuple(cone))
-        vars(self).update(
-            integrand=integrand, cone=cone, basis=basis, epsilon=epsilon, sign_flip=sign_flip
-        )
+        vars(self).update(integrand=integrand, cone=cone, basis=basis)
 
     def validate(self):
         """Check the basis and the cone; return the basis determinant."""
@@ -181,12 +156,12 @@ class ResidueProblem(_ReadOnly):
 def jk_residue(problem):
     """Iterated residue in basis order, over the squared basis determinant.
 
-    The integrand is rewritten in the basis coordinates, the signed residue
-    :func:`res_plus` is applied variable by variable in basis order, and the
-    resulting scalar is divided by ``det(B)**2``, the Gram determinant of the
-    basis forms under the standard inner product.  The scalar is exact; a
-    nonzero answer requires the integrand's homogeneity degree to be minus
-    the number of variables, otherwise the degree bookkeeping forces zero.
+    The integrand is rewritten in the basis coordinates,
+    :func:`residue_at_infinity` is applied variable by variable in basis
+    order, and the resulting scalar is divided by ``det(B)**2``, the square
+    of the determinant of the basis matrix.  The scalar is exact; a nonzero
+    answer requires the integrand's homogeneity degree to be minus the
+    number of variables, otherwise the degree bookkeeping forces zero.
     """
     det = problem.validate()
     fn = problem.integrand
@@ -196,9 +171,8 @@ def jk_residue(problem):
         num = weyl_act(fn.num, weyl_element(inverse, n))
         den = [(form.transform(inverse), mult) for form, mult in fn.den]
         fn = RationalFn(num, den)
-    epsilon = problem.epsilon or (Fraction(0),) * n
     for var in range(n):
-        fn = res_plus(fn, var, epsilon[var], problem.sign_flip)
+        fn = residue_at_infinity(fn, var)
     if not fn.is_constant():
         raise ArithmeticError("iterated residue left a non-scalar remainder")
     return fn.constant_value() / det**2

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nrquot import cli, groupdata, problemfile
+from nrquot import cli, cohring, groupdata, problemfile
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -239,7 +240,7 @@ def test_malformed_json_is_reported_as_invalid_json(tmp_path, flags):
 
 
 def test_unexpected_failure_is_one_line_with_exit_2(monkeypatch, capsys):
-    def broken(problem, flip):
+    def broken(problem):
         raise TypeError("boom")
 
     monkeypatch.setitem(cli._MODE_HANDLERS, "pair_reductive", broken)
@@ -326,6 +327,22 @@ def test_ring_mode_closes_the_weyl_group_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_ring_mode_builds_the_euler_class_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = groupdata.euler_class_nonreductive
+
+    def spy(group):
+        calls.append(group)
+        return build(group)
+
+    # every module that calls it by its imported name
+    for module in (cli, cohring):
+        monkeypatch.setattr(module, "euler_class_nonreductive", spy)
+    assert cli.main([write_problem(tmp_path, MODE_DOCS["ring"])]) == 0
+    assert capsys.readouterr().out.endswith("annihilator_dims: 0 0 2 2 1\n")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -348,6 +365,19 @@ def test_betti_modes_check_the_group_hypotheses(tmp_path, mode, change, message)
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 1
     assert out.stderr == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [([1], "$: problem file must be a JSON object"), (dict(MODE_DOCS["betti_H"], options=5),
+                                                      "$.options: expected an object")],
+    ids=["document", "options"],
+)
+@pytest.mark.parametrize("flag", ["--truncate=3", "--sign-flip"])
+def test_option_flags_leave_a_malformed_document_to_the_parser(
+    tmp_path, capsys, doc, message, flag
+):
+    assert run_main(capsys, tmp_path, doc, flag) == (1, "", "error: %s\n" % message)
 
 
 def test_truncation_bound_is_budgeted():
@@ -512,13 +542,130 @@ def test_residue_mode_and_sign_flip(tmp_path):
     assert flipped.stdout.strip() == "-1"
 
 
-@pytest.mark.parametrize("group", [{}, {"group": {"rank": 1, "inner_product": [["4"]]}}],
-                         ids=["rank", "group-inner-product"])
+# -- orientation: one switch, applied to the final scalar of two modes --------------
+
+
+def run_main(capsys, tmp_path, doc, *flags):
+    """(exit code, stdout, stderr) of ``cli.main`` in this process."""
+    code = cli.main([write_problem(tmp_path, doc), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def residue_doc(rank, **fields):
+    """(2/3) / (z_0 ... z_{rank-1}), whose residue is 2/3."""
+    unit = [[str(int(i == j)) for j in range(rank)] for i in range(rank)]
+    return dict({
+        "mode": "residue",
+        "rank": rank,
+        "integrand": {
+            "numerator": [{"coeff": "2/3", "exp": [0] * rank}],
+            "denominator": [[u, 1] for u in unit],
+        },
+    }, **fields)
+
+
+def flipped(doc, how):
+    """The document and flags that ask for the opposite orientation."""
+    if how == "flag":
+        return doc, ("--sign-flip",)
+    return dict(doc, options=dict(doc.get("options", {}), sign_flip=True)), ()
+
+
+@pytest.mark.parametrize("how", ["flag", "option"])
+def test_sign_flip_negates_pair_uhat(tmp_path, capsys, how):
+    doc, flags = flipped(MODE_DOCS["pair_uhat"], how)
+    assert run_main(capsys, tmp_path, doc, *flags) == (0, "-1\n", "")
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["standard", "basis"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("how", ["flag", "option"])
+def test_sign_flip_multiplies_a_residue_by_minus_one_to_the_rank(
+    tmp_path, capsys, how, rank, basis
+):
+    fields = {}
+    value = Fraction(2, 3)
+    if basis:
+        # the last coordinate stretched by 3 divides the value by 3
+        fields["basis"] = [[str(3 if i == j == rank - 1 else int(i == j)) for j in range(rank)]
+                           for i in range(rank)]
+        value /= 3
+    doc = residue_doc(rank, **fields)
+    plain = "%s\n" % value
+    assert run_main(capsys, tmp_path, doc) == (0, plain, "")
+    doc, flags = flipped(doc, how)
+    assert run_main(capsys, tmp_path, doc, *flags) == (0, "%s\n" % ((-1) ** rank * value), "")
+
+
+@pytest.mark.parametrize(
+    "doc, value",
+    [
+        (json.loads((PROBLEMS / "flag_pairing.json").read_text()), "-1\n"),
+        (json.loads((PROBLEMS / "gr24_pairing.json").read_text()), "2\n"),
+        (MODE_DOCS["pair_nonreductive"], "1\n"),
+        (MODE_DOCS["grassmannian"], "2\n"),
+    ],
+    ids=["flag", "pair_reductive", "pair_nonreductive", "grassmannian"],
+)
+@pytest.mark.parametrize("how", ["flag", "option"])
+def test_sign_flip_leaves_the_other_modes_alone(tmp_path, capsys, how, doc, value):
+    doc, flags = flipped(doc, how)
+    assert run_main(capsys, tmp_path, doc, *flags) == (0, value, "")
+
+
+@pytest.mark.parametrize("epsilon", [["-1", "0", "0"], ["0", "1", "-1/2"]], ids=["first", "last"])
+@pytest.mark.parametrize("flags", [(), ("--sign-flip",)], ids=["plain", "flipped"])
+def test_a_negative_epsilon_component_gives_zero(tmp_path, capsys, epsilon, flags):
+    doc = residue_doc(3, epsilon=epsilon)
+    assert run_main(capsys, tmp_path, doc, *flags) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("flags, value", [((), "2/3\n"), (("--sign-flip",), "-2/3\n")],
+                         ids=["plain", "flipped"])
+def test_a_nonnegative_epsilon_changes_nothing(tmp_path, capsys, flags, value):
+    doc = residue_doc(3, epsilon=["1", "0", "2"])
+    assert run_main(capsys, tmp_path, doc, *flags) == (0, value, "")
+
+
+@pytest.mark.parametrize("group", [{}, {"group": {"rank": 1}}], ids=["rank", "group"])
 def test_residue_mode_divides_by_the_squared_basis_determinant(tmp_path, group):
     # 1/z in the coordinate w = 2z is 2/w; over det(B)^2 = 4
     doc = dict(MODE_DOCS["residue"], basis=[["2"]], **group)
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout == "1/2\n"
+
+
+def test_sign_flip_survives_the_linearity_recheck(tmp_path):
+    out = run_cli(write_problem(tmp_path, MODE_DOCS["pair_uhat"]), "--sign-flip",
+                  "--check-invariants")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "-1\n", "invariant check: linearity in the class ok\n")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"cone": ["1", "2", "3"]}, "$.cone: expected length 2, got 3"),
+        ({"basis": [["1", "0"]]}, "$.basis: expected length 2, got 1"),
+    ],
+    ids=["cone", "basis"],
+)
+def test_residue_cone_and_basis_lengths_are_checked_at_parse(tmp_path, capsys, fields, message):
+    doc = residue_doc(2, **fields)
+    assert run_main(capsys, tmp_path, doc) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("mode", ["pair_reductive", "residue"])
+def test_group_inner_product_is_rejected(tmp_path, capsys, mode):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    if mode == "residue":
+        doc = dict(residue_doc(2), group=doc["group"])
+        del doc["rank"]
+    doc["group"]["inner_product"] = [["1", "0"], ["0", "1"]]
+    code, out, err = run_main(capsys, tmp_path, doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: $.group.inner_product: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("denominator", [5, {"a": 1}], ids=["number", "object"])

@@ -75,7 +75,7 @@ def test_lambda_projection_dot_product():
     assert lambda_projection(LinearForm([2, 0, -1]), g) == Fraction(14, 3)
     # zero weight projects to zero, the grading itself to a positive number
     assert lambda_projection(LinearForm([0, 0, 0]), g) == 0
-    assert g.pairing(g.grading, g.grading) > 0
+    assert lambda_projection(LinearForm(g.grading), g) > 0
 
 
 def test_lambda_projection_linear_in_weight():
@@ -154,19 +154,6 @@ def test_weyl_enumeration_s2_and_s3():
     bad = GroupData(rank=3, weyl_generators=[(1, 0, 2)], weyl_order=6)
     with pytest.raises(ValueError):
         bad.weyl_elements()
-
-
-def test_inner_product_validation():
-    GroupData(rank=2, inner_product=((2, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        GroupData(rank=2, inner_product=((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        GroupData(rank=2, inner_product=((1, 2), (2, 1)))
-
-
-def test_nondefault_inner_product_changes_projection():
-    g = GroupData(rank=2, grading=(1, 0), inner_product=((2, 0), (0, 1)))
-    assert lambda_projection(LinearForm([1, 0]), g) == 2
 
 
 # -- the one Weyl element form against a dense matrix closure ----------------------

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrquot import cli
 from nrquot.groupdata import ConeChoice, GroupData, euler_class_nonreductive
 from nrquot.localize import (
     FixedPointComponent,
@@ -190,7 +192,9 @@ def test_uhat_p3_matches_nonreductive_route():
 
 
 # Values from the rank-one residue-at-infinity loop that the shared
-# localisation sum replaced; the sign flip negates each of them.
+# localisation sum replaced.  The orientation is applied by the command line
+# to the final scalar, so the flipped values are read through cli.run on a
+# stand-in for a parsed pair_uhat file; the flip negates each of them.
 @pytest.mark.parametrize(
     "problem, value",
     [
@@ -203,7 +207,9 @@ def test_uhat_p3_matches_nonreductive_route():
 )
 @pytest.mark.parametrize("sign_flip", [False, True], ids=["plain", "flipped"])
 def test_uhat_pinned_values_in_both_orientations(problem, value, sign_flip):
-    assert integrate_uhat(problem, sign_flip=sign_flip) == (-value if sign_flip else value)
+    assert integrate_uhat(problem) == value
+    parsed = SimpleNamespace(mode="pair_uhat", sign_flip=sign_flip, pairing_problem=lambda: problem)
+    assert cli.run(parsed)["value"] == (-value if sign_flip else value)
 
 
 # -- general graded group -----------------------------------------------------------
@@ -286,7 +292,7 @@ def _homogeneous(degree):
 
 @st.composite
 def localization_cases(draw):
-    """(weights, restriction pole, class, factor, sign flip): a class mostly
+    """(weights, restriction pole, class, factor): a class mostly
     in the degree where the residue can be nonzero, optionally restricted as
     a ratio with one more pole at z0."""
     weights = LOCALIZATION_WEIGHTS[draw(st.sampled_from(sorted(LOCALIZATION_WEIGHTS)))]
@@ -297,20 +303,20 @@ def localization_cases(draw):
     degree = sum(m for _, m in weights) + pole - 2 - fdeg
     cls = draw(st.dictionaries(st.sampled_from(_homogeneous(degree)), coeff, min_size=1, max_size=4))
     cls.update(draw(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), coeff, max_size=2)))
-    return weights, pole, MultiPoly(2, cls), MultiPoly(2, factor), draw(st.booleans())
+    return weights, pole, MultiPoly(2, cls), MultiPoly(2, factor)
 
 
 @settings(max_examples=80, deadline=None)
 @given(localization_cases())
 def test_localization_sum_matches_residue_of_the_expanded_term(case):
-    weights, pole, cls, factor, sign_flip = case
+    weights, pole, cls, factor = case
     restriction_den = [((1, 0), 1)] if pole else []
     comp = FixedPointComponent(
         "c", weights, restriction=RationalFn(cls, restriction_den) if pole else None
     )
     expanded = RationalFn(cls * factor, restriction_den + weights)
-    expected = jk_residue(ResidueProblem(expanded, sign_flip=sign_flip))
-    assert _localization_sum([comp], cls, factor, None, sign_flip) == expected
+    expected = jk_residue(ResidueProblem(expanded))
+    assert _localization_sum([comp], cls, factor, None) == expected
 
 
 def test_localization_sum_checks_the_factor_variable_count():

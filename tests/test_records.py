@@ -35,7 +35,6 @@ RECORDS = [
             "weyl_generators": (),
             "weyl_order": 1,
             "grading": (0,),
-            "inner_product": ((1,),),
         },
     ),
     (groupdata.ConeChoice, (("1/2", 2),), {"xi": (Fraction(1, 2), 2)}),
@@ -84,8 +83,6 @@ RECORDS = [
             "integrand": INTEGRAND,
             "cone": None,
             "basis": None,
-            "epsilon": None,
-            "sign_flip": False,
         },
     ),
 ]

@@ -1,11 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrquot.groupdata import ConeChoice, InvalidConeError
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn
-from nrquot.residue import ResidueProblem, jk_residue, res_plus, residue_at_infinity
+from nrquot.residue import ResidueProblem, jk_residue, residue_at_infinity
 from oracles import laurent_derivative
 
 
@@ -41,25 +42,36 @@ def test_residue_at_zero_no_pole():
     assert residue_at_infinity(f, 0).is_zero()
 
 
-def test_res_plus_calibration():
+def test_residue_at_infinity_calibration():
+    # 1/z has coefficient +1; 1/(2 z0 + 3 z1) has its one pole in z0 at
+    # -3 z1 / 2, with residue 1/2
     f = RationalFn(MultiPoly.one(1), [(LinearForm([1]), 1)])
-    assert res_plus(f, 0, 0).constant_value() == 1
-    assert res_plus(f, 0, Fraction(3, 2)).constant_value() == 1
+    assert residue_at_infinity(f, 0).constant_value() == 1
+    g = RationalFn(MultiPoly.one(2), [(LinearForm([2, 3]), 1)])
+    assert residue_at_infinity(g, 0).constant_value() == Fraction(1, 2)
 
 
-def test_res_plus_negative_direction_is_zero():
-    f = RationalFn(MultiPoly.one(1), [(LinearForm([1]), 1)])
-    assert res_plus(f, 0, -1).is_zero()
+def test_residue_at_infinity_no_inverse_term():
+    # no pole in z0: the factor 1/z1 is a parameter
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    f = RationalFn((z0 + z1) ** 3, [(LinearForm([0, 1]), 1)])
+    assert residue_at_infinity(f, 0).is_zero()
 
 
-def test_res_plus_no_inverse_term():
-    f = RationalFn(zvar())
-    assert res_plus(f, 0, 0).is_zero()
-
-
-def test_res_plus_sign_flip():
-    f = RationalFn(MultiPoly.one(1), [(LinearForm([1]), 1)])
-    assert res_plus(f, 0, 0, sign_flip=True).constant_value() == -1
+def test_residue_at_infinity_commutes_with_negation():
+    """Negating each one-variable residue multiplies the iterated value by
+    (-1)^rank, which is how the command line applies --sign-flip."""
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    f = RationalFn(
+        z[0] + 2 * z[2],
+        [(LinearForm(form), 1) for form in ([1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1])],
+    )
+    assert residue_at_infinity(-f, 0) == -residue_at_infinity(f, 0)
+    flipped = f
+    for var in range(3):
+        flipped = -residue_at_infinity(flipped, var)
+    assert jk_residue(ResidueProblem(f)) == 1
+    assert flipped.constant_value() == -1
 
 
 def test_residue_at_infinity_sums_finite_residues():
@@ -126,122 +138,135 @@ def test_iterated_residue_at_zero_matches_coefficient_extraction():
     assert jk_residue(ResidueProblem(f)) == num.coefficient((3, 3))
 
 
-# -- randomized property suites (100 instances each) ------------------------------
+# -- property suites (100 examples each) ---------------------------------------
 
 
-def random_rank2_integrand(rng, nden=None, off_wall=False):
-    """Random homogeneous integrand of total degree -2 in two variables.
+def _integrand(nden, den_forms, coeffs):
+    """sum_k coeffs[k] z0^k z1^(deg-k) / prod(den_forms), deg = nden - 2."""
+    deg = nden - 2
+    num = MultiPoly(2, {(k, deg - k): Fraction(c) for k, c in enumerate(coeffs)})
+    if num.is_zero():
+        num = MultiPoly(2, {(deg, 0): 1})
+    return RationalFn(num, [(LinearForm(form), 1) for form in den_forms])
+
+
+@st.composite
+def rank2_integrands(draw, nden=None, off_wall=False):
+    """Homogeneous integrands of total degree -2 in two variables.
 
     With ``off_wall`` every denominator form involves the first variable
     (so any cone along the first axis is valid); otherwise pure second-axis
     forms may occur, which is what makes nonzero values possible for the
     plain at-infinity semantics.
     """
-    nden = nden or rng.randint(2, 4)
-    den = []
-    for _ in range(nden):
-        a = rng.choice([1, 2, 3]) if off_wall else rng.choice([0, 1, 2])
-        b = rng.randint(-3, 3)
-        if a == 0 and b == 0:
-            b = 1
-        den.append((LinearForm([a, b]), 1))
-    deg = nden - 2
-    terms = {}
-    for k in range(deg + 1):
-        terms[(k, deg - k)] = Fraction(rng.randint(-6, 6))
-    num = MultiPoly(2, terms)
-    if num.is_zero():
-        num = MultiPoly(2, {(deg, 0): 1}) if deg >= 0 else MultiPoly.one(2)
-    return RationalFn(num, den)
+    nden = nden or draw(st.integers(2, 4))
+    firsts = [1, 2, 3] if off_wall else [0, 1, 2]
+    forms = draw(st.lists(
+        st.tuples(st.sampled_from(firsts), st.integers(-3, 3)), min_size=nden, max_size=nden
+    ))
+    forms = [(a, 1 if (a, b) == (0, 0) else b) for a, b in forms]
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=nden - 1, max_size=nden - 1))
+    return _integrand(nden, forms, coeffs)
 
 
-def test_jk_linearity_100():
-    rng = random.Random(515)
-    nonzero = 0
-    for _ in range(100):
-        f = random_rank2_integrand(rng)
-        g = random_rank2_integrand(rng, nden=len(f.den))
-        a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        lhs = jk_residue(ResidueProblem(integrand=(a * f) + (b * g)))
-        fv = jk_residue(ResidueProblem(integrand=f))
-        gv = jk_residue(ResidueProblem(integrand=g))
-        assert lhs == a * fv + b * gv
-        if fv != 0 or gv != 0:
-            nonzero += 1
-    assert nonzero >= 30
+@st.composite
+def same_shape_pairs(draw):
+    """Two integrands with the same number of denominator factors."""
+    nden = draw(st.integers(2, 4))
+    return draw(rank2_integrands(nden)), draw(rank2_integrands(nden))
 
 
-def test_residue_of_derivative_vanishes_100():
-    rng = random.Random(516)
-    for _ in range(100):
-        coeffs = {
-            rng.randint(-5, 5): Fraction(rng.randint(-9, 9))
-            for _ in range(rng.randint(1, 6))
-        }
-        deriv = laurent_derivative(coeffs)
-        f = laurent(deriv)
-        assert residue_at_infinity(f, 0).is_zero()
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# 1/(z0 z1) and z0/(z0 z1 (z0 + z1)) both have the value 1
+NONZERO_PAIR = (
+    _integrand(2, [(1, 0), (0, 1)], [1]),
+    _integrand(3, [(1, 0), (0, 1), (1, 1)], [0, 1]),
+)
 
 
-def test_jk_degree_selection_100():
-    rng = random.Random(517)
-    for _ in range(100):
-        nden = rng.randint(2, 4)
-        den = [
-            (LinearForm([rng.choice([1, 2]), rng.randint(-2, 2)]), 1)
-            for _ in range(nden)
-        ]
-        deg = nden - 2 + rng.choice([-1, 1, 2])
-        if deg < 0:
-            continue
-        terms = {(k, deg - k): Fraction(rng.randint(1, 5)) for k in range(deg + 1)}
-        f = RationalFn(MultiPoly(2, terms), den)
-        assert jk_residue(ResidueProblem(integrand=f)) == 0
+@settings(max_examples=100, deadline=None)
+@given(same_shape_pairs(), small_fractions, small_fractions)
+@example(NONZERO_PAIR, Fraction(2, 3), Fraction(-5, 2))
+def test_jk_linearity_100(pair, a, b):
+    f, g = pair
+    lhs = jk_residue(ResidueProblem(integrand=(a * f) + (b * g)))
+    fv = jk_residue(ResidueProblem(integrand=f))
+    gv = jk_residue(ResidueProblem(integrand=g))
+    assert lhs == a * fv + b * gv
 
 
-def test_jk_basis_covariance_100():
-    """Unimodular admissible basis changes never move the normalised value."""
-    rng = random.Random(518)
+def test_linearity_example_is_not_vacuous():
+    assert [jk_residue(ResidueProblem(integrand=f)) for f in NONZERO_PAIR] == [1, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), min_size=1, max_size=6))
+def test_residue_of_derivative_vanishes_100(coeffs):
+    f = laurent(laurent_derivative({e: Fraction(c) for e, c in coeffs.items()}))
+    assert residue_at_infinity(f, 0).is_zero()
+
+
+@st.composite
+def off_degree_integrands(draw):
+    """Integrands whose numerator degree is off by -1, 1 or 2 from the one
+    a nonzero residue needs."""
+    nden = draw(st.integers(2, 4))
+    forms = draw(st.lists(
+        st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2)), min_size=nden, max_size=nden
+    ))
+    deg = nden - 2 + draw(st.sampled_from([-1, 1, 2]).filter(lambda d: nden - 2 + d >= 0))
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=deg + 1, max_size=deg + 1))
+    num = MultiPoly(2, {(k, deg - k): Fraction(c) for k, c in enumerate(coeffs)})
+    return RationalFn(num, [(LinearForm(form), 1) for form in forms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(off_degree_integrands())
+def test_jk_degree_selection_100(f):
+    assert jk_residue(ResidueProblem(integrand=f)) == 0
+
+
+@st.composite
+def sheared_problems(draw):
+    """(integrand, cone, standard basis, sheared basis) for a first-form shear.
+
+    Half are the wall-adapted family (a symmetric-type class over the pole
+    z^a, no cone); half are the chamber family (a valid cone along the first
+    axis, bases normalised against it).
+    """
     z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    checked_nonzero = 0
-    for trial in range(100):
-        if trial % 2 == 0:
-            # wall-adapted family: random symmetric-type class over z^a pole,
-            # standard basis against sheared bases (1, m; 0, 1)
-            a = rng.randint(2, 4)
-            u = rng.randint(0, 1) if a >= 3 else 0
-            phi = (z0 * z1) ** u * (z0 + z1) ** (2 * a - 4 - 2 * u)
-            f = RationalFn(
-                phi * (z0 - z1) * (z1 - z0),
-                [(LinearForm([1, 0]), a), (LinearForm([0, 1]), a)],
-            )
-            base = jk_residue(ResidueProblem(integrand=f))
-            m = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            basis = (LinearForm([1, m]), LinearForm([0, 1]))
-            moved = jk_residue(ResidueProblem(integrand=f, basis=basis))
-            assert moved == base
-            if base != 0:
-                checked_nonzero += 1
-        else:
-            # chamber family: valid cone, bases normalised against it
-            f = random_rank2_integrand(rng, off_wall=True)
-            xi = (1, 0)
-            try:
-                ConeChoice(xi).validate(form for form, _ in f.den)
-            except InvalidConeError:
-                continue
-            b0 = (LinearForm([1, 0]), LinearForm([0, 1]))
-            base = jk_residue(
-                ResidueProblem(integrand=f, cone=ConeChoice(xi), basis=b0)
-            )
-            m = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            basis = (b0[0] + m * b0[1], b0[1])
-            moved = jk_residue(
-                ResidueProblem(integrand=f, cone=ConeChoice(xi), basis=basis)
-            )
-            assert moved == base
-    assert checked_nonzero >= 20
+    m = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
+    if draw(st.booleans()):
+        a = draw(st.integers(2, 4))
+        u = draw(st.integers(0, 1)) if a >= 3 else 0
+        phi = (z0 * z1) ** u * (z0 + z1) ** (2 * a - 4 - 2 * u)
+        f = RationalFn(
+            phi * (z0 - z1) * (z1 - z0),
+            [(LinearForm([1, 0]), a), (LinearForm([0, 1]), a)],
+        )
+        return f, None, None, (LinearForm([1, m]), LinearForm([0, 1]))
+    f = draw(rank2_integrands(off_wall=True))
+    b0 = (LinearForm([1, 0]), LinearForm([0, 1]))
+    return f, ConeChoice((1, 0)), b0, (b0[0] + m * b0[1], b0[1])
+
+
+# the Gr(2,4) integrand of sigma_1^4, whose value is 4
+GR24_SHEAR = (
+    grassmann_integrand((MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)) ** 4),
+    None,
+    None,
+    (LinearForm([1, Fraction(-3, 2)]), LinearForm([0, 1])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sheared_problems())
+@example(GR24_SHEAR)
+def test_jk_basis_covariance_100(case):
+    """Admissible first-form shears never move the normalised value."""
+    f, cone, base, sheared = case
+    standard = jk_residue(ResidueProblem(integrand=f, cone=cone, basis=base))
+    assert jk_residue(ResidueProblem(integrand=f, cone=cone, basis=sheared)) == standard
 
 
 def test_normalisation_divides_by_the_squared_basis_determinant():
@@ -263,14 +288,6 @@ def test_non_scalar_leftover_guard():
     f = RationalFn(MultiPoly.one(2), [(LinearForm([0, 1]), 1)])
     value = jk_residue(ResidueProblem(integrand=f))
     assert value == 0
-
-
-def test_jk_negative_epsilon_component_kills_the_value():
-    f = RationalFn(MultiPoly.one(2), [(LinearForm([1, 0]), 1), (LinearForm([0, 1]), 1)])
-    assert jk_residue(ResidueProblem(integrand=f)) == 1
-    assert jk_residue(ResidueProblem(integrand=f, epsilon=(-1, 0))) == 0
-    assert jk_residue(ResidueProblem(integrand=f, epsilon=(0, -1))) == 0
-    assert jk_residue(ResidueProblem(integrand=f, epsilon=(1, 2))) == 1
 
 
 def test_jk_rank_three_basis_covariance():
