@@ -26,7 +26,6 @@ from nrquot import (
     morse_assemble,
     poincare_H,
     poincare_uhat,
-    series_geom_div,
     weighted_projective_poincare,
 )
 
@@ -72,8 +71,8 @@ unstable = morse_assemble(
 )
 print("unstable strata contribute:", unstable)
 
-ambient = series_geom_div(TruncSeries.from_dict({0: 1, 6: -1}, bound), 2)
-full_quotient = series_geom_div(ambient - unstable, 2)
+ambient = TruncSeries.from_dict({0: 1, 6: -1}, bound).geom_div(2)
+full_quotient = (ambient - unstable).geom_div(2)
 print("P_t of X//B:", full_quotient)
 
 # the same answer through the fibration form of the quotient series

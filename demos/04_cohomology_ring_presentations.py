@@ -1,7 +1,7 @@
 """Cohomology rings of quotients as invariants modulo an annihilator.
 
-The ring of the torus quotient is a finite polynomial quotient; averaging
-over the Weyl group presents the invariant subring, and killing the
+The ring of the torus quotient is a finite polynomial quotient; the elements
+every Weyl generator fixes form the invariant subring, and killing the
 annihilator of the root-and-unipotent Euler class leaves the ring of the
 full quotient.  Graded dimensions are all exact linear algebra.
 """

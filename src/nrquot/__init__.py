@@ -9,7 +9,7 @@ exact rational arithmetic; the only floating point lives in the moment-map
 diagnostics module.
 """
 
-from .exactnum import TruncSeries, rat, series_geom_div
+from .exactnum import TruncSeries
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .groupdata import (
     ConeChoice,

@@ -4,8 +4,7 @@ Matrices are lists of row tuples/lists of Fractions.  Torus-rank matrices
 are tiny, but the per-degree matrices of a ring presentation are not: the
 relation multiples of Q[z0,z1,z2]/(z_i^6) reach 165 rows by 136 columns in
 one degree, and almost every cell is zero.  Gauss-Jordan elimination here
-therefore touches only nonzero entries, and the incremental independence
-test keeps its echelon rows as sparse ``(column, value)`` pairs.
+therefore touches only nonzero entries.
 """
 
 from fractions import Fraction
@@ -116,33 +115,3 @@ def kernel_basis(rows, ncols):
         basis.append(v)
     return basis
 
-
-def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, scanning in order.
-
-    Each kept vector is stored as an echelon row: its pivot column and its
-    nonzero ``(column, value)`` pairs, scaled so the pivot entry is 1.  Every
-    stored row is zero in the pivot columns of the rows stored before it, so
-    one pass in storage order reduces a new vector; it is kept when a
-    nonzero entry survives.
-    """
-    picked = []
-    echelon = []
-    for i, v in enumerate(vectors):
-        w = {j: x for j, x in enumerate(v) if x != 0}
-        for pivot, pairs in echelon:
-            factor = w.get(pivot)
-            if factor is None:
-                continue
-            for j, y in pairs:
-                x = w.get(j, 0) - factor * y
-                if x:
-                    w[j] = x
-                else:
-                    del w[j]
-        if w:
-            pivot = min(w)
-            pv = w[pivot]
-            echelon.append((pivot, [(j, x / pv) for j, x in sorted(w.items())]))
-            picked.append(i)
-    return picked

@@ -7,10 +7,10 @@ algebra over the rationals: no Groebner bases, just monomial spanning sets
 and rank computations, which is all the finite-dimensional rings in scope
 require.
 
-The headline computation composes three steps: average over the Weyl group
-to present the invariant subring, intersect with the annihilator of the
-root-and-unipotent Euler class, and read off graded dimensions, doubling the
-ring grading into the cohomological one.
+The headline computation composes three steps: take the common kernel of
+g - 1 over the Weyl generators g to present the invariant subring, intersect
+with the annihilator of the root-and-unipotent Euler class, and read off
+graded dimensions, doubling the ring grading into the cohomological one.
 """
 
 from fractions import Fraction
@@ -18,8 +18,8 @@ from itertools import combinations_with_replacement
 
 from . import _linalg
 from .exactnum import TruncSeries
-from .groupdata import GroupData, euler_class_nonreductive
-from .localize import _check_weyl_invariant
+from .groupdata import GroupData, _euler_forms, _product
+from .localize import _check_factors_invariant
 from .polyring import MultiPoly, weyl_act
 
 __all__ = [
@@ -194,25 +194,19 @@ def _weyl_group(ringp, weyl):
     return group
 
 
-def _average(ringp, elements, poly, degree):
-    """Quotient coordinates of the mean of ``poly`` over the Weyl elements."""
-    total = {}
-    for element in elements:
-        for e, c in weyl_act(poly, element).terms.items():
-            total[e] = total.get(e, 0) + c
-    return [c / len(elements) for c in ringp.reduce(MultiPoly(ringp.nvars, total), degree)]
-
-
 def invariant_basis(ringp, weyl):
-    """Per-degree basis of the Weyl-invariant subring, by Reynolds averaging.
+    """Per-degree basis of the Weyl-invariant subring.
 
-    Averages every quotient basis monomial and extracts a maximal
-    independent subset of the projections per degree.  Returns a dict
+    In each degree the invariants are the common kernel of ``A_g - 1`` over
+    the Weyl generators ``g``, where column ``b`` of ``A_g`` holds the quotient
+    coordinates of ``g`` applied to basis monomial ``b``; for a finite group
+    over Q this is the span of the Reynolds averages.  Returns a dict
     ``degree -> list of quotient-coordinate vectors``.
     """
     group = _weyl_group(ringp, weyl)
-    elements = group.weyl_elements()
-    for gen, element in zip(group.weyl_generators, group.generator_elements()):
+    group.weyl_elements()  # checks the generators against the declared order
+    elements = group.generator_elements()
+    for gen, element in zip(group.weyl_generators, elements):
         for rel in ringp.relations:
             if any(c != 0 for c in ringp.reduce(weyl_act(rel, element))):
                 raise ValueError(
@@ -220,11 +214,13 @@ def invariant_basis(ringp, weyl):
                 )
     out = {}
     for degree in range(ringp.top_degree + 1):
-        projections = [
-            _average(ringp, elements, mono, degree) for mono in ringp.basis_elements(degree)
-        ]
-        keep = _linalg.independent_subset(projections)
-        out[degree] = [projections[i] for i in keep]
+        basis = ringp.basis_elements(degree)
+        n = len(basis)
+        rows = []
+        for element in elements:
+            columns = [ringp.reduce(weyl_act(b, element), degree) for b in basis]
+            rows += [[col[i] - (i == j) for j, col in enumerate(columns)] for i in range(n)]
+        out[degree] = _linalg.kernel_basis(rows, n)
     return out
 
 
@@ -237,15 +233,14 @@ def annihilator_dims(ringp, e):
     """
     if e.nvars != ringp.nvars:
         raise ValueError("element is not expressible in the ring variables")
+    if e.is_zero():
+        return graded_dims(ringp)
     if not e.is_homogeneous():
         raise ValueError("element must be homogeneous")
     e_degree = e.total_degree()
     dims = []
     for d in range(ringp.top_degree + 1):
         n = ringp.dimension(d)
-        if n == 0:
-            dims.append(0)
-            continue
         target = d + e_degree
         if ringp.dimension(target) == 0:
             dims.append(n)
@@ -271,19 +266,20 @@ def quotient_presentation_betti(ringp, weyl, group):
 def _quotient_betti_with_invariants(ringp, weyl, group):
     """:func:`quotient_presentation_betti`, the invariant basis and the Euler
     class it used, for callers that also report the invariant dimensions and
-    the annihilator of the class."""
-    e = euler_class_nonreductive(group)
-    if e.nvars != ringp.nvars:
+    the annihilator of the class.  A class of degree above the top degree is
+    zero in the ring; it is returned as zero and never expanded."""
+    forms = _euler_forms(group)
+    if group.rank != ringp.nvars:
         raise ValueError("Euler class is not expressible in the ring variables")
-    _check_weyl_invariant(e, group)
-    e_degree = e.total_degree() if not e.is_constant() else 0
+    _check_factors_invariant(forms, group)
     inv = invariant_basis(ringp, weyl)
     bound = 2 * ringp.top_degree
+    if len(forms) > ringp.top_degree:
+        return TruncSeries.zero(bound), inv, MultiPoly.zero(ringp.nvars)
+    e = _product([f.to_poly() for f in forms], ringp.nvars)
     coeffs = {}
     for d, vectors in inv.items():
-        if not vectors:
-            continue
-        target = d + e_degree
+        target = d + len(forms)
         if ringp.dimension(target) == 0:
             continue
         images = [

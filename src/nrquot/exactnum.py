@@ -11,26 +11,9 @@ numerical diagnostics live in :mod:`nrquot.momentdiag` and nowhere else.
 from fractions import Fraction
 
 __all__ = [
-    "rat",
     "as_fraction",
     "TruncSeries",
-    "series_geom_div",
 ]
-
-
-def rat(numerator, denominator=None):
-    """Build an exact rational from ints or a ``"p/q"`` string.
-
-    >>> rat(3, 6)
-    Fraction(1, 2)
-    >>> rat("-7/2")
-    Fraction(-7, 2)
-    """
-    if denominator is not None:
-        if not isinstance(numerator, int) or not isinstance(denominator, int):
-            raise TypeError("rat(p, q) expects integers")
-        return Fraction(numerator, denominator)
-    return as_fraction(numerator)
 
 
 def as_fraction(value):
@@ -220,7 +203,3 @@ class TruncSeries:
     def __repr__(self):
         return "TruncSeries(%r, bound=%d)" % (list(self.coeffs), self.bound)
 
-
-def series_geom_div(a, k):
-    """Divide ``a`` by ``1 - t^k`` exactly in the truncated ring, ``k`` even, >= 2."""
-    return a.geom_div(k)

@@ -212,6 +212,22 @@ def lambda_projection(weight, group):
     return w(group.grading)
 
 
+def _euler_forms(group):
+    """The linear factors of :func:`euler_class_nonreductive`, in its
+    multiplication order: each positive root, then its negative, then each
+    Lie(U) weight."""
+    roots = tuple(f for root in group.positive_roots for f in (root, -root))
+    return roots + group.unipotent_weights
+
+
+def _product(factors, nvars):
+    """The product of polynomials in ``nvars`` variables, left to right."""
+    out = MultiPoly.one(nvars)
+    for factor in factors:
+        out = out * factor
+    return out
+
+
 def euler_class_nonreductive(group):
     """Product of every root (positive and negative) and every Lie(U) weight.
 
@@ -222,10 +238,4 @@ def euler_class_nonreductive(group):
     over all roots equals the squared product of the positive roots only up
     to the sign (-1)^(number of positive roots).
     """
-    out = MultiPoly.one(group.rank)
-    for root in group.positive_roots:
-        out = out * root.to_poly()
-        out = out * (-root).to_poly()
-    for weight in group.unipotent_weights:
-        out = out * weight.to_poly()
-    return out
+    return _product([f.to_poly() for f in _euler_forms(group)], group.rank)

@@ -31,12 +31,13 @@ calibration suite for the sign conventions.
 Fraction(2, 1)
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import sub
 
 from .exactnum import _ReadOnly, as_fraction
-from .groupdata import euler_class_nonreductive
+from .groupdata import _product, euler_class_nonreductive
 from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from .residue import ResidueProblem, jk_residue
 
@@ -175,6 +176,43 @@ def _check_weyl_invariant(poly, group):
             raise WeylInvarianceError(index, group.weyl_generators[index])
 
 
+def _check_factors_invariant(factors, group):
+    """:func:`_check_weyl_invariant` for the product of the linear forms
+    ``factors``, without forming it.
+
+    Linear forms are irreducible in the UFD Q[z], so a generator fixes the
+    product exactly when it permutes the factors up to scalars whose product
+    is 1.  Each factor is divided by the coefficient of its largest monomial
+    (its first nonzero coefficient); the multisets of the quotients and the
+    products of the coefficients must agree.
+    """
+
+    def split(vectors):
+        scale, shapes = Fraction(1), Counter()
+        for v in vectors:
+            lead = next(c for c in v if c != 0)
+            scale *= lead
+            shapes[tuple(c / lead for c in v)] += 1
+        return scale, shapes
+
+    base = split(f.coeffs for f in factors)
+    for index, element in enumerate(group.generator_elements()):
+        rows = [dict(row) for row in element]
+        images = [
+            [sum(c * row.get(j, 0) for c, row in zip(f.coeffs, rows)) for j in range(len(rows))]
+            for f in factors
+        ]
+        if split(images) != base:
+            raise WeylInvarianceError(index, group.weyl_generators[index])
+
+
+def _minimality_mismatches(fixed_points):
+    """Indices of the components whose ``is_min`` flag disagrees with whether
+    their ``lambda_weight`` is the least moment value."""
+    floor = min(c.lambda_weight for c in fixed_points)
+    return [i for i, c in enumerate(fixed_points) if c.is_min != (c.lambda_weight == floor)]
+
+
 def _localization_sum(fixed_points, cls, factor, cone):
     """Sum over the components of the JK residue of (class * factor) / Euler."""
     total = Fraction(0)
@@ -213,18 +251,13 @@ def integrate_uhat(problem):
     minimal = problem.minimal_components()
     if not minimal:
         raise ValueError("no component is flagged as minimal")
-    floor = min(c.lambda_weight for c in problem.fixed_points)
-    mislabeled = [
-        c.name for c in problem.fixed_points if c.is_min != (c.lambda_weight == floor)
-    ]
+    mislabeled = _minimality_mismatches(problem.fixed_points)
     if mislabeled:
         raise ValueError(
             "minimality flags disagree with the moment values on: %s"
-            % ", ".join(mislabeled)
+            % ", ".join(problem.fixed_points[i].name for i in mislabeled)
         )
-    factor = MultiPoly.one(1)
-    for w in problem.group.unipotent_weights:
-        factor = factor * w.to_poly()
+    factor = _product([w.to_poly() for w in problem.group.unipotent_weights], 1)
     return problem.constant() * _localization_sum(minimal, problem.class_eta, factor, None)
 
 
@@ -295,10 +328,8 @@ def flag_pairing(k, n, phi):
         raise ValueError("need 1 <= k <= n")
     if phi.nvars != k:
         raise ValueError("class must live in %d variables" % k)
-    factor = MultiPoly.one(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            factor = factor * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
+    z = [MultiPoly.variable(k, i) for i in range(k)]
+    factor = _product([z[i] - z[j] for i in range(k) for j in range(i + 1, k)], k)
     return _localization_sum(_origin(k, n), phi, factor, None)
 
 
@@ -319,9 +350,6 @@ def grassmannian_pairing(k, n, phi):
                 "class is not symmetric in the torus variables (swap %d,%d)"
                 % (i, i + 1)
             )
-    factor = MultiPoly.one(k)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                factor = factor * (MultiPoly.variable(k, i) - MultiPoly.variable(k, j))
+    z = [MultiPoly.variable(k, i) for i in range(k)]
+    factor = _product([z[i] - z[j] for i in range(k) for j in range(k) if i != j], k)
     return _localization_sum(_origin(k, n), phi, factor, None) / factorial(k)

@@ -15,7 +15,7 @@ from .betti import QuotientDims, StratumDatum
 from .exactnum import TruncSeries, _ReadOnly
 from .cohring import GradedRingPresentation
 from .groupdata import ConeChoice, GroupData, check_grading
-from .localize import FixedPointComponent, PairingProblem
+from .localize import FixedPointComponent, PairingProblem, _minimality_mismatches
 from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly, RationalFn
 
@@ -206,8 +206,8 @@ def _group(value, path):
         )
     except ValueError as exc:
         raise ProblemFileError(path, str(exc)) from None
-    # Pairings divide by the Weyl order and ring mode averages over the group,
-    # so generators that do not generate a group of that order change answers.
+    # Pairings divide by the Weyl order, so generators that do not generate a
+    # group of that order change answers.
     try:
         group.generator_elements()
     except ValueError as exc:
@@ -384,6 +384,16 @@ class ProblemFile:
             self.fixed_points = _fixed_points(
                 doc["fixed_points"], self.group.rank, "$.fixed_points"
             )
+            if mode == "pair_uhat":
+                _expect(self.group.rank == 1, "$.group.rank",
+                        "expected 1: the graded-extension pairing needs a rank 1 torus")
+                for i in _minimality_mismatches(self.fixed_points):
+                    want, lam = not self.fixed_points[i].is_min, self.fixed_points[i].lambda_weight
+                    raise ProblemFileError(
+                        "$.fixed_points[%d].is_min" % i,
+                        "expected %s: lambda_weight %s is %sthe least moment value"
+                        % (str(want).lower(), lam, "" if want else "not "),
+                    )
             self.class_eta = None
             if "class" in doc:
                 self.class_eta = _poly(doc["class"], self.group.rank, "$.class")

@@ -24,7 +24,7 @@ CHEAP_ITEMS = {
         "graded-P1", "graded-P3", "routes-gr(2,4)m0#0", "routes-gr(2,5)m2#0",
         "res-linear-00", "res-degree-00", "res-shear-00", "res-shear-01",
     ],
-    "ring-betti": ["ring(1,3)#0", "ring(2,3)#0"],
+    "ring-betti": ["ring(1,3)#0", "ring(2,3)#0", "ring(3,4)#0", "ring(3,5)#0"],
     "cli-batch": [
         "flag.text", "grassmannian.latex", "pair_uhat.json", "residue.text", "ring.text",
         "pair_abelianized.json", "pair_reductive.check-invariants", "reemit.ring",

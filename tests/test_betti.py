@@ -11,7 +11,7 @@ from nrquot.betti import (
     poincare_uhat,
     weighted_projective_poincare,
 )
-from nrquot.exactnum import TruncSeries, series_geom_div
+from nrquot.exactnum import TruncSeries
 
 
 def one(bound=12):
@@ -139,7 +139,7 @@ def test_uhat_series_equals_weighted_projective_series():
 def test_full_chain_of_the_borel_sl3_example():
     # ambient series (1 - t^6)/(1 - t^2), two unstable strata, residual circle
     bound = 12
-    ambient = series_geom_div(TruncSeries.from_dict({0: 1, 6: -1}, bound), 2)
+    ambient = TruncSeries.from_dict({0: 1, 6: -1}, bound).geom_div(2)
     assert ambient == TruncSeries.from_dict({0: 1, 2: 1, 4: 1}, bound)
     unstable = morse_assemble(
         [
@@ -148,7 +148,7 @@ def test_full_chain_of_the_borel_sl3_example():
         ]
     )
     assert unstable == TruncSeries.from_dict({2: 1, 4: 2}, bound)
-    quotient = series_geom_div(ambient - unstable, 2)
+    quotient = (ambient - unstable).geom_div(2)
     assert quotient == TruncSeries.from_dict({0: 1, 2: 1}, bound)
 
 

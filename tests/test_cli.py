@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nrquot import cli, cohring, groupdata, problemfile
+from nrquot import cli, cohring, groupdata, localize, problemfile
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -327,20 +328,83 @@ def test_ring_mode_closes_the_weyl_group_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_ring_mode_builds_the_euler_class_once(tmp_path, monkeypatch, capsys):
+def spy_on_products(monkeypatch):
+    """Record every expansion of a product of linear forms."""
     calls = []
-    build = groupdata.euler_class_nonreductive
+    build = groupdata._product
 
-    def spy(group):
-        calls.append(group)
-        return build(group)
+    def spy(factors, nvars):
+        calls.append(len(factors))
+        return build(factors, nvars)
 
     # every module that calls it by its imported name
-    for module in (cli, cohring):
-        monkeypatch.setattr(module, "euler_class_nonreductive", spy)
+    for module in (groupdata, cohring, localize):
+        monkeypatch.setattr(module, "_product", spy)
+    return calls
+
+
+def test_ring_mode_builds_the_euler_class_once(tmp_path, monkeypatch, capsys):
+    calls = spy_on_products(monkeypatch)
     assert cli.main([write_problem(tmp_path, MODE_DOCS["ring"])]) == 0
     assert capsys.readouterr().out.endswith("annihilator_dims: 0 0 2 2 1\n")
-    assert len(calls) == 1
+    assert calls == [2]
+
+
+def box_ring_doc(k, n):
+    """Q[z_0..z_{k-1}]/(z_i^n) with S_k by adjacent transpositions and the
+    GL(k) roots."""
+    swaps = []
+    for i in range(k - 1):
+        perm = list(range(k))
+        perm[i], perm[i + 1] = i + 1, i
+        swaps.append(perm)
+    return {
+        "mode": "ring",
+        "group": {
+            "rank": k,
+            "positive_roots": [
+                [1 if c == i else -1 if c == j else 0 for c in range(k)]
+                for i in range(k) for j in range(i + 1, k)
+            ],
+            "weyl_generators": swaps,
+            "weyl_order": math.factorial(k),
+        },
+        "ring": {
+            "nvars": k,
+            "relations": [
+                [{"coeff": "1", "exp": [n if c == i else 0 for c in range(k)]}]
+                for i in range(k)
+            ],
+            "top_degree": k * (n - 1),
+        },
+    }
+
+
+# Q[z0,z1] modulo the quadrics: the class -(z0 - z1)^2 has degree top + 1
+QUADRIC_RING = dict(MODE_DOCS["ring"], ring={
+    "nvars": 2,
+    "relations": [[{"coeff": "1", "exp": e}] for e in ([2, 0], [1, 1], [0, 2])],
+    "top_degree": 1,
+})
+
+
+@pytest.mark.parametrize(
+    "doc, tables",
+    [
+        # the class has degree 20 and the ring vanishes above degree 5
+        (box_ring_doc(5, 2), ["graded_dims: 1 5 10 10 5 1", "invariant_dims: 1 1 1 1 1 1",
+                              "annihilator_dims: 1 5 10 10 5 1"]),
+        (QUADRIC_RING, ["graded_dims: 1 2", "invariant_dims: 1 1", "annihilator_dims: 1 2"]),
+    ],
+    ids=["S5", "degree-top-plus-one"],
+)
+def test_ring_mode_never_expands_an_euler_class_above_the_top_degree(
+    tmp_path, monkeypatch, capsys, doc, tables
+):
+    calls = spy_on_products(monkeypatch)
+    assert cli.main([write_problem(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == "\n".join(["0"] + tables) + "\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -412,6 +476,35 @@ def test_pair_uhat_mode(tmp_path):
     doc = MODE_DOCS["pair_uhat"]
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 0 and out.stdout.strip() == "1"
+
+
+def test_pair_uhat_rejects_a_higher_rank_group_at_its_path(tmp_path):
+    doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    doc["mode"] = "pair_uhat"
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == (
+        "error: $.group.rank: expected 1: the graded-extension pairing needs a rank 1 torus\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ((False, True), "$.fixed_points[0].is_min: expected true: lambda_weight 0 is "
+         "the least moment value"),
+        ((True, True), "$.fixed_points[1].is_min: expected false: lambda_weight 1 is "
+         "not the least moment value"),
+    ],
+    ids=["minimum-unflagged", "maximum-flagged"],
+)
+def test_pair_uhat_rejects_wrong_minimality_flags_at_their_path(tmp_path, flags, message):
+    doc = json.loads(json.dumps(MODE_DOCS["pair_uhat"]))
+    for point, flag in zip(doc["fixed_points"], flags):
+        point["is_min"] = flag
+    out = run_cli(write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr == "error: %s\n" % message
 
 
 def test_pair_nonreductive_mode_with_normalization(tmp_path):

@@ -1,11 +1,10 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrquot._linalg import rank
+from nrquot._linalg import kernel_basis, rank
 from nrquot.betti import QuotientDims, poincare_H
 from nrquot.cohring import (
     GradedRingPresentation,
@@ -17,7 +16,7 @@ from nrquot.cohring import (
 from nrquot.exactnum import TruncSeries
 from nrquot.groupdata import GroupData, euler_class_nonreductive
 from nrquot.localize import WeylInvarianceError
-from nrquot.polyring import MultiPoly
+from nrquot.polyring import MultiPoly, weyl_act
 from oracles import grassmannian_betti
 
 
@@ -99,6 +98,38 @@ def test_invariant_trivial_group_is_full_ring():
     assert [len(inv[d]) for d in range(5)] == list(graded_dims(ring))
 
 
+# (variable count, generators, group order); every generator maps each z_i to
+# a multiple of some z_j, so it preserves the ideal of scaled powers
+REYNOLDS_GROUPS = {
+    "S2": (2, [(1, 0)], 2),
+    "S3-adjacent": (3, [(1, 0, 2), (0, 2, 1)], 6),
+    "S3-transposition-and-cycle": (3, [(1, 0, 2), (1, 2, 0)], 6),
+    "signed-permutation": (2, [[[0, -1], [1, 0]]], 4),
+    "rational-matrix": (2, [[[0, 2], ["1/2", 0]]], 2),
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(sorted(REYNOLDS_GROUPS)),
+    st.integers(2, 4),
+    st.lists(st.sampled_from([1, -2, 3, Fraction(1, 2)]), min_size=3, max_size=3),
+)
+def test_invariant_basis_spans_the_reynolds_averages(name, exponent, scalars):
+    nvars, generators, order = REYNOLDS_GROUPS[name]
+    ring = scaled_ring(nvars, exponent, scalars[:nvars])
+    group = GroupData(rank=nvars, weyl_generators=generators, weyl_order=order)
+    inv = invariant_basis(ring, (generators, order))
+    for d in range(ring.top_degree + 1):
+        averages = []
+        for b in ring.basis_elements(d):
+            total = MultiPoly.zero(nvars)
+            for element in group.weyl_elements():
+                total = total + weyl_act(b, element)
+            averages.append(ring.reduce(total * Fraction(1, order), d))
+        assert rank(inv[d]) == len(inv[d]) == rank(averages) == rank(averages + inv[d])
+
+
 def test_invariant_basis_requires_compatible_weyl():
     z0, z1 = zvars(2)
     ring = GradedRingPresentation.polynomial_quotient(2, [z0 ** 3, z1 ** 2], 3)
@@ -120,31 +151,26 @@ def test_annihilator_of_one_is_zero():
     assert annihilator_dims(ring, MultiPoly.one(2)) == (0, 0, 0, 0, 0)
 
 
-def test_annihilator_is_an_ideal():
-    rng = random.Random(9)
+@settings(deadline=None)
+@given(st.data())
+def test_annihilator_is_an_ideal(data):
+    # an annihilator element times any monomial stays in the annihilator
     ring = truncated_ring(3, 3)
     z0, z1 = zvars(2)
     e = -((z0 - z1) ** 2)
-    # gather annihilator elements degree by degree and multiply by random
-    # ring elements; the product must stay in the annihilator
-    for d in range(5):
-        basis = ring.basis_elements(d)
-        from nrquot._linalg import kernel_basis
-
-        images = [ring.reduce(b * e, d + 2) for b in basis]
-        if not basis or not images[0]:
-            continue
-        rows = [[images[c][r] for c in range(len(basis))] for r in range(len(images[0]))]
-        for kv in kernel_basis(rows, len(basis)):
-            member = MultiPoly.zero(2)
-            for coeff, b in zip(kv, basis):
-                member = member + coeff * b
-            for _ in range(3):
-                x = z0 ** rng.randint(0, 1) * z1 ** rng.randint(0, 1)
-                prod = member * x
-                target = prod.total_degree() + 2
-                reduced = ring.reduce(prod * e, target)
-                assert all(c == 0 for c in reduced)
+    d = data.draw(st.integers(0, 2), label="degree")
+    basis = ring.basis_elements(d)
+    images = [ring.reduce(b * e, d + 2) for b in basis]
+    rows = [[images[c][r] for c in range(len(basis))] for r in range(len(images[0]))]
+    kernel = kernel_basis(rows, len(basis))
+    weights = data.draw(st.lists(SMALL, min_size=len(kernel), max_size=len(kernel)))
+    member = MultiPoly.zero(2)
+    for weight, kv in zip(weights, kernel):
+        for coeff, b in zip(kv, basis):
+            member = member + weight * coeff * b
+    x = z0 ** data.draw(st.integers(0, 2)) * z1 ** data.draw(st.integers(0, 2))
+    prod = member * x
+    assert not any(ring.reduce(prod * e, d + x.total_degree() + 2))
 
 
 def test_annihilator_inhomogeneous_rejected():

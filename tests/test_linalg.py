@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrquot._linalg import independent_subset, rank, rref
+from nrquot._linalg import kernel_basis, rank, rref
 
 
 def dense_rref(rows):
@@ -37,14 +37,6 @@ def dense_rank(rows):
     return len(dense_rref(rows)[1])
 
 
-def dense_independent_subset(vectors):
-    picked = []
-    for i, v in enumerate(vectors):
-        if dense_rank([vectors[j] for j in picked] + [v]) > len(picked):
-            picked.append(i)
-    return picked
-
-
 # Mostly zeros, a few small rationals of both signs.
 ENTRY = st.one_of(
     st.just(Fraction(0)),
@@ -55,9 +47,10 @@ ENTRY = st.one_of(
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, ncols=None):
     """A few random rows, then zero rows and multiples of earlier rows."""
-    ncols = draw(st.integers(1, 6))
+    if ncols is None:
+        ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), max_size=5))
     for _ in range(draw(st.integers(0, 3))):
         if rows and draw(st.booleans()):
@@ -92,11 +85,17 @@ def test_rank_matches_dense_reference(rows):
 
 
 @settings(deadline=None)
-@given(sparse_matrices())
-@example(ALL_ZERO)
-@example(REPEATED)
-def test_independent_subset_matches_dense_reference(rows):
-    assert independent_subset(rows) == dense_independent_subset(rows)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(sparse_matrices(n), st.just(n))))
+@example((ALL_ZERO, 4))
+@example((REPEATED, 3))
+@example(([], 2))
+def test_kernel_basis_matches_dense_reference(case):
+    rows, ncols = case
+    basis = kernel_basis(rows, ncols)
+    assert len(basis) == ncols - dense_rank(rows)
+    assert dense_rank(basis) == len(basis)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
 
 
 def test_rref_keeps_zero_cells_of_the_input():

@@ -5,13 +5,15 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrquot import cli
-from nrquot.groupdata import ConeChoice, GroupData, euler_class_nonreductive
+from nrquot.groupdata import ConeChoice, GroupData, _euler_forms, euler_class_nonreductive
 from nrquot.localize import (
     FixedPointComponent,
+    _check_factors_invariant,
+    _check_weyl_invariant,
     _localization_sum,
     PairingProblem,
     WeylInvarianceError,
@@ -149,7 +151,7 @@ def test_uhat_zero_class():
 
 def test_uhat_requires_rank_one():
     p = gr24_problem(MultiPoly.one(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graded-extension pairing requires a rank 1 torus$"):
         integrate_uhat(p)
 
 
@@ -545,8 +547,60 @@ def test_uhat_minimality_flags_must_match_moment_values():
         FixedPointComponent("b", [(LinearForm([-1]), 1)], lambda_weight=1, is_min=True),
     ]
     p = PairingProblem(group=group, fixed_points=comps, class_eta=MultiPoly.one(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^minimality flags disagree with the moment values on: a, b$"
+    ):
         integrate_uhat(p)
+
+
+def weight_group(weights, generators, order):
+    return GroupData(
+        rank=len(weights[0]), unipotent_weights=weights,
+        weyl_generators=generators, weyl_order=order,
+    )
+
+
+def test_factor_check_reads_the_scalars():
+    # z0 -> -z0 sends the factor z0 to -z0: the scalars multiply to -1
+    group = weight_group([[1]], [[[-1]]], 2)
+    with pytest.raises(WeylInvarianceError) as info:
+        _check_factors_invariant(_euler_forms(group), group)
+    assert info.value.generator_index == 0
+    # two such factors: the scalars multiply to 1
+    group = weight_group([[1], [1]], [[[-1]]], 2)
+    _check_factors_invariant(_euler_forms(group), group)
+    # the swap sends 2*z0, z1/2 to 2*z1, z0/2: the same factors up to 4 and 1/4
+    group = weight_group([[2, 0], [0, "1/2"]], [(1, 0)], 2)
+    _check_factors_invariant(_euler_forms(group), group)
+
+
+FORM = st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=2, max_size=2).filter(any)
+FACTOR_CHECK_GROUPS = [
+    ([(1, 0)], 2),
+    ([[[0, -1], [1, 0]]], 4),
+    ([[[-1, 0], [0, 1]], (1, 0)], 8),
+    ([[[0, 2], ["1/2", 0]]], 2),
+]
+
+
+@settings(deadline=None)
+@given(st.lists(FORM, min_size=1, max_size=4), st.sampled_from(FACTOR_CHECK_GROUPS))
+@example([[1, -1], [-1, 1]], FACTOR_CHECK_GROUPS[0])
+@example([[1, -1]], FACTOR_CHECK_GROUPS[0])
+def test_factor_check_agrees_with_the_expanded_product(weights, weyl):
+    group = weight_group(weights, *weyl)
+    forms = _euler_forms(group)
+
+    def witness(check, arg):
+        try:
+            check(arg, group)
+        except WeylInvarianceError as exc:
+            return exc.generator_index
+        return None
+
+    assert witness(_check_factors_invariant, forms) == witness(
+        _check_weyl_invariant, euler_class_nonreductive(group)
+    )
 
 
 def test_grassmannian_rank_three_tableaux_count():
