@@ -1,5 +1,8 @@
 """Command-line front end: run a problem file, render the result.
 
+A parsed problem runs through the handler of its mode in
+``problemfile.MODES``, the table that also parses the mode's sections.
+
 Exit codes: 0 on success, 1 on a validation error (bad file or schema), 2 on
 a computation error (invalid cone, inconsistent data) or on any unexpected
 internal error, reported as one ``error: internal error: ...`` line.  Results
@@ -13,22 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import problemfile
-from .betti import check_perfect, morse_assemble, poincare_H, poincare_uhat
-from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
-from .exactnum import TruncSeries
-from .groupdata import euler_class_nonreductive
-from .localize import (
-    flag_pairing,
-    grassmannian_pairing,
-    integrate_abelianized,
-    integrate_nonreductive,
-    integrate_reductive,
-    integrate_uhat,
-    torus_pairing_fn,
-)
+from .exactnum import _series_text
 from .momentdiag import fixed_point_weight_residual, moment_derivative_check
 from .problemfile import ProblemFileError
-from .residue import ResidueProblem, jk_residue
 
 __all__ = ["main", "run", "render_result", "reemit"]
 
@@ -46,24 +36,6 @@ def _rational_latex(value):
         return str(value.numerator)
     sign = "-" if value < 0 else ""
     return r"%s\frac{%d}{%d}" % (sign, abs(value.numerator), value.denominator)
-
-
-def _series_latex(series):
-    parts = []
-    for e, c in enumerate(series.coeffs):
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            body = "t" if e == 1 else "t^{%d}" % e
-            if abs(c) != 1:
-                body = "%d %s" % (abs(c), body)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
 
 
 def render_result(result, fmt):
@@ -93,9 +65,11 @@ def render_result(result, fmt):
             else _rational_text(result["value"])
         )
         lines.append(body)
+    elif fmt == "latex":
+        coeffs = result["value"].coeffs
+        lines.append(_series_text(coeffs, lead_minus="-", times=" ", power="t^{%d}"))
     else:
-        series = result["value"]
-        lines.append(_series_latex(series) if fmt == "latex" else str(series))
+        lines.append(str(result["value"]))
     if fmt == "text":
         for name, values in result.get("tables", {}).items():
             lines.append("%s: %s" % (name, " ".join(str(v) for v in values)))
@@ -130,86 +104,12 @@ def reemit(text):
     return render_result(result, "json")
 
 
-def _result(value, **extras):
-    """A result document without its mode: a series or an exact scalar."""
-    kind = "series" if isinstance(value, TruncSeries) else "rational"
-    return {"kind": kind, "value": value, **extras}
-
-
-def _oriented(value, problem, rank):
-    """The value in the orientation the problem asks for: ``options.sign_flip``
-    (or ``--sign-flip``) takes each of the ``rank`` residues at infinity with
-    the opposite sign, which multiplies the value by (-1)^rank."""
-    return value * (-1) ** rank if problem.sign_flip else value
-
-
-def _pair_abelianized(problem):
-    euler = euler_class_nonreductive(problem.group)
-    order = problem.group.weyl_order
-    # the route divides by the Weyl order itself, so only an override of the
-    # default constant 1/|W| leaves a scale on the torus pairing
-    pairing = torus_pairing_fn(
-        problem.fixed_points,
-        cone=problem.cone,
-        normalization=order * problem.pairing_problem().constant(),
-    )
-    return _result(integrate_abelianized(pairing, problem.class_eta, euler, order))
-
-
-def _morse(problem):
-    assembled = morse_assemble(problem.strata)
-    if problem.total_series is None:
-        return _result(assembled)
-    report = check_perfect(problem.total_series, assembled)
-    return _result(assembled, perfection={
-        "perfect": report.perfect,
-        "remainder": str(report.remainder),
-        "nonnegative": report.nonnegative,
-    })
-
-
-def _ring(problem):
-    ring, group = problem.ring, problem.group
-    series, inv, euler = _quotient_betti_with_invariants(ring, group, group)
-    return _result(series, tables={
-        "graded_dims": list(graded_dims(ring)),
-        "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],
-        "annihilator_dims": list(annihilator_dims(ring, euler)),
-    })
-
-
-def _residue(p):
-    residue = ResidueProblem(p.integrand, p.cone, p.basis)
-    if p.epsilon is not None and min(p.epsilon) < 0:
-        residue.validate()  # a bad cone or basis still fails
-        return _result(Fraction(0))
-    return _result(_oriented(jk_residue(residue), p, p.integrand.nvars))
-
-
-# mode -> handler(problem) returning the result document without its mode;
-# the keys are exactly problemfile.MODES.  Only pair_uhat and residue read
-# the orientation.
-_MODE_HANDLERS = {
-    "pair_reductive": lambda p: _result(integrate_reductive(p.pairing_problem())),
-    "pair_uhat": lambda p: _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1)),
-    "pair_nonreductive": lambda p: _result(integrate_nonreductive(p.pairing_problem())),
-    "pair_abelianized": _pair_abelianized,
-    "betti_uhat": lambda p: _result(poincare_uhat(p.zmin_series, p.dims)),
-    "betti_H": lambda p: _result(poincare_H(p.zmin_series, p.dims)),
-    "morse": _morse,
-    "ring": _ring,
-    "residue": _residue,
-    "grassmannian": lambda p: _result(grassmannian_pairing(p.k, p.n, p.phi)),
-    "flag": lambda p: _result(flag_pairing(p.k, p.n, p.phi)),
-}
-
-
 def run(problem):
-    """Dispatch a parsed problem to the computation modules.
+    """Dispatch a parsed problem through its entry of ``problemfile.MODES``.
 
     Returns a result document: ``{"kind", "mode", "value", ...}``.
     """
-    return dict(_MODE_HANDLERS[problem.mode](problem), mode=problem.mode)
+    return dict(problemfile.MODES[problem.mode][1](problem), mode=problem.mode)
 
 
 def _moment_diagnostics(problem, stream):
@@ -242,8 +142,7 @@ def _moment_diagnostics(problem, stream):
 
 def _invariant_checks(problem, result, stream):
     """Cheap runtime spot checks relevant to the mode that just ran."""
-    mode = problem.mode
-    if mode.startswith("pair_") and problem.class_eta is not None:
+    if problem.class_eta is not None:
         scaled = problemfile.ProblemFile(_scale_class(problem.doc, 3))
         doubled = run(scaled)
         if doubled["value"] != 3 * result["value"]:

@@ -59,6 +59,23 @@ class _ReadOnly:
         raise AttributeError("cannot delete field %r" % name)
 
 
+def _series_text(coeffs, lead_minus="- ", times="*", power="t^%d"):
+    """Render series coefficients as a sum of terms in ``t``: ``lead_minus``
+    signs a negative first term, ``times`` joins a coefficient to its power
+    of ``t`` and ``power`` spells ``t^e`` for ``e >= 2``.  The defaults give
+    the text form; the CLI passes its LaTeX spellings."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        body = str(abs(c)) if e == 0 else "t" if e == 1 else power % e
+        if e and abs(c) != 1:
+            body = "%d%s%s" % (abs(c), times, body)
+        sign = ("- " if c < 0 else "+ ") if parts else (lead_minus if c < 0 else "")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
 class TruncSeries:
     """Integer power series in ``t`` truncated above a fixed bound.
 
@@ -184,21 +201,7 @@ class TruncSeries:
         return TruncSeries(out, self.bound)
 
     def __str__(self):
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(("- " if c < 0 else "") + str(abs(c)))
-                continue
-            mag = "t" if e == 1 else "t^%d" % e
-            if abs(c) != 1:
-                mag = "%d*%s" % (abs(c), mag)
-            if not parts:
-                parts.append(("- " if c < 0 else "") + mag)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + mag)
-        return " ".join(parts) if parts else "0"
+        return _series_text(self.coeffs)
 
     def __repr__(self):
         return "TruncSeries(%r, bound=%d)" % (list(self.coeffs), self.bound)

@@ -197,12 +197,7 @@ def _check_factors_invariant(factors, group):
 
     base = split(f.coeffs for f in factors)
     for index, element in enumerate(group.generator_elements()):
-        rows = [dict(row) for row in element]
-        images = [
-            [sum(c * row.get(j, 0) for c, row in zip(f.coeffs, rows)) for j in range(len(rows))]
-            for f in factors
-        ]
-        if split(images) != base:
+        if split(f.act(element).coeffs for f in factors) != base:
             raise WeylInvarianceError(index, group.weyl_generators[index])
 
 

@@ -277,21 +277,15 @@ class LinearForm:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def transform(self, matrix_inverse):
-        """Coefficient vector of this form in new coordinates w = B z.
-
-        ``matrix_inverse`` is B^{-1}; the form alpha(v) written as a function
-        of w has row vector alpha . B^{-1}.
-        """
-        n = len(self.coeffs)
-        new = [
-            sum(
-                (self.coeffs[j] * matrix_inverse[j][i] for j in range(n)),
-                Fraction(0),
-            )
-            for i in range(n)
-        ]
-        return LinearForm(new)
+    def act(self, element):
+        """This form with each ``z_i`` replaced by its image under
+        ``element``, in the form :func:`weyl_element` returns: the row vector
+        of coefficients times the element's matrix."""
+        out = [0] * len(element)
+        for c, row in zip(self.coeffs, element):
+            for j, a in row:
+                out[j] += c * a
+        return LinearForm(out)
 
     def render(self, names=None):
         return self.to_poly().render(names)
@@ -463,5 +457,8 @@ def weyl_act(poly, element):
                     powers[i][e] = _power(images[i], e)
                 term = _times(term, powers[i][e])
         for mono, c in term.items():
-            out[mono] = out.get(mono, 0) + c * coeff
+            if mono in out:
+                out[mono] += c * coeff
+            else:
+                out[mono] = c * coeff
     return MultiPoly(n, out)

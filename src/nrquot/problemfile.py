@@ -1,4 +1,5 @@
-"""JSON problem files: schema, validation with field paths, construction.
+"""JSON problem files: schema, validation with field paths, construction,
+and the mode table.
 
 Rationals are strings ``"p/q"`` (or JSON integers); polynomials are arrays of
 ``{"coeff": "p/q", "exp": [e_0, ..., e_{r-1}]}``; linear forms are arrays of
@@ -6,34 +7,33 @@ rationals; Weyl generators are either flat permutation arrays or nested
 row-major rational matrices; series are integer coefficient arrays indexed
 by the exponent of ``t``.  Validation failures carry the path of the
 offending field.
+
+``MODES`` is the one list of modes: it maps each mode to the parser of its
+sections, which :class:`ProblemFile` calls, and to its handler, which the
+CLI dispatches through.
 """
 
 import math
 from fractions import Fraction
 
-from .betti import QuotientDims, StratumDatum
+from .betti import (
+    QuotientDims, StratumDatum, check_perfect, morse_assemble, poincare_H, poincare_uhat,
+)
 from .exactnum import TruncSeries, _ReadOnly
-from .cohring import GradedRingPresentation
-from .groupdata import ConeChoice, GroupData, check_grading
-from .localize import FixedPointComponent, PairingProblem, _minimality_mismatches
+from .cohring import (
+    GradedRingPresentation, _quotient_betti_with_invariants, annihilator_dims, graded_dims,
+)
+from .groupdata import ConeChoice, GroupData, check_grading, euler_class_nonreductive
+from .localize import (
+    FixedPointComponent, PairingProblem, _minimality_mismatches, flag_pairing,
+    grassmannian_pairing, integrate_abelianized, integrate_nonreductive, integrate_reductive,
+    integrate_uhat, torus_pairing_fn,
+)
 from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly, RationalFn
+from .residue import ResidueProblem, jk_residue
 
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
-
-MODES = (
-    "pair_reductive",
-    "pair_uhat",
-    "pair_nonreductive",
-    "pair_abelianized",
-    "betti_uhat",
-    "betti_H",
-    "morse",
-    "ring",
-    "residue",
-    "grassmannian",
-    "flag",
-)
 
 # Largest accepted series truncation bound: a series holds one Python int per
 # coefficient, so the bound is a memory budget.
@@ -336,6 +336,208 @@ def _moment_check(item, path):
     return MomentCheck(LinearActionSample(point, matrix, shift), weight, tangent)
 
 
+def _pairing_sections(p, doc, graded=False):
+    """``fixed_points``, then ``class``; ``graded`` (pair_uhat) also checks
+    the rank and the ``is_min`` flags in between."""
+    _expect(p.group is not None, "$.group", "pairing modes need a group section")
+    _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
+    p.fixed_points = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
+    if graded:
+        _expect(p.group.rank == 1, "$.group.rank",
+                "expected 1: the graded-extension pairing needs a rank 1 torus")
+        for i in _minimality_mismatches(p.fixed_points):
+            want, lam = not p.fixed_points[i].is_min, p.fixed_points[i].lambda_weight
+            raise ProblemFileError(
+                "$.fixed_points[%d].is_min" % i,
+                "expected %s: lambda_weight %s is %sthe least moment value"
+                % (str(want).lower(), lam, "" if want else "not "),
+            )
+    if "class" in doc:
+        p.class_eta = _poly(doc["class"], p.group.rank, "$.class")
+
+
+def _betti_sections(p, doc):
+    _expect("dims" in doc, "$.dims", "Betti modes need a dims section")
+    dims = doc["dims"]
+    _expect(isinstance(dims, dict), "$.dims", "expected an object")
+    try:
+        p.dims = QuotientDims(
+            _int(dims.get("dim_x"), "$.dims.dim_x", minimum=0),
+            _int(dims.get("dim_u"), "$.dims.dim_u", minimum=0),
+            _int(dims.get("dim_zmin"), "$.dims.dim_zmin", minimum=0),
+        )
+    except ValueError as exc:
+        raise ProblemFileError("$.dims", str(exc)) from None
+    if p.group is not None:
+        # The Betti formulas assume one Lie(U) weight per dimension of U,
+        # each pairing positively with the grading.
+        weights = p.group.unipotent_weights
+        _expect(
+            p.dims.dim_u == len(weights),
+            "$.dims.dim_u",
+            "expected %d, the number of group.unipotent_weights" % len(weights),
+        )
+        failures = check_grading(p.group).failures
+        if failures:
+            weight, value = failures[0]
+            raise ProblemFileError(
+                "$.group.grading",
+                "unipotent weight %s pairs to %s with the grading; "
+                "it must be positive" % (weight.render(), value),
+            )
+    bound = p.truncation_bound
+    if bound is None:
+        bound = 2 * p.dims.dim_x
+        _expect(
+            bound <= MAX_TRUNCATION_BOUND,
+            "$.dims.dim_x",
+            "the default truncation bound 2 * dim_x exceeds %d; "
+            "set options.truncation_bound" % MAX_TRUNCATION_BOUND,
+        )
+    p.zmin_series = _series(doc.get("zmin_series", [1]), bound, "$.zmin_series")
+
+
+def _morse_sections(p, doc):
+    _expect("strata" in doc, "$.strata", "morse mode needs strata")
+    strata = doc["strata"]
+    _expect(isinstance(strata, list), "$.strata", "expected an array")
+    bound = p.truncation_bound
+    p.strata = []
+    for i, item in enumerate(strata):
+        ipath = "$.strata[%d]" % i
+        _expect(isinstance(item, dict), ipath, "expected a stratum object")
+        codim = _int(item.get("codim"), ipath + ".codim", minimum=0)
+        series = _series(item.get("series", [1]), bound, ipath + ".series")
+        p.strata.append(StratumDatum(codim, series))
+    p.total_series = None
+    if "total_series" in doc:
+        p.total_series = _series(doc["total_series"], bound, "$.total_series")
+
+
+def _ring_sections(p, doc):
+    _expect("ring" in doc, "$.ring", "ring mode needs a ring section")
+    _expect(p.group is not None, "$.group", "ring mode needs a group section")
+    p.ring = _ring(doc["ring"], "$.ring")
+    _expect(
+        p.ring.nvars == p.group.rank,
+        "$.ring.nvars",
+        "expected %d, the group rank" % p.group.rank,
+    )
+
+
+def _residue_sections(p, doc):
+    _expect("integrand" in doc, "$.integrand", "residue mode needs an integrand")
+    section = doc["integrand"]
+    _expect(isinstance(section, dict), "$.integrand", "expected an object")
+    rank = p.group.rank if p.group else _int(doc.get("rank"), "$.rank", minimum=1)
+    if p.cone is not None:
+        _length(p.cone.xi, rank, "$.cone")
+    num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")
+    den = _weights(section.get("denominator", []), rank, "$.integrand.denominator")
+    try:
+        p.integrand = RationalFn(num, den)
+    except ValueError as exc:
+        raise ProblemFileError("$.integrand", str(exc)) from None
+    p.basis = None
+    if "basis" in doc:
+        basis = doc["basis"]
+        _expect(isinstance(basis, list), "$.basis", "expected an array of forms")
+        _length(basis, rank, "$.basis")
+        p.basis = tuple(
+            LinearForm(_vector(b, rank, "$.basis[%d]" % i)) for i, b in enumerate(basis)
+        )
+    p.epsilon = None
+    if "epsilon" in doc:
+        p.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon"))
+
+
+def _schubert_sections(p, doc):
+    p.k = _int(doc.get("k"), "$.k", minimum=1)
+    p.n = _int(doc.get("n"), "$.n", minimum=p.k)
+    _expect("phi" in doc, "$.phi", "missing the class to integrate")
+    p.phi = _poly(doc["phi"], p.k, "$.phi")
+
+
+def _result(value, **extras):
+    """A result document without its mode: a series or an exact scalar."""
+    kind = "series" if isinstance(value, TruncSeries) else "rational"
+    return {"kind": kind, "value": value, **extras}
+
+
+def _oriented(value, problem, rank):
+    """The value in the orientation the problem asks for: ``options.sign_flip``
+    (or ``--sign-flip``) takes each of the ``rank`` residues at infinity with
+    the opposite sign, which multiplies the value by (-1)^rank."""
+    return value * (-1) ** rank if problem.sign_flip else value
+
+
+def _pair_abelianized(p):
+    euler = euler_class_nonreductive(p.group)
+    order = p.group.weyl_order
+    # the route divides by the Weyl order itself, so only an override of the
+    # default constant 1/|W| leaves a scale on the torus pairing
+    pairing = torus_pairing_fn(
+        p.fixed_points, cone=p.cone, normalization=order * p.pairing_problem().constant()
+    )
+    return _result(integrate_abelianized(pairing, p.class_eta, euler, order))
+
+
+def _morse(p):
+    assembled = morse_assemble(p.strata)
+    if p.total_series is None:
+        return _result(assembled)
+    report = check_perfect(p.total_series, assembled)
+    return _result(assembled, perfection={
+        "perfect": report.perfect,
+        "remainder": str(report.remainder),
+        "nonnegative": report.nonnegative,
+    })
+
+
+def _ring_betti(p):
+    ring, group = p.ring, p.group
+    series, inv, euler = _quotient_betti_with_invariants(ring, group, group)
+    return _result(series, tables={
+        "graded_dims": list(graded_dims(ring)),
+        "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],
+        "annihilator_dims": list(annihilator_dims(ring, euler)),
+    })
+
+
+def _residue(p):
+    residue = ResidueProblem(p.integrand, p.cone, p.basis)
+    if p.epsilon is not None and min(p.epsilon) < 0:
+        residue.validate()  # a bad cone or basis still fails
+        return _result(Fraction(0))
+    return _result(_oriented(jk_residue(residue), p, p.integrand.nvars))
+
+
+# The one mode table, in the order the $.mode error lists it: mode ->
+# (sections, run).  ``sections(problem, doc)`` parses the mode's own sections
+# after options, group and cone; ``run(problem)`` computes the result
+# document without its mode, and the CLI dispatches through it.  Handlers
+# name the computation functions in their bodies, so they call whatever the
+# module binds at call time.  Only pair_uhat and residue read the orientation.
+MODES = {
+    "pair_reductive": (
+        _pairing_sections, lambda p: _result(integrate_reductive(p.pairing_problem()))),
+    "pair_uhat": (
+        lambda p, doc: _pairing_sections(p, doc, graded=True),
+        lambda p: _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1))),
+    "pair_nonreductive": (
+        _pairing_sections, lambda p: _result(integrate_nonreductive(p.pairing_problem()))),
+    "pair_abelianized": (_pairing_sections, _pair_abelianized),
+    "betti_uhat": (_betti_sections, lambda p: _result(poincare_uhat(p.zmin_series, p.dims))),
+    "betti_H": (_betti_sections, lambda p: _result(poincare_H(p.zmin_series, p.dims))),
+    "morse": (_morse_sections, _morse),
+    "ring": (_ring_sections, _ring_betti),
+    "residue": (_residue_sections, _residue),
+    "grassmannian": (
+        _schubert_sections, lambda p: _result(grassmannian_pairing(p.k, p.n, p.phi))),
+    "flag": (_schubert_sections, lambda p: _result(flag_pairing(p.k, p.n, p.phi))),
+}
+
+
 class ProblemFile:
     """A parsed problem: mode, typed sections, and rendering options."""
 
@@ -343,7 +545,7 @@ class ProblemFile:
         _expect(isinstance(doc, dict), "$", "problem file must be a JSON object")
         mode = doc.get("mode")
         _expect(
-            mode in MODES,
+            isinstance(mode, str) and mode in MODES,
             "$.mode",
             "expected one of %s, got %r" % (", ".join(MODES), mode),
         )
@@ -378,131 +580,8 @@ class ProblemFile:
             rank = self.group.rank if self.group else None
             self.cone = ConeChoice(tuple(_vector(doc["cone"], rank, "$.cone")))
 
-        if mode.startswith("pair_"):
-            _expect(self.group is not None, "$.group", "pairing modes need a group section")
-            _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
-            self.fixed_points = _fixed_points(
-                doc["fixed_points"], self.group.rank, "$.fixed_points"
-            )
-            if mode == "pair_uhat":
-                _expect(self.group.rank == 1, "$.group.rank",
-                        "expected 1: the graded-extension pairing needs a rank 1 torus")
-                for i in _minimality_mismatches(self.fixed_points):
-                    want, lam = not self.fixed_points[i].is_min, self.fixed_points[i].lambda_weight
-                    raise ProblemFileError(
-                        "$.fixed_points[%d].is_min" % i,
-                        "expected %s: lambda_weight %s is %sthe least moment value"
-                        % (str(want).lower(), lam, "" if want else "not "),
-                    )
-            self.class_eta = None
-            if "class" in doc:
-                self.class_eta = _poly(doc["class"], self.group.rank, "$.class")
-
-        if mode in ("betti_uhat", "betti_H"):
-            _expect("dims" in doc, "$.dims", "Betti modes need a dims section")
-            dims = doc["dims"]
-            _expect(isinstance(dims, dict), "$.dims", "expected an object")
-            try:
-                self.dims = QuotientDims(
-                    _int(dims.get("dim_x"), "$.dims.dim_x", minimum=0),
-                    _int(dims.get("dim_u"), "$.dims.dim_u", minimum=0),
-                    _int(dims.get("dim_zmin"), "$.dims.dim_zmin", minimum=0),
-                )
-            except ValueError as exc:
-                raise ProblemFileError("$.dims", str(exc)) from None
-            if self.group is not None:
-                # The Betti formulas assume one Lie(U) weight per dimension of
-                # U, each pairing positively with the grading.
-                weights = self.group.unipotent_weights
-                _expect(
-                    self.dims.dim_u == len(weights),
-                    "$.dims.dim_u",
-                    "expected %d, the number of group.unipotent_weights" % len(weights),
-                )
-                failures = check_grading(self.group).failures
-                if failures:
-                    weight, value = failures[0]
-                    raise ProblemFileError(
-                        "$.group.grading",
-                        "unipotent weight %s pairs to %s with the grading; "
-                        "it must be positive" % (weight.render(), value),
-                    )
-            bound = self.truncation_bound
-            if bound is None:
-                bound = 2 * self.dims.dim_x
-                _expect(
-                    bound <= MAX_TRUNCATION_BOUND,
-                    "$.dims.dim_x",
-                    "the default truncation bound 2 * dim_x exceeds %d; "
-                    "set options.truncation_bound" % MAX_TRUNCATION_BOUND,
-                )
-            self.zmin_series = _series(
-                doc.get("zmin_series", [1]), bound, "$.zmin_series"
-            )
-
-        if mode == "morse":
-            _expect("strata" in doc, "$.strata", "morse mode needs strata")
-            strata = doc["strata"]
-            _expect(isinstance(strata, list), "$.strata", "expected an array")
-            bound = self.truncation_bound
-            self.strata = []
-            for i, item in enumerate(strata):
-                ipath = "$.strata[%d]" % i
-                _expect(isinstance(item, dict), ipath, "expected a stratum object")
-                codim = _int(item.get("codim"), ipath + ".codim", minimum=0)
-                series = _series(item.get("series", [1]), bound, ipath + ".series")
-                self.strata.append(StratumDatum(codim, series))
-            self.total_series = None
-            if "total_series" in doc:
-                self.total_series = _series(
-                    doc["total_series"], bound, "$.total_series"
-                )
-
-        if mode == "ring":
-            _expect("ring" in doc, "$.ring", "ring mode needs a ring section")
-            _expect(self.group is not None, "$.group", "ring mode needs a group section")
-            self.ring = _ring(doc["ring"], "$.ring")
-            _expect(
-                self.ring.nvars == self.group.rank,
-                "$.ring.nvars",
-                "expected %d, the group rank" % self.group.rank,
-            )
-
-        if mode == "residue":
-            _expect("integrand" in doc, "$.integrand", "residue mode needs an integrand")
-            section = doc["integrand"]
-            _expect(isinstance(section, dict), "$.integrand", "expected an object")
-            rank = self.group.rank if self.group else _int(
-                doc.get("rank"), "$.rank", minimum=1
-            )
-            if self.cone is not None:
-                _length(self.cone.xi, rank, "$.cone")
-            num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")
-            den = _weights(
-                section.get("denominator", []), rank, "$.integrand.denominator"
-            )
-            try:
-                self.integrand = RationalFn(num, den)
-            except ValueError as exc:
-                raise ProblemFileError("$.integrand", str(exc)) from None
-            self.basis = None
-            if "basis" in doc:
-                basis = doc["basis"]
-                _expect(isinstance(basis, list), "$.basis", "expected an array of forms")
-                _length(basis, rank, "$.basis")
-                self.basis = tuple(
-                    LinearForm(_vector(b, rank, "$.basis[%d]" % i))
-                    for i, b in enumerate(basis)
-                )
-            self.epsilon = None
-            if "epsilon" in doc:
-                self.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon"))
-
-        if mode in ("grassmannian", "flag"):
-            self.k = _int(doc.get("k"), "$.k", minimum=1)
-            self.n = _int(doc.get("n"), "$.n", minimum=self.k)
-            _expect("phi" in doc, "$.phi", "missing the class to integrate")
-            self.phi = _poly(doc["phi"], self.k, "$.phi")
+        self.class_eta = None
+        MODES[mode][0](self, doc)
 
         self.moment_checks = []
         if "moment_checks" in doc:

@@ -167,10 +167,8 @@ def jk_residue(problem):
     fn = problem.integrand
     n = fn.nvars
     if problem.basis is not None:
-        inverse = _linalg.inverse([b.coeffs for b in problem.basis])
-        num = weyl_act(fn.num, weyl_element(inverse, n))
-        den = [(form.transform(inverse), mult) for form, mult in fn.den]
-        fn = RationalFn(num, den)
+        element = weyl_element(_linalg.inverse([b.coeffs for b in problem.basis]), n)
+        fn = RationalFn(weyl_act(fn.num, element), [(f.act(element), m) for f, m in fn.den])
     for var in range(n):
         fn = residue_at_infinity(fn, var)
     if not fn.is_constant():

@@ -1,13 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrquot import cli, cohring, groupdata, localize, problemfile
+from nrquot.exactnum import TruncSeries
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -244,7 +252,8 @@ def test_unexpected_failure_is_one_line_with_exit_2(monkeypatch, capsys):
     def broken(problem):
         raise TypeError("boom")
 
-    monkeypatch.setitem(cli._MODE_HANDLERS, "pair_reductive", broken)
+    sections, _ = problemfile.MODES["pair_reductive"]
+    monkeypatch.setitem(problemfile.MODES, "pair_reductive", (sections, broken))
     assert cli.main([str(PROBLEMS / "gr24_pairing.json")]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: internal error: TypeError: boom\n"
@@ -462,14 +471,21 @@ def test_huge_dim_x_needs_only_the_truncated_terms(tmp_path):
     assert unbounded.stderr.startswith("error: $.dims.dim_x: ")
 
 
-def test_mode_table_covers_every_schema_mode():
-    assert tuple(cli._MODE_HANDLERS) == problemfile.MODES
+def test_readme_mode_table_names_every_mode():
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("Modes and their sections:\n\n")[1].split("\n\n")[0]
+    rows = table.splitlines()[2:]
+    named = [m for row in rows for m in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(problemfile.MODES)
 
 
 def test_unknown_mode_rejected(tmp_path):
     out = run_cli(write_problem(tmp_path, {"mode": "nope"}))
     assert out.returncode == 1
     assert "$.mode" in out.stderr
+    # an unhashable mode cannot be looked up in the table; it is still a schema error
+    with pytest.raises(problemfile.ProblemFileError, match=r"^\$\.mode: "):
+        problemfile.parse({"mode": ["pair_uhat"]})
 
 
 def test_pair_uhat_mode(tmp_path):
@@ -909,3 +925,111 @@ def test_nonorthogonal_tangent_is_a_computation_error(tmp_path):
     assert out.stderr.splitlines()[-1] == (
         "moment check error: tangent is not orthogonal to the point"
     )
+
+
+# -- series rendering -----------------------------------------------------------
+
+
+def old_series_text(coeffs):
+    """The text renderer as it was before text and LaTeX shared one loop."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(("- " if c < 0 else "") + str(abs(c)))
+            continue
+        mag = "t" if e == 1 else "t^%d" % e
+        if abs(c) != 1:
+            mag = "%d*%s" % (abs(c), mag)
+        if not parts:
+            parts.append(("- " if c < 0 else "") + mag)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + mag)
+    return " ".join(parts) if parts else "0"
+
+
+def old_series_latex(coeffs):
+    """The LaTeX renderer as it was before text and LaTeX shared one loop."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if e == 0:
+            body = str(abs(c))
+        else:
+            body = "t" if e == 1 else "t^{%d}" % e
+            if abs(c) != 1:
+                body = "%d %s" % (abs(c), body)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from([0, 0, 1, -1]) | st.integers(-12, 12), max_size=8))
+def test_series_render_keeps_the_text_and_latex_spellings(coeffs):
+    series = TruncSeries(coeffs, max(len(coeffs) - 1, 0))
+    result = {"kind": "series", "value": series}
+    assert cli.render_result(result, "text") == old_series_text(series.coeffs) + "\n"
+    assert cli.render_result(result, "latex") == old_series_latex(series.coeffs) + "\n"
+
+
+# -- exit discipline under mutated documents ------------------------------------
+
+FUZZ_DOCS = [*MODE_DOCS.values()] + [
+    json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))
+]
+
+# Small JSON values: integers stay tiny so that no mutated document runs long.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from(["", "x", "1/2", "-1", "1/0", *problemfile.MODES]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["coeff", "exp", "rank", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_paths(value, prefix=()):
+    """Every key path into nested objects and arrays."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_document_exits_0_1_or_2_with_at_most_one_error_line(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "problem.json"
+        target.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(target)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert out.getvalue() == ""

@@ -182,6 +182,22 @@ def test_weyl_act_is_ring_homomorphism(case):
     assert weyl_act(p + q, g) == weyl_act(p, g) + weyl_act(q, g)
 
 
+@settings(max_examples=120, deadline=None)
+@given(weyl_cases(), st.data())
+def test_linear_form_act_is_row_vector_times_matrix(case, data):
+    gen, p, _ = case
+    n = p.nvars
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    form = LinearForm(data.draw(st.lists(coeff, min_size=n, max_size=n)))
+    g = weyl_element(gen, n)
+    # dense reference: the row vector alpha times the generator's matrix
+    if isinstance(gen, tuple):
+        gen = [[int(j == gen[i]) for j in range(n)] for i in range(n)]
+    dense = [sum((form.coeffs[i] * gen[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+    assert form.act(g) == LinearForm(dense)
+    assert form.act(g).to_poly() == weyl_act(form.to_poly(), g)
+
+
 # -- rational functions --------------------------------------------------------
 
 
