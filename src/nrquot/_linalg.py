@@ -1,10 +1,12 @@
-"""Exact linear algebra over Fraction: rref, rank, kernel, det, inverse.
+"""Exact linear algebra over Fraction: one sparse Gauss-Jordan elimination.
 
-Matrices are lists of row tuples/lists of Fractions.  Torus-rank matrices
-are tiny, but the per-degree matrices of a ring presentation are not: the
-relation multiples of Q[z0,z1,z2]/(z_i^6) reach 165 rows by 136 columns in
-one degree, and almost every cell is zero.  Gauss-Jordan elimination here
-therefore touches only nonzero entries.
+A row is a ``{column: value}`` dict of its nonzero entries; a dense
+sequence is read as one.  Torus-rank matrices are tiny, but the per-degree
+matrices of a ring presentation are not: the relation multiples of
+Q[z0,z1,z2]/(z_i^6) reach 165 rows by 136 columns in one degree, and almost
+every cell is zero.  ``rref``, ``rank``, ``kernel_basis``, ``inverse`` and
+``det`` all run the one elimination below, which touches only nonzero
+entries.
 """
 
 from fractions import Fraction
@@ -16,50 +18,57 @@ def to_matrix(rows):
     return [[as_fraction(x) for x in row] for row in rows]
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _subtract(target, factor, row):
+    """``target -= factor * row`` in place, keeping only nonzero entries."""
+    for j, x in row.items():
+        value = target.get(j, 0) - factor * x
+        if value:
+            target[j] = value
+        else:
+            del target[j]
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination on sparse rows.
+
+    Each row is reduced by the pivot rows found so far; what is left opens a
+    pivot at its first column, is scaled to 1 there and is cleared from the
+    earlier pivot rows.  Returns ``(pivot_rows, steps)``: ``pivot_rows`` maps
+    each pivot column to its reduced row, and ``steps`` lists, per input
+    row, its ``(pivot column, pivot value before scaling)`` or ``None`` when
+    the row reduced to zero.
+    """
+    pivot_rows = {}
+    steps = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {j: x for j, x in items if x != 0}
+        # A pivot row is zero on every other pivot column, so subtracting it
+        # clears its own column and leaves the others as they were.
+        for col in [c for c in r if c in pivot_rows]:
+            _subtract(r, r[col], pivot_rows[col])
+        if not r:
+            steps.append(None)
+            continue
+        col = min(r)
+        value = r[col]
+        r = {j: x / value for j, x in r.items()}
+        for other in pivot_rows.values():
+            if col in other:
+                _subtract(other, other[col], r)
+        pivot_rows[col] = r
+        steps.append((col, value))
+    return pivot_rows, steps
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns).
 
-    Only the nonzero entries of a pivot row are normalised and subtracted,
-    so a cell outside every pivot row's support keeps the input's object:
-    the zero cells of a sparse matrix are not rebuilt as fresh Fractions.
+    The rows are sparse dicts in pivot order, and the pivot columns ascend.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        prow = m[row]
-        pv = prow[col]
-        # Left of ``col`` the pivot row is zero: earlier pivot columns were
-        # cleared and the other columns had no pivot in the remaining rows.
-        support = [j for j in range(col, ncols) if prow[j] != 0]
-        for j in support:
-            prow[j] /= pv
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                target = m[r]
-                factor = target[col]
-                for j in support:
-                    target[j] -= factor * prow[j]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m[:row], pivots
+    pivot_rows = _eliminate(rows)[0]
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[p] for p in pivots], pivots
 
 
 def rank(rows):
@@ -67,51 +76,41 @@ def rank(rows):
 
 
 def det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
+    """Exact determinant of a square matrix.
+
+    The elimination only adds multiples of earlier rows to a row before it
+    opens its pivot, so the determinant is the product of the pivot values,
+    signed by the permutation taking each row to its pivot column.
+    """
+    steps = _eliminate(rows)[1]
+    if None in steps:
+        return Fraction(0)
     result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    for i, (col, value) in enumerate(steps):
+        result *= value
+        if sum(later < col for later, _ in steps[i + 1:]) % 2:
             result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return result
 
 
 def inverse(rows):
     """Exact inverse; raises ValueError on singular input."""
     n = len(rows)
-    aug = [list(r) + identity(n)[i] for i, r in enumerate(rows)]
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
     reduced, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is not invertible")
-    return [row[n:] for row in reduced]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in reduced]
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix (rows of length ncols)."""
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[f]
-        basis.append(v)
-    return basis
-
+    basis = {f: [Fraction(int(j == f)) for j in range(ncols)]
+             for f in range(ncols) if f not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return list(basis.values())

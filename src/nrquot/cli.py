@@ -23,13 +23,6 @@ from .problemfile import ProblemFileError
 __all__ = ["main", "run", "render_result", "reemit"]
 
 
-def _rational_text(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 def _rational_latex(value):
     value = Fraction(value)
     if value.denominator == 1:
@@ -48,7 +41,7 @@ def render_result(result, fmt):
     if fmt == "json":
         doc = {"kind": result["kind"], "mode": result.get("mode")}
         if result["kind"] == "rational":
-            doc["value"] = _rational_text(result["value"])
+            doc["value"] = str(Fraction(result["value"]))
         else:
             series = result["value"]
             doc["coeffs"] = list(series.coeffs)
@@ -62,7 +55,7 @@ def render_result(result, fmt):
         body = (
             _rational_latex(result["value"])
             if fmt == "latex"
-            else _rational_text(result["value"])
+            else str(Fraction(result["value"]))
         )
         lines.append(body)
     elif fmt == "latex":

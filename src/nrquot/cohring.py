@@ -94,18 +94,16 @@ class GradedRingPresentation:
             return self._degree_cache[degree]
         mons = _monomials(self.nvars, degree)
         index = {m: i for i, m in enumerate(mons)}
-        zero = Fraction(0)
         rows = []
         for rel in self.relations:
             shift = degree - rel.total_degree()
             if shift < 0:
                 continue
             for m in _monomials(self.nvars, shift):
-                row = [zero] * len(mons)
-                for expo, coeff in rel.terms.items():
-                    key = tuple(a + b for a, b in zip(expo, m))
-                    row[index[key]] = coeff
-                rows.append(row)
+                rows.append({
+                    index[tuple(a + b for a, b in zip(expo, m))]: coeff
+                    for expo, coeff in rel.terms.items()
+                })
         reduced, pivots = _linalg.rref(rows)
         pivot_set = set(pivots)
         free = [m for i, m in enumerate(mons) if i not in pivot_set]
@@ -113,9 +111,7 @@ class GradedRingPresentation:
         # In reduced echelon form a row is zero on every other pivot column,
         # so its entries off its own pivot all sit on free columns.
         pivot_rows = {
-            mons[p]: tuple(
-                (free_index[mons[j]], x) for j, x in enumerate(row) if j != p and x != 0
-            )
+            mons[p]: tuple((free_index[mons[j]], x) for j, x in row.items() if j != p)
             for row, p in zip(reduced, pivots)
         }
         data = (free, free_index, pivot_rows)

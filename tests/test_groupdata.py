@@ -194,18 +194,20 @@ def dense(element, n):
 
 
 SIGNED_B2 = [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]]
+# W(A2) in root coordinates: rows with two entries compose through the sum
+A2_ROOT_COORDINATES = [[[-1, 0], [1, 1]], [[1, 1], [0, -1]]]
 
 
 @st.composite
 def generator_spellings(draw):
     """A rank and one or two spellings of the same generator set: permutations
-    of S2-S4 and the same permutations as matrices, or W(B2) as matrices.
-    The matrix spelling comes last."""
+    of S2-S4 and the same permutations as matrices, or W(B2) or W(A2) as
+    matrices.  The matrix spelling comes last."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 4))
         perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
         return n, [perms, [permutation_matrix(p) for p in perms]]
-    return 2, [SIGNED_B2]
+    return 2, [draw(st.sampled_from([SIGNED_B2, A2_ROOT_COORDINATES]))]
 
 
 @st.composite
