@@ -2,6 +2,9 @@
 
 A parsed problem runs through the handler of its mode in
 ``problemfile.MODES``, the table that also parses the mode's sections.
+``--reemit`` reads a result document instead, with the JSON value readers
+of ``schema``.  Both read the input file in one place: an unreadable file
+and undecodable, malformed or over-deep JSON are validation errors.
 
 Exit codes: 0 on success, 1 on a validation error (bad file or schema), 2 on
 a computation error (invalid cone, inconsistent data) or on any unexpected
@@ -18,7 +21,7 @@ from fractions import Fraction
 from . import problemfile
 from .exactnum import _series_text
 from .momentdiag import fixed_point_weight_residual, moment_derivative_check
-from .problemfile import ProblemFileError
+from .schema import ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
 
@@ -78,16 +81,16 @@ def render_result(result, fmt):
 def reemit(text):
     """Re-render a JSON output document; used to verify round-tripping."""
     doc = json.loads(text)
-    problemfile._expect(isinstance(doc, dict), "$", "result document must be a JSON object")
+    _expect(isinstance(doc, dict), "$", "result document must be a JSON object")
     if doc.get("kind") == "rational":
-        value = problemfile._rational(doc.get("value"), "$.value")
+        value = _rational(doc.get("value"), "$.value")
         result = {"kind": "rational", "mode": doc.get("mode"), "value": value}
     elif doc.get("kind") == "series":
-        bound = problemfile._int(doc.get("bound"), "$.bound", minimum=0)
+        bound = _int(doc.get("bound"), "$.bound", minimum=0)
         result = {
             "kind": "series",
             "mode": doc.get("mode"),
-            "value": problemfile._series(doc.get("coeffs"), bound, "$.coeffs"),
+            "value": _series(doc.get("coeffs"), bound, "$.coeffs"),
         }
     else:
         raise ProblemFileError("$.kind", "not a result document")
@@ -203,27 +206,25 @@ def main(argv=None):
 
 
 def _main(args):
-    if args.reemit:
-        try:
-            with open(args.problem, "r", encoding="utf-8") as handle:
-                sys.stdout.write(reemit(handle.read()))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            print("error: invalid JSON: %s" % exc, file=sys.stderr)
-            return 1
-        except (OSError, ValueError, KeyError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
-        return 0
-
     try:
         with open(args.problem, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        if args.reemit:
+            rendered = reemit(text)
+        else:
+            doc = json.loads(text)
     except OSError as exc:
         print("error: cannot read %s: %s" % (args.problem, exc), file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except ProblemFileError as exc:  # a malformed result document
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         print("error: invalid JSON: %s" % exc, file=sys.stderr)
         return 1
+    if args.reemit:
+        sys.stdout.write(rendered)
+        return 0
     # The flags go into the document's options, so that a re-run of the
     # parsed document (as --check-invariants does) sees them too.  Options
     # that are not an object, or a sign_flip that is not a boolean, are left

@@ -1,339 +1,38 @@
-"""JSON problem files: schema, validation with field paths, construction,
+"""Problem files: the sections each mode reads, the handler that runs it,
 and the mode table.
-
-Rationals are strings ``"p/q"`` (or JSON integers); polynomials are arrays of
-``{"coeff": "p/q", "exp": [e_0, ..., e_{r-1}]}``; linear forms are arrays of
-rationals; Weyl generators are either flat permutation arrays or nested
-row-major rational matrices; series are integer coefficient arrays indexed
-by the exponent of ``t``.  Validation failures carry the path of the
-offending field.
 
 ``MODES`` is the one list of modes: it maps each mode to the parser of its
 sections, which :class:`ProblemFile` calls, and to its handler, which the
-CLI dispatches through.
+CLI dispatches through.  The sections are read with the JSON value readers
+of :mod:`nrquot.schema`, so a validation failure carries the path of the
+offending field.
 """
 
-import math
 from fractions import Fraction
 
 from .betti import (
     QuotientDims, StratumDatum, check_perfect, morse_assemble, poincare_H, poincare_uhat,
 )
-from .exactnum import TruncSeries, _ReadOnly
-from .cohring import (
-    GradedRingPresentation, _quotient_betti_with_invariants, annihilator_dims, graded_dims,
-)
-from .groupdata import ConeChoice, GroupData, check_grading, euler_class_nonreductive
+from .exactnum import TruncSeries
+from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
+from .groupdata import ConeChoice, check_grading, euler_class_nonreductive
 from .localize import (
-    FixedPointComponent, PairingProblem, _minimality_mismatches, flag_pairing,
-    grassmannian_pairing, integrate_abelianized, integrate_nonreductive, integrate_reductive,
-    integrate_uhat, torus_pairing_fn,
+    PairingProblem, _minimality_mismatches, flag_pairing, grassmannian_pairing,
+    integrate_abelianized, integrate_nonreductive, integrate_reductive, integrate_uhat,
+    torus_pairing_fn,
 )
-from .momentdiag import LinearActionSample
-from .polyring import LinearForm, MultiPoly, RationalFn
+from .polyring import LinearForm, RationalFn
 from .residue import ResidueProblem, jk_residue
+from .schema import (
+    ProblemFileError, _expect, _fixed_points, _group, _int, _length, _moment_check, _poly,
+    _rational, _ring, _series, _vector, _weights,
+)
 
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
 
 # Largest accepted series truncation bound: a series holds one Python int per
 # coefficient, so the bound is a memory budget.
 MAX_TRUNCATION_BOUND = 10**6
-
-# Largest accepted Weyl group order, |S_7|: parsing closes the group to check
-# the declared order, so the order is a time and memory budget.
-MAX_WEYL_ORDER = 5040
-
-# Largest accepted number of monomials of degree at most top_degree + 1 in a
-# ring's variables: ring mode builds every graded piece up to that degree, so
-# the count is a time and memory budget.
-MAX_RING_MONOMIALS = 5000
-
-
-class ProblemFileError(ValueError):
-    """Schema violation; the message names the offending field path."""
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__("%s: %s" % (path, message))
-
-
-def _expect(condition, path, message):
-    if not condition:
-        raise ProblemFileError(path, message)
-
-
-def _rational(value, path):
-    if isinstance(value, bool):
-        raise ProblemFileError(path, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ProblemFileError(path, "cannot parse %r as p/q" % value) from None
-    raise ProblemFileError(path, "expected an integer or 'p/q' string")
-
-
-def _int(value, path, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFileError(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        raise ProblemFileError(path, "must be at least %d" % minimum)
-    if maximum is not None and value > maximum:
-        raise ProblemFileError(path, "must be at most %d" % maximum)
-    return value
-
-
-def _float(value, path):
-    """A JSON number or a rational string, as a finite float."""
-    if isinstance(value, float):
-        _expect(math.isfinite(value), path, "expected a finite number")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ProblemFileError(path, "expected a number or 'p/q' string")
-    try:
-        return float(_rational(value, path))
-    except OverflowError:
-        raise ProblemFileError(path, "number out of floating-point range") from None
-
-
-def _length(value, length, path):
-    """Check that an array has ``length`` entries; ``None`` allows any."""
-    if length is not None:
-        _expect(len(value) == length, path, "expected length %d, got %d" % (length, len(value)))
-
-
-def _complex_vector(value, length, path):
-    """A nonempty array of ``[re, im]`` number pairs, as a tuple of complex."""
-    _expect(
-        isinstance(value, list) and value, path, "expected a nonempty array of [re, im] pairs"
-    )
-    _length(value, length, path)
-    out = []
-    for i, pair in enumerate(value):
-        ppath = "%s[%d]" % (path, i)
-        _expect(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and not any(isinstance(x, str) for x in pair),
-            ppath,
-            "expected an [re, im] pair of numbers",
-        )
-        out.append(complex(*(_float(x, "%s[%d]" % (ppath, j)) for j, x in enumerate(pair))))
-    return tuple(out)
-
-
-def _vector(value, length, path):
-    _expect(isinstance(value, list), path, "expected an array of rationals")
-    _length(value, length, path)
-    return [_rational(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
-
-
-def _poly(value, nvars, path):
-    _expect(isinstance(value, list), path, "expected an array of terms")
-    terms = {}
-    for i, term in enumerate(value):
-        tpath = "%s[%d]" % (path, i)
-        _expect(isinstance(term, dict), tpath, "expected a term object")
-        _expect("coeff" in term, tpath, "missing 'coeff'")
-        _expect("exp" in term, tpath, "missing 'exp'")
-        coeff = _rational(term["coeff"], tpath + ".coeff")
-        exp = term["exp"]
-        _expect(isinstance(exp, list), tpath + ".exp", "expected an array")
-        _length(exp, nvars, tpath + ".exp")
-        expo = tuple(_int(e, "%s.exp[%d]" % (tpath, j), minimum=0) for j, e in enumerate(exp))
-        terms[expo] = terms.get(expo, Fraction(0)) + coeff
-    return MultiPoly(nvars, terms)
-
-
-def _series(value, bound, path):
-    _expect(isinstance(value, list), path, "expected an array of integers")
-    coeffs = [_int(c, "%s[%d]" % (path, i)) for i, c in enumerate(value)]
-    if bound is None:
-        bound = max(len(coeffs) - 1, 0)
-    _expect(len(coeffs) <= bound + 1, path, "more coefficients than the bound allows")
-    return TruncSeries(coeffs, bound)
-
-
-def _generator(value, path):
-    _expect(isinstance(value, list) and value, path, "expected a nonempty array")
-    if isinstance(value[0], list):
-        return tuple(
-            tuple(_vector(row, None, "%s[%d]" % (path, i))) for i, row in enumerate(value)
-        )
-    return tuple(_int(x, "%s[%d]" % (path, i)) for i, x in enumerate(value))
-
-
-def _group(value, path):
-    _expect(isinstance(value, dict), path, "expected a group object")
-    rank = _int(value.get("rank"), path + ".rank", minimum=1)
-    roots = value.get("positive_roots", [])
-    _expect(isinstance(roots, list), path + ".positive_roots", "expected an array")
-    roots = [
-        LinearForm(_vector(r, rank, "%s.positive_roots[%d]" % (path, i)))
-        for i, r in enumerate(roots)
-    ]
-    weights = value.get("unipotent_weights", [])
-    _expect(isinstance(weights, list), path + ".unipotent_weights", "expected an array")
-    weights = [
-        LinearForm(_vector(w, rank, "%s.unipotent_weights[%d]" % (path, i)))
-        for i, w in enumerate(weights)
-    ]
-    gens = value.get("weyl_generators", [])
-    _expect(isinstance(gens, list), path + ".weyl_generators", "expected an array")
-    gens = [
-        _generator(g, "%s.weyl_generators[%d]" % (path, i)) for i, g in enumerate(gens)
-    ]
-    order = _int(value.get("weyl_order", 1), path + ".weyl_order",
-                 minimum=1, maximum=MAX_WEYL_ORDER)
-    grading = value.get("grading")
-    if grading is not None:
-        grading = _vector(grading, rank, path + ".grading")
-    _expect(
-        "inner_product" not in value,
-        path + ".inner_product",
-        "unsupported: a weight pairs with the grading by evaluation, which needs no metric",
-    )
-    try:
-        group = GroupData(
-            rank=rank,
-            positive_roots=tuple(roots),
-            unipotent_weights=tuple(weights),
-            weyl_generators=tuple(gens),
-            weyl_order=order,
-            grading=tuple(grading) if grading is not None else None,
-        )
-    except ValueError as exc:
-        raise ProblemFileError(path, str(exc)) from None
-    # Pairings divide by the Weyl order, so generators that do not generate a
-    # group of that order change answers.
-    try:
-        group.generator_elements()
-    except ValueError as exc:
-        raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
-    try:
-        group.weyl_elements()
-    except ValueError as exc:
-        raise ProblemFileError(path + ".weyl_order", str(exc)) from None
-    return group
-
-
-def _weights(value, rank, path):
-    """An array of ``[form, multiplicity]`` pairs, as (LinearForm, int) pairs."""
-    _expect(isinstance(value, list), path, "expected an array")
-    out = []
-    for i, pair in enumerate(value):
-        ppath = "%s[%d]" % (path, i)
-        _expect(
-            isinstance(pair, list) and len(pair) == 2,
-            ppath,
-            "expected [form, multiplicity]",
-        )
-        form = LinearForm(_vector(pair[0], rank, ppath + "[0]"))
-        out.append((form, _int(pair[1], ppath + "[1]", minimum=1)))
-    return tuple(out)
-
-
-def _fixed_points(value, rank, path):
-    _expect(isinstance(value, list) and value, path, "expected a nonempty array")
-    out = []
-    for i, item in enumerate(value):
-        ipath = "%s[%d]" % (path, i)
-        _expect(isinstance(item, dict), ipath, "expected a component object")
-        _expect("normal_weights" in item, ipath, "missing 'normal_weights'")
-        nw = item["normal_weights"]
-        _expect(isinstance(nw, list) and nw, ipath + ".normal_weights", "expected a nonempty array")
-        weights = _weights(nw, rank, ipath + ".normal_weights")
-        restriction = item.get("restriction")
-        if restriction is not None:
-            restriction = _poly(restriction, rank, ipath + ".restriction")
-        lam = _rational(item.get("lambda_weight", 0), ipath + ".lambda_weight")
-        is_min = item.get("is_min", False)
-        _expect(isinstance(is_min, bool), ipath + ".is_min", "expected a boolean")
-        try:
-            out.append(
-                FixedPointComponent(
-                    name=str(item.get("name", "F%d" % i)),
-                    normal_weights=weights,
-                    restriction=restriction,
-                    lambda_weight=lam,
-                    is_min=is_min,
-                )
-            )
-        except ValueError as exc:
-            raise ProblemFileError(ipath, str(exc)) from None
-    return tuple(out)
-
-
-def _more_monomials(nvars, degree, budget):
-    """Whether C(nvars + degree, nvars), the number of monomials of degree at
-    most ``degree`` in ``nvars`` variables, exceeds ``budget``.  It is built
-    as C(m + i, i) for i = 1..min(nvars, degree), with m the larger of the
-    two; those values grow with i, so the loop stops once one passes."""
-    k = min(nvars, degree)
-    count = 1
-    for i in range(1, k + 1):
-        count = count * (nvars + degree - k + i) // i
-        if count > budget:
-            return True
-    return False
-
-
-def _ring(value, path):
-    _expect(isinstance(value, dict), path, "expected a ring object")
-    _expect(
-        "dims" not in value, path + ".dims", "ring mode needs nvars, relations and top_degree"
-    )
-    nvars = _int(value.get("nvars"), path + ".nvars", minimum=1)
-    rels = value.get("relations", [])
-    _expect(isinstance(rels, list), path + ".relations", "expected an array")
-    relations = [
-        _poly(r, nvars, "%s.relations[%d]" % (path, i)) for i, r in enumerate(rels)
-    ]
-    top = _int(value.get("top_degree"), path + ".top_degree", minimum=0)
-    _expect(
-        not _more_monomials(nvars, top + 1, MAX_RING_MONOMIALS),
-        path + ".top_degree",
-        "more than %d monomials in degrees 0..%d" % (MAX_RING_MONOMIALS, top + 1),
-    )
-    try:
-        return GradedRingPresentation.polynomial_quotient(nvars, relations, top)
-    except ValueError as exc:
-        raise ProblemFileError(path, str(exc)) from None
-
-
-class MomentCheck(_ReadOnly):
-    """One ``moment_checks`` item: the sample, and the declared weight and
-    tangent vector to check it against, each ``None`` when absent."""
-
-    def __init__(self, sample, weight, tangent):
-        vars(self).update(sample=sample, weight=weight, tangent=tangent)
-
-
-def _moment_check(item, path):
-    _expect(isinstance(item, dict), path, "expected an object")
-    _expect("point" in item, path + ".point", "missing")
-    _expect("matrix" in item, path + ".matrix", "missing")
-    point = _complex_vector(item["point"], None, path + ".point")
-    _expect(any(point), path + ".point", "must be a nonzero vector")
-    n = len(point)
-    matrix = item["matrix"]
-    _expect(
-        isinstance(matrix, list) and len(matrix) == n,
-        path + ".matrix",
-        "expected a square matrix with %d rows, one per point coordinate" % n,
-    )
-    matrix = tuple(
-        _complex_vector(row, n, "%s.matrix[%d]" % (path, i)) for i, row in enumerate(matrix)
-    )
-    shift = complex(_float(item.get("shift", 0), path + ".shift"))
-    weight = tangent = None
-    if "weight" in item:
-        weight = _float(item["weight"], path + ".weight")
-    if "tangent" in item:
-        tangent = _complex_vector(item["tangent"], n, path + ".tangent")
-    return MomentCheck(LinearActionSample(point, matrix, shift), weight, tangent)
 
 
 def _pairing_sections(p, doc, graded=False):

@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrquot.betti import (
     QuotientDims,
@@ -125,15 +125,11 @@ def test_weighted_projective_space():
         weighted_projective_poincare([0, 1])
 
 
-def test_uhat_series_equals_weighted_projective_series():
-    rng = random.Random(6)
-    for _ in range(20):
-        d = rng.randint(1, 8)
-        dims = QuotientDims(d + 2, 1, 1)
-        weights = [rng.randint(1, 5) for _ in range(d)]
-        lhs = poincare_uhat(one(2 * (d - 1) if d > 1 else 0), dims)
-        rhs = weighted_projective_poincare(weights)
-        assert lhs == rhs
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+def test_uhat_series_equals_weighted_projective_series(weights):
+    d = len(weights)
+    lhs = poincare_uhat(one(2 * (d - 1) if d > 1 else 0), QuotientDims(d + 2, 1, 1))
+    assert lhs == weighted_projective_poincare(weights)
 
 
 def test_full_chain_of_the_borel_sl3_example():
@@ -152,13 +148,10 @@ def test_full_chain_of_the_borel_sl3_example():
     assert quotient == TruncSeries.from_dict({0: 1, 2: 1}, bound)
 
 
-def test_all_outputs_nonnegative():
-    rng = random.Random(8)
-    for _ in range(20):
-        d = rng.randint(1, 6)
-        p = TruncSeries([rng.randint(0, 4) for _ in range(9)], 8)
-        out = poincare_uhat(p, QuotientDims(d + 3, 2, 1))
-        assert all(c >= 0 for c in out.coeffs)
+@given(st.integers(1, 6), st.lists(st.integers(0, 4), min_size=9, max_size=9))
+def test_all_outputs_nonnegative(d, coeffs):
+    out = poincare_uhat(TruncSeries(coeffs, 8), QuotientDims(d + 3, 2, 1))
+    assert all(c >= 0 for c in out.coeffs)
 
 
 def test_negative_coefficients_are_a_hard_error():
@@ -168,24 +161,27 @@ def test_negative_coefficients_are_a_hard_error():
         morse_assemble([StratumDatum(0, TruncSeries([-1], 4))])
 
 
-def test_perfect_stratifications_random():
-    rng = random.Random(21)
-    for _ in range(25):
-        bound = rng.randint(4, 10)
-        strata = [
-            StratumDatum(
-                rng.randint(0, bound // 2),
-                TruncSeries([rng.randint(0, 3) for _ in range(bound + 1)], bound),
-            )
-            for _ in range(rng.randint(1, 4))
-        ]
-        total = morse_assemble(strata)
-        report = check_perfect(total, morse_assemble(strata))
-        assert report.perfect and report.nonnegative
-        # perturb within the Morse inequality direction: add (1+t) R, R >= 0
-        extra = TruncSeries([rng.randint(0, 2) for _ in range(bound)], bound - 1)
-        one_plus_t = TruncSeries([1, 1], bound)
-        perturbed = morse_assemble(strata) + one_plus_t * extra.truncate(bound)
-        report = check_perfect(total, perturbed)
-        assert report.nonnegative
-        assert report.perfect == extra.is_zero()
+def nonnegative_series(top, bound):
+    """Series with coefficients in 0..top, known up to t^bound."""
+    coeffs = st.lists(st.integers(0, top), min_size=bound + 1, max_size=bound + 1)
+    return coeffs.map(lambda c: TruncSeries(c, bound))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_perfect_stratifications_random(data):
+    bound = data.draw(st.integers(4, 10))
+    strata = data.draw(st.lists(
+        st.builds(StratumDatum, st.integers(0, bound // 2), nonnegative_series(3, bound)),
+        min_size=1, max_size=4,
+    ))
+    total = morse_assemble(strata)
+    report = check_perfect(total, morse_assemble(strata))
+    assert report.perfect and report.nonnegative
+    # perturb within the Morse inequality direction: add (1+t) R, R >= 0
+    extra = data.draw(nonnegative_series(2, bound - 1))
+    one_plus_t = TruncSeries([1, 1], bound)
+    perturbed = morse_assemble(strata) + one_plus_t * extra.truncate(bound)
+    report = check_perfect(total, perturbed)
+    assert report.nonnegative
+    assert report.perfect == extra.is_zero()

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrquot import cli, cohring, groupdata, localize, problemfile
+from nrquot import cli, cohring, groupdata, localize, problemfile, schema
 from nrquot.exactnum import TruncSeries
 
 REPO = Path(__file__).resolve().parent.parent
@@ -245,6 +246,36 @@ def test_malformed_json_is_reported_as_invalid_json(tmp_path, flags):
     out = run_cli(str(path), *flags)
     assert out.returncode == 1
     assert out.stderr == "error: invalid JSON: Expecting value: line 1 column 2 (char 1)\n"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'{"mode": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"),
+        (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string"),
+    ],
+    ids=["not-utf8", "long-integer"],
+)
+@pytest.mark.parametrize("flags", [(), ("--reemit",)], ids=["problem", "reemit"])
+def test_undecodable_json_is_reported_as_invalid_json(tmp_path, flags, content, detail):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    out = run_cli(str(path), *flags)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: invalid JSON: " + detail)
+    assert out.stderr.count("\n") == 1
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [(), ("--reemit",)], ids=["problem", "reemit"])
+def test_unreadable_file_names_its_path(tmp_path, flags):
+    path = str(tmp_path / "missing.json")
+    out = run_cli(path, *flags)
+    assert out.returncode == 1
+    assert out.stderr == ("error: cannot read %s: [Errno 2] No such file or directory: %r\n"
+                          % (path, path))
     assert out.stdout == ""
 
 
@@ -617,7 +648,7 @@ def test_ring_size_is_budgeted(tmp_path, ring):
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("error: $.ring.top_degree: more than %d monomials"
-                                 % problemfile.MAX_RING_MONOMIALS)
+                                 % schema.MAX_RING_MONOMIALS)
 
 
 @pytest.mark.parametrize(
@@ -875,6 +906,23 @@ def test_check_moment_loads_numpy(tmp_path):
     report, stderr = probe_modules(["numpy"], [path, "--check-moment"])
     assert report == {"import": [], "calls": [[0, ["numpy"]]]}
     assert stderr == "moment check 0: weight residual 0.000e+00 ok\n"
+
+
+def test_no_module_compile_dominates_the_import():
+    # With no bytecode cache (PYTHONDONTWRITEBYTECODE=1), `import nrquot.cli`
+    # compiles every module from source, and the largest compile peak sets
+    # the process's memory high-water mark.
+    peaks = {}
+    for path in sorted((REPO / "src" / "nrquot").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    largest = max(peaks, key=peaks.get)
+    assert peaks[largest] < 1.5e6, "compiling %s peaks at %d bytes" % (largest, peaks[largest])
 
 
 def test_moment_weight_and_shift_accept_rationals(tmp_path):

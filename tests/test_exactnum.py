@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nrquot.exactnum import TruncSeries, as_fraction
 
@@ -89,14 +91,14 @@ def test_geom_div_zero():
     assert TruncSeries.zero(5).geom_div(2) == TruncSeries.zero(5)
 
 
-def test_geom_div_inverts_multiplication_random():
-    rng = random.Random(99)
-    for _ in range(50):
-        bound = rng.randint(2, 12)
-        a = TruncSeries([rng.randint(-5, 5) for _ in range(bound + 1)], bound)
-        k = 2 * rng.randint(1, max(1, bound // 2))
-        onemk = TruncSeries.from_dict({0: 1, k: -1}, bound)
-        assert (a * onemk).geom_div(k) == a
+@given(st.data())
+def test_geom_div_inverts_multiplication_random(data):
+    bound = data.draw(st.integers(2, 12))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=bound + 1, max_size=bound + 1))
+    a = TruncSeries(coeffs, bound)
+    k = 2 * data.draw(st.integers(1, bound // 2))
+    onemk = TruncSeries.from_dict({0: 1, k: -1}, bound)
+    assert (a * onemk).geom_div(k) == a
 
 
 def test_geom_div_validates_stride():

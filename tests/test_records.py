@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nrquot import betti, groupdata, localize, momentdiag, problemfile, residue
+from nrquot import betti, groupdata, localize, momentdiag, residue, schema
 from nrquot.exactnum import TruncSeries
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn
 
@@ -72,7 +72,7 @@ RECORDS = [
         {"point": (1, 0), "lie_element": ((0, 0), (0, 0)), "shift": 0.0},
     ),
     (
-        problemfile.MomentCheck,
+        schema.MomentCheck,
         (SAMPLE, 1.0, None),
         {"sample": SAMPLE, "weight": 1.0, "tangent": None},
     ),
