@@ -24,7 +24,6 @@ from nrquot import (
     check_well_adapted,
     lambda_projection,
     morse_assemble,
-    poincare_H,
     poincare_uhat,
     weighted_projective_poincare,
 )
@@ -76,7 +75,7 @@ full_quotient = (ambient - unstable).geom_div(2)
 print("P_t of X//B:", full_quotient)
 
 # the same answer through the fibration form of the quotient series
-print("fibration route:", poincare_H(TruncSeries.one(bound), QuotientDims(6, 3, 1)))
+print("fibration route:", poincare_uhat(TruncSeries.one(bound), QuotientDims(6, 3, 1)))
 
 # the n-points generalisation: n points and a line, same Borel
 print()
@@ -84,6 +83,6 @@ print("n points and a line:")
 for n in range(2, 7):
     ub = 8 * n
     u_series = poincare_uhat(TruncSeries.one(ub), QuotientDims(2 * n + 2, 3, 0))
-    h_series = poincare_H(TruncSeries.one(ub), QuotientDims(2 * n + 2, 3, 1))
+    h_series = poincare_uhat(TruncSeries.one(ub), QuotientDims(2 * n + 2, 3, 1))
     print("  n=%d:  X//U-hat top degree t^%d,  X//B top degree t^%d"
           % (n, u_series.degree(), h_series.degree()))

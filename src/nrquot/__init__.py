@@ -38,7 +38,6 @@ from .betti import (
     StratumDatum,
     check_perfect,
     morse_assemble,
-    poincare_H,
     poincare_uhat,
     weighted_projective_poincare,
 )

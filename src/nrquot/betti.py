@@ -16,7 +16,6 @@ __all__ = [
     "QuotientDims",
     "PerfectionReport",
     "poincare_uhat",
-    "poincare_H",
     "morse_assemble",
     "check_perfect",
     "weighted_projective_poincare",
@@ -67,6 +66,10 @@ def poincare_uhat(p_zmin, dims):
 
     Multiplies the series of the minimal fixed locus by the kernel
     ``1 + t^2 + ... + t^{2(d-1)}``, ``d = dim X - dim U - dim Z_min >= 1``.
+    The quotient by H = U x| R is the same formula: pass the series of the
+    residual-group quotient of the minimal locus, or, when the residual
+    group has no stable locus there (a minimal fixed point, say), the
+    effective dimensions of the fibration.
 
     >>> print(poincare_uhat(TruncSeries.one(12), QuotientDims(6, 3, 0)))
     1 + t^2 + t^4
@@ -75,17 +78,6 @@ def poincare_uhat(p_zmin, dims):
     if d < 1:
         raise ValueError("quotient codimension must be at least 1")
     return _require_nonnegative(p_zmin * _kernel(d, p_zmin.bound), "quotient series")
-
-
-def poincare_H(p_zmin_quotient, dims):
-    """Series of the quotient by H: same kernel, with the series of the
-    residual-group quotient of the minimal locus in front.
-
-    When the residual group has no stable locus on the minimal stratum
-    itself (a minimal fixed point, say) the caller supplies the effective
-    dimensions of the fibration instead; the kernel is unchanged.
-    """
-    return poincare_uhat(p_zmin_quotient, dims)
 
 
 def morse_assemble(strata):

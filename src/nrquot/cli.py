@@ -86,7 +86,8 @@ def reemit(text):
         value = _rational(doc.get("value"), "$.value")
         result = {"kind": "rational", "mode": doc.get("mode"), "value": value}
     elif doc.get("kind") == "series":
-        bound = _int(doc.get("bound"), "$.bound", minimum=0)
+        bound = _int(doc.get("bound"), "$.bound", minimum=0,
+                     maximum=problemfile.MAX_TRUNCATION_BOUND)
         result = {
             "kind": "series",
             "mode": doc.get("mode"),

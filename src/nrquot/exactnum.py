@@ -134,9 +134,6 @@ class TruncSeries:
             return NotImplemented
         return self.bound == other.bound and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.coeffs, self.bound))
-
     def coefficient(self, exponent):
         if not 0 <= exponent <= self.bound:
             raise IndexError("exponent %d beyond truncation bound" % exponent)
@@ -152,9 +149,6 @@ class TruncSeries:
                 return e
         return -1
 
-    def truncate(self, bound):
-        return TruncSeries(list(self.coeffs[: bound + 1]), bound)
-
     def __add__(self, other):
         b = min(self.bound, other.bound)
         return TruncSeries(
@@ -166,9 +160,6 @@ class TruncSeries:
         return TruncSeries(
             [self.coeffs[i] - other.coeffs[i] for i in range(b + 1)], b
         )
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.bound)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):

@@ -178,24 +178,20 @@ class MultiPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- display -----------------------------------------------------------
 
-    def render(self, names=None):
+    def render(self):
         if not self.terms:
             return "0"
-        names = names or ["z%d" % i for i in range(self.nvars)]
         parts = []
         for expo in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             coeff = self.terms[expo]
             factors = []
-            for name, e in zip(names, expo):
+            for i, e in enumerate(expo):
                 if e == 1:
-                    factors.append(name)
+                    factors.append("z%d" % i)
                 elif e > 1:
-                    factors.append("%s^%d" % (name, e))
+                    factors.append("z%d^%d" % (i, e))
             mag = "*".join(factors)
             c = abs(coeff)
             if not mag:
@@ -254,20 +250,8 @@ class LinearForm:
                 terms[tuple(expo)] = c
         return MultiPoly(n, terms)
 
-    def __mul__(self, scalar):
-        return LinearForm([c * as_fraction(scalar) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return LinearForm([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("form length mismatch")
-        return LinearForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -287,8 +271,8 @@ class LinearForm:
                 out[j] += c * a
         return LinearForm(out)
 
-    def render(self, names=None):
-        return self.to_poly().render(names)
+    def render(self):
+        return self.to_poly().render()
 
     def __repr__(self):
         return "LinearForm(%r)" % (list(self.coeffs),)
@@ -333,10 +317,6 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero()
 
-    def total_degree(self):
-        """Degree of the (homogeneous) numerator minus denominator degree."""
-        return self.num.total_degree() - sum(m for _, m in self.den)
-
     def is_constant(self):
         return self.num.is_constant() and not self.den
 
@@ -353,9 +333,6 @@ class RationalFn:
         return RationalFn(self.num * as_fraction(other), self.den)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, RationalFn):
@@ -374,34 +351,18 @@ class RationalFn:
 
         return RationalFn(lift(self.num, mine) + lift(other.num, theirs), tuple(common.items()))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        """Exact equality after clearing the combined denominator."""
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        diff = self - other
-        return diff.num.is_zero()
-
-    def __hash__(self):
-        raise TypeError("RationalFn is unhashable")
-
-    def render(self, names=None):
-        num = self.num.render(names)
+    def render(self):
+        num = self.num.render()
         if not self.den:
             return num
         factors = []
         for form, mult in self.den:
-            base = "(%s)" % form.render(names)
+            base = "(%s)" % form.render()
             factors.append(base if mult == 1 else "%s^%d" % (base, mult))
         return "(%s) / (%s)" % (num, "*".join(factors))
 
     def __repr__(self):
         return "RationalFn(%r, %r)" % (self.num, list(self.den))
-
-    def __str__(self):
-        return self.render()
 
 
 def weyl_element(gen, nvars):

@@ -11,7 +11,7 @@ offending field.
 from fractions import Fraction
 
 from .betti import (
-    QuotientDims, StratumDatum, check_perfect, morse_assemble, poincare_H, poincare_uhat,
+    QuotientDims, StratumDatum, check_perfect, morse_assemble, poincare_uhat,
 )
 from .exactnum import TruncSeries
 from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
@@ -24,8 +24,8 @@ from .localize import (
 from .polyring import LinearForm, RationalFn
 from .residue import ResidueProblem, jk_residue
 from .schema import (
-    ProblemFileError, _expect, _fixed_points, _group, _int, _length, _moment_check, _poly,
-    _rational, _ring, _series, _vector, _weights,
+    MAX_SCHUBERT_K, ProblemFileError, _expect, _fixed_points, _group, _int, _length,
+    _moment_check, _poly, _rational, _ring, _series, _vector, _weights,
 )
 
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
@@ -151,7 +151,7 @@ def _residue_sections(p, doc):
 
 
 def _schubert_sections(p, doc):
-    p.k = _int(doc.get("k"), "$.k", minimum=1)
+    p.k = _int(doc.get("k"), "$.k", minimum=1, maximum=MAX_SCHUBERT_K)
     p.n = _int(doc.get("n"), "$.n", minimum=p.k)
     _expect("phi" in doc, "$.phi", "missing the class to integrate")
     p.phi = _poly(doc["phi"], p.k, "$.phi")
@@ -227,7 +227,8 @@ MODES = {
         _pairing_sections, lambda p: _result(integrate_nonreductive(p.pairing_problem()))),
     "pair_abelianized": (_pairing_sections, _pair_abelianized),
     "betti_uhat": (_betti_sections, lambda p: _result(poincare_uhat(p.zmin_series, p.dims))),
-    "betti_H": (_betti_sections, lambda p: _result(poincare_H(p.zmin_series, p.dims))),
+    # The H quotient has the U x| C* series formula; see poincare_uhat.
+    "betti_H": (_betti_sections, lambda p: _result(poincare_uhat(p.zmin_series, p.dims))),
     "morse": (_morse_sections, _morse),
     "ring": (_ring_sections, _ring_betti),
     "residue": (_residue_sections, _residue),

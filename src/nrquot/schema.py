@@ -29,6 +29,17 @@ MAX_WEYL_ORDER = 5040
 # the count is a time and memory budget.
 MAX_RING_MONOMIALS = 5000
 
+# Largest accepted number of monomials of degree at most d in a polynomial's
+# variables, for each term of total degree d: the residue routes expand
+# series in those monomials, so the count is a time budget.  A fixed degree
+# would not do, as the cost of one degree grows with the number of variables.
+MAX_POLY_MONOMIALS = 20000
+
+# Largest accepted k of the grassmannian and flag modes: both expand the
+# Vandermonde product of the k(k-1) or k(k-1)/2 root forms in full, so k is a
+# time and memory budget.
+MAX_SCHUBERT_K = 6
+
 
 class ProblemFileError(ValueError):
     """Schema violation; the message names the offending field path."""
@@ -124,6 +135,12 @@ def _poly(value, nvars, path):
         _expect(isinstance(exp, list), tpath + ".exp", "expected an array")
         _length(exp, nvars, tpath + ".exp")
         expo = tuple(_int(e, "%s.exp[%d]" % (tpath, j), minimum=0) for j, e in enumerate(exp))
+        degree = sum(expo)
+        _expect(
+            not _more_monomials(nvars, degree, MAX_POLY_MONOMIALS),
+            tpath + ".exp",
+            "more than %d monomials in degrees 0..%d" % (MAX_POLY_MONOMIALS, degree),
+        )
         terms[expo] = terms.get(expo, Fraction(0)) + coeff
     return MultiPoly(nvars, terms)
 
@@ -267,17 +284,17 @@ def _ring(value, path):
         "dims" not in value, path + ".dims", "ring mode needs nvars, relations and top_degree"
     )
     nvars = _int(value.get("nvars"), path + ".nvars", minimum=1)
-    rels = value.get("relations", [])
-    _expect(isinstance(rels, list), path + ".relations", "expected an array")
-    relations = [
-        _poly(r, nvars, "%s.relations[%d]" % (path, i)) for i, r in enumerate(rels)
-    ]
     top = _int(value.get("top_degree"), path + ".top_degree", minimum=0)
     _expect(
         not _more_monomials(nvars, top + 1, MAX_RING_MONOMIALS),
         path + ".top_degree",
         "more than %d monomials in degrees 0..%d" % (MAX_RING_MONOMIALS, top + 1),
     )
+    rels = value.get("relations", [])
+    _expect(isinstance(rels, list), path + ".relations", "expected an array")
+    relations = [
+        _poly(r, nvars, "%s.relations[%d]" % (path, i)) for i, r in enumerate(rels)
+    ]
     try:
         return GradedRingPresentation.polynomial_quotient(nvars, relations, top)
     except ValueError as exc:

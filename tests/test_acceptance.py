@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nrquot.betti import QuotientDims, StratumDatum, morse_assemble, poincare_H, poincare_uhat
+from nrquot.betti import QuotientDims, StratumDatum, morse_assemble, poincare_uhat
 from nrquot.cohring import GradedRingPresentation, invariant_basis, quotient_presentation_betti
 from nrquot.exactnum import TruncSeries
 from nrquot.groupdata import ConeChoice, GroupData, euler_class_nonreductive
@@ -99,7 +99,7 @@ def test_criterion_5_n_points_family():
         uhat = poincare_uhat(TruncSeries.one(bound), QuotientDims(2 * n + 2, 3, 0))
         assert uhat == TruncSeries.from_dict({2 * i: 1 for i in range(2 * n - 1)}, bound)
         assert uhat.degree() == 4 * n - 4
-        full = poincare_H(TruncSeries.one(bound), QuotientDims(2 * n + 2, 3, 1))
+        full = poincare_uhat(TruncSeries.one(bound), QuotientDims(2 * n + 2, 3, 1))
         assert full == TruncSeries.from_dict({2 * i: 1 for i in range(2 * n - 2)}, bound)
         assert full.degree() == 4 * n - 6
     report(5, "n-points family: 1+...+t^(4n-4) and 1+...+t^(4n-6) for n = 2..6")

@@ -4,11 +4,14 @@
 fixed seed; a few cheap items of each run through the same ``run`` (or, for
 cli-batch, the in-process ``replay``) and ``check`` the benchmark uses.  A
 renamed function, a changed signature or a wrong answer fails here before it
-fails a benchmark run.
+fails a benchmark run.  The traced run at seed 1 is run in full as well, as
+its self-check also fails on a predicted span that stops firing.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +79,16 @@ def test_cheap_items_pass_their_checks(workloads, mods, tmp_path, name):
         item = items[key]
         answer = item.replay() if name == "cli-batch" else item.run()
         assert item.check(answer) is None, key
+
+
+def test_traced_run_passes_its_self_check(workloads):
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seed", "1", "--trace", "1"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    checked = [line.split()[0] for line in lines if "self-check ok" in line]
+    assert sorted(checked) == sorted(workloads.WORKLOADS)

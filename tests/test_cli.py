@@ -490,6 +490,36 @@ def test_truncation_bound_is_budgeted():
     assert out.stderr == "error: $.options.truncation_bound: must be at most 1000000\n"
 
 
+def test_reemit_series_bound_is_budgeted(tmp_path, capsys):
+    doc = {"kind": "series", "mode": "betti_uhat", "coeffs": [1], "bound": 10 ** 7}
+    assert run_main(capsys, tmp_path, doc, "--reemit") == (
+        1, "", "error: $.bound: must be at most %d\n" % problemfile.MAX_TRUNCATION_BOUND
+    )
+
+
+def test_polynomial_degree_is_budgeted(tmp_path, capsys):
+    # z0^N / ((z0 + z1)(z0 + 2 z1)(z0 + 3 z1) z1^(N-1)): the residue expands
+    # a series of degree N in each variable
+    n = 6000
+    doc = residue_doc(2, integrand={
+        "numerator": [{"coeff": "1", "exp": [n, 0]}],
+        "denominator": [[["1", str(a)], 1] for a in (1, 2, 3)] + [[["0", "1"], n - 1]],
+    })
+    assert run_main(capsys, tmp_path, doc) == (
+        1, "", "error: $.integrand.numerator[0].exp: more than %d monomials in degrees 0..%d\n"
+        % (schema.MAX_POLY_MONOMIALS, n),
+    )
+
+
+@pytest.mark.parametrize("mode", ["grassmannian", "flag"])
+def test_schubert_k_is_budgeted(tmp_path, capsys, mode):
+    k = schema.MAX_SCHUBERT_K + 1
+    doc = {"mode": mode, "k": k, "n": k, "phi": [{"coeff": "1", "exp": [0] * k}]}
+    assert run_main(capsys, tmp_path, doc) == (
+        1, "", "error: $.k: must be at most %d\n" % schema.MAX_SCHUBERT_K
+    )
+
+
 def test_huge_dim_x_needs_only_the_truncated_terms(tmp_path):
     doc = json.loads((PROBLEMS / "borel_sl3_betti.json").read_text())
     doc["dims"]["dim_x"] = 10 ** 11

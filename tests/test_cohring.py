@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrquot._linalg import kernel_basis, rank
-from nrquot.betti import QuotientDims, poincare_H
+from nrquot.betti import QuotientDims, poincare_uhat
 from nrquot.cohring import (
     GradedRingPresentation,
     annihilator_dims,
@@ -256,7 +256,7 @@ def test_quotient_betti_cross_checks_poincare_H():
     ring = truncated_ring(2)
     g = GroupData(rank=1, weyl_order=1)
     series = quotient_presentation_betti(ring, ((), 1), g)
-    chain = poincare_H(TruncSeries.one(2), QuotientDims(2, 0, 0))
+    chain = poincare_uhat(TruncSeries.one(2), QuotientDims(2, 0, 0))
     assert series == chain
 
 

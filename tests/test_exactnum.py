@@ -1,15 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrquot.exactnum import TruncSeries, as_fraction
 
 
-def random_fraction(rng, span=50):
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
 
 
 def test_rat_parsing():
@@ -37,16 +35,15 @@ def test_rational_canonical_form():
     assert as_fraction("0/7").denominator == 1
 
 
-def test_rational_ring_laws_random():
-    rng = random.Random(20240217)
-    for _ in range(200):
-        a, b, c = (random_fraction(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a + b == b + a
-        assert a * (b + c) == a * b + a * c
-        assert a + 0 == a and a * 1 == a
+@settings(max_examples=200)
+@given(FRACTIONS, FRACTIONS, FRACTIONS)
+def test_rational_ring_laws_random(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a
 
 
 # -- truncated series ---------------------------------------------------------

@@ -1,8 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nrquot.groupdata import (
@@ -59,15 +58,18 @@ def test_well_adapted_needs_two_distinct_weights():
         check_well_adapted([5, 5, 5], Fraction(0))
 
 
-def test_well_adapted_monotone_toward_minimum():
-    rng = random.Random(4)
-    for _ in range(50):
-        weights = sorted(rng.sample(range(-20, 20), 3))
-        low, high = Fraction(weights[0]), Fraction(weights[1])
-        chi = low + (high - low) * Fraction(rng.randint(1, 9), 10)
-        assert check_well_adapted(weights, chi)
-        closer = low + (chi - low) / rng.randint(2, 5)
-        assert check_well_adapted(weights, closer)
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(-20, 19), min_size=3, max_size=3, unique=True).map(sorted),
+    st.integers(1, 9),
+    st.integers(2, 5),
+)
+def test_well_adapted_monotone_toward_minimum(weights, tenths, divisor):
+    low, high = Fraction(weights[0]), Fraction(weights[1])
+    chi = low + (high - low) * Fraction(tenths, 10)
+    assert check_well_adapted(weights, chi)
+    closer = low + (chi - low) / divisor
+    assert check_well_adapted(weights, closer)
 
 
 def test_lambda_projection_dot_product():
@@ -78,16 +80,17 @@ def test_lambda_projection_dot_product():
     assert lambda_projection(LinearForm(g.grading), g) > 0
 
 
-def test_lambda_projection_linear_in_weight():
-    rng = random.Random(12)
+WEIGHT = st.lists(st.integers(-5, 5), min_size=3, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(WEIGHT, WEIGHT, st.integers(-4, 4))
+def test_lambda_projection_linear_in_weight(u, v, a):
     g = GroupData(rank=3, grading=(1, 2, -1))
-    for _ in range(30):
-        u = LinearForm([rng.randint(-5, 5) for _ in range(3)] or [1, 0, 0])
-        v = LinearForm([rng.randint(-5, 5) for _ in range(3)] or [0, 1, 0])
-        a = Fraction(rng.randint(-4, 4))
-        if (a * u + v).is_zero() or u.is_zero() or v.is_zero():
-            continue
-        assert lambda_projection(a * u + v, g) == a * lambda_projection(u, g) + lambda_projection(v, g)
+    combined = LinearForm([a * x + y for x, y in zip(u, v)])
+    u, v = LinearForm(u), LinearForm(v)
+    assume(not (combined.is_zero() or u.is_zero() or v.is_zero()))
+    assert lambda_projection(combined, g) == a * lambda_projection(u, g) + lambda_projection(v, g)
 
 
 def test_euler_class_torus_pair_of_roots():
