@@ -15,6 +15,7 @@ from .groupdata import (
     ConeChoice,
     GroupData,
     InvalidConeError,
+    WeylInvarianceError,
     check_grading,
     check_well_adapted,
     euler_class_nonreductive,
@@ -24,7 +25,6 @@ from .residue import ResidueProblem, jk_residue, residue_at_infinity
 from .localize import (
     FixedPointComponent,
     PairingProblem,
-    WeylInvarianceError,
     flag_pairing,
     grassmannian_pairing,
     integrate_abelianized,

@@ -25,6 +25,11 @@ from .schema import ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
 
+# What a result document may carry beside its value: the tables of ring mode,
+# and the perfection report of morse mode with the type of each field.
+_RING_TABLES = ("graded_dims", "invariant_dims", "annihilator_dims")
+_PERFECTION = {"perfect": bool, "remainder": str, "nonnegative": bool}
+
 
 def _rational_latex(value):
     value = Fraction(value)
@@ -83,21 +88,30 @@ def reemit(text):
     doc = json.loads(text)
     _expect(isinstance(doc, dict), "$", "result document must be a JSON object")
     if doc.get("kind") == "rational":
-        value = _rational(doc.get("value"), "$.value")
-        result = {"kind": "rational", "mode": doc.get("mode"), "value": value}
+        result = {"kind": "rational", "value": _rational(doc.get("value"), "$.value")}
     elif doc.get("kind") == "series":
         bound = _int(doc.get("bound"), "$.bound", minimum=0,
                      maximum=problemfile.MAX_TRUNCATION_BOUND)
-        result = {
-            "kind": "series",
-            "mode": doc.get("mode"),
-            "value": _series(doc.get("coeffs"), bound, "$.coeffs"),
-        }
+        result = {"kind": "series", "value": _series(doc.get("coeffs"), bound, "$.coeffs")}
     else:
         raise ProblemFileError("$.kind", "not a result document")
-    for key in ("tables", "perfection"):
-        if key in doc:
-            result[key] = doc[key]
+    result["mode"] = problemfile._mode(doc)
+    if "tables" in doc:
+        tables = result["tables"] = doc["tables"]
+        _expect(isinstance(tables, dict), "$.tables", "expected an object")
+        for name, values in tables.items():
+            path = "$.tables." + name
+            _expect(name in _RING_TABLES, path, "expected one of %s" % ", ".join(_RING_TABLES))
+            _expect(isinstance(values, list), path, "expected an array of integers")
+            for i, v in enumerate(values):
+                _int(v, "%s[%d]" % (path, i), minimum=0)
+    if "perfection" in doc:
+        info = result["perfection"] = doc["perfection"]
+        _expect(isinstance(info, dict) and set(info) == set(_PERFECTION), "$.perfection",
+                "expected an object with keys %s" % ", ".join(_PERFECTION))
+        for key, kind in _PERFECTION.items():
+            _expect(isinstance(info[key], kind), "$.perfection." + key,
+                    "expected a %s" % ("string" if kind is str else "boolean"))
     return render_result(result, "json")
 
 
@@ -116,24 +130,16 @@ def _moment_diagnostics(problem, stream):
         return True
     ok = True
     for i, check in enumerate(checks):
-        if check.weight is not None:
-            residual = fixed_point_weight_residual(check.sample, check.weight)
-            good = residual < 1e-8
-            ok = ok and good
-            print(
-                "moment check %d: weight residual %.3e %s"
-                % (i, residual, "ok" if good else "MISMATCH"),
-                file=stream,
-            )
-        if check.tangent is not None:
-            residual = moment_derivative_check(check.sample, check.tangent)
-            good = residual < 1e-6
-            ok = ok and good
-            print(
-                "moment check %d: derivative residual %.3e %s"
-                % (i, residual, "ok" if good else "MISMATCH"),
-                file=stream,
-            )
+        for what, residual_of, data, tolerance in (
+            ("weight", fixed_point_weight_residual, check.weight, 1e-8),
+            ("derivative", moment_derivative_check, check.tangent, 1e-6),
+        ):
+            if data is not None:
+                residual = residual_of(check.sample, data)
+                good = residual < tolerance
+                ok = ok and good
+                print("moment check %d: %s residual %.3e %s"
+                      % (i, what, residual, "ok" if good else "MISMATCH"), file=stream)
     return ok
 
 
@@ -224,8 +230,7 @@ def _main(args):
         print("error: invalid JSON: %s" % exc, file=sys.stderr)
         return 1
     if args.reemit:
-        sys.stdout.write(rendered)
-        return 0
+        return _emit(rendered, args.problem, "json", True)
     # The flags go into the document's options, so that a re-run of the
     # parsed document (as --check-invariants does) sees them too.  Options
     # that are not an object, or a sign_flip that is not a boolean, are left
@@ -263,12 +268,17 @@ def _main(args):
             print("invariant check error: %s" % exc, file=sys.stderr)
             ok = False
 
-    rendered = render_result(result, args.format)
+    return _emit(render_result(result, args.format), args.problem, args.format, ok)
+
+
+def _emit(rendered, source, fmt, ok):
+    """Print the rendered result and, when ``NRQUOT_OUTPUT_DIR`` is set, write
+    it there as ``<stem of source>.<format extension>``; the exit code."""
     sys.stdout.write(rendered)
     outdir = os.environ.get("NRQUOT_OUTPUT_DIR")
     if outdir:
-        stem = os.path.splitext(os.path.basename(args.problem))[0]
-        ext = {"text": "txt", "json": "json", "latex": "tex"}[args.format]
+        stem = os.path.splitext(os.path.basename(source))[0]
+        ext = {"text": "txt", "json": "json", "latex": "tex"}[fmt]
         target = os.path.join(outdir, "%s.%s" % (stem, ext))
         try:
             with open(target, "w", encoding="utf-8") as handle:

@@ -18,8 +18,7 @@ from itertools import combinations_with_replacement
 
 from . import _linalg
 from .exactnum import TruncSeries
-from .groupdata import GroupData, _euler_forms, _product
-from .localize import _check_factors_invariant
+from .groupdata import GroupData, _check_factors_invariant, _euler_forms, _product
 from .polyring import MultiPoly, weyl_act
 
 __all__ = [

@@ -156,10 +156,7 @@ class TruncSeries:
         )
 
     def __sub__(self, other):
-        b = min(self.bound, other.bound)
-        return TruncSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(b + 1)], b
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):

@@ -5,15 +5,19 @@ torus, the positive roots of the Levi factor R, the torus weights of the
 adjoint action on Lie(U), generators and order of the Weyl group, and the
 derivative of the grading one-parameter subgroup.  The checks here
 (positivity of the grading, the admissible character interval, cone
-validity) are the combinatorial shadows of the geometric hypotheses under
-which the pairing and Betti formulas hold.
+validity, Weyl invariance of a class or of a product of linear forms) are
+the combinatorial shadows of the geometric hypotheses under which the
+pairing and Betti formulas hold.
 """
 
+from collections import Counter
+
 from .exactnum import _ReadOnly, as_fraction
-from .polyring import LinearForm, MultiPoly, weyl_element
+from .polyring import LinearForm, MultiPoly, weyl_act, weyl_element
 
 __all__ = [
     "GroupData",
+    "WeylInvarianceError",
     "ConeChoice",
     "InvalidConeError",
     "GradingReport",
@@ -27,6 +31,18 @@ __all__ = [
 
 class InvalidConeError(ValueError):
     """A chamber vector annihilates one of the denominator forms."""
+
+
+class WeylInvarianceError(ValueError):
+    """The class fails Weyl invariance; carries a witness generator."""
+
+    def __init__(self, generator_index, generator):
+        self.generator_index = generator_index
+        self.generator = generator
+        super().__init__(
+            "class is not Weyl-invariant; witness generator #%d: %r"
+            % (generator_index, generator)
+        )
 
 
 def _as_form(value):
@@ -131,6 +147,38 @@ class GroupData(_ReadOnly):
                 self.generator_elements(), self.weyl_order, self.rank
             )
         return self.__dict__["_weyl_elements"]
+
+
+def _check_weyl_invariant(poly, group):
+    """Raise :class:`WeylInvarianceError` at the first generator that moves ``poly``."""
+    for index, element in enumerate(group.generator_elements()):
+        if weyl_act(poly, element) != poly:
+            raise WeylInvarianceError(index, group.weyl_generators[index])
+
+
+def _check_factors_invariant(factors, group):
+    """:func:`_check_weyl_invariant` for the product of the linear forms
+    ``factors``, without forming it.
+
+    Linear forms are irreducible in the UFD Q[z], so a generator fixes the
+    product exactly when it permutes the factors up to scalars whose product
+    is 1.  Each factor is divided by the coefficient of its largest monomial
+    (its first nonzero coefficient); the multisets of the quotients and the
+    products of the coefficients must agree.
+    """
+
+    def split(vectors):
+        scale, shapes = 1, Counter()
+        for v in vectors:
+            lead = next(c for c in v if c != 0)
+            scale *= lead
+            shapes[tuple(c / lead for c in v)] += 1
+        return scale, shapes
+
+    base = split(f.coeffs for f in factors)
+    for index, element in enumerate(group.generator_elements()):
+        if split(f.act(element).coeffs for f in factors) != base:
+            raise WeylInvarianceError(index, group.weyl_generators[index])
 
 
 class ConeChoice(_ReadOnly):

@@ -31,20 +31,19 @@ calibration suite for the sign conventions.
 Fraction(2, 1)
 """
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import sub
 
 from .exactnum import _ReadOnly, as_fraction
-from .groupdata import _product, euler_class_nonreductive
-from .polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
+from .groupdata import (GroupData, WeylInvarianceError, _check_weyl_invariant, _product,
+                        euler_class_nonreductive)
+from .polyring import LinearForm, MultiPoly, RationalFn
 from .residue import ResidueProblem, jk_residue
 
 __all__ = [
     "FixedPointComponent",
     "PairingProblem",
-    "WeylInvarianceError",
     "integrate_reductive",
     "integrate_uhat",
     "integrate_nonreductive",
@@ -53,18 +52,6 @@ __all__ = [
     "flag_pairing",
     "grassmannian_pairing",
 ]
-
-
-class WeylInvarianceError(ValueError):
-    """The class fails Weyl invariance; carries a witness generator."""
-
-    def __init__(self, generator_index, generator):
-        self.generator_index = generator_index
-        self.generator = generator
-        super().__init__(
-            "class is not Weyl-invariant; witness generator #%d: %r"
-            % (generator_index, generator)
-        )
 
 
 class FixedPointComponent(_ReadOnly):
@@ -168,37 +155,6 @@ class PairingProblem(_ReadOnly):
 
     def minimal_components(self):
         return tuple(c for c in self.fixed_points if c.is_min)
-
-
-def _check_weyl_invariant(poly, group):
-    for index, element in enumerate(group.generator_elements()):
-        if weyl_act(poly, element) != poly:
-            raise WeylInvarianceError(index, group.weyl_generators[index])
-
-
-def _check_factors_invariant(factors, group):
-    """:func:`_check_weyl_invariant` for the product of the linear forms
-    ``factors``, without forming it.
-
-    Linear forms are irreducible in the UFD Q[z], so a generator fixes the
-    product exactly when it permutes the factors up to scalars whose product
-    is 1.  Each factor is divided by the coefficient of its largest monomial
-    (its first nonzero coefficient); the multisets of the quotients and the
-    products of the coefficients must agree.
-    """
-
-    def split(vectors):
-        scale, shapes = Fraction(1), Counter()
-        for v in vectors:
-            lead = next(c for c in v if c != 0)
-            scale *= lead
-            shapes[tuple(c / lead for c in v)] += 1
-        return scale, shapes
-
-    base = split(f.coeffs for f in factors)
-    for index, element in enumerate(group.generator_elements()):
-        if split(f.act(element).coeffs for f in factors) != base:
-            raise WeylInvarianceError(index, group.weyl_generators[index])
 
 
 def _minimality_mismatches(fixed_points):
@@ -305,8 +261,13 @@ def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
     return torus_pairing_value_fn(a_tilde, e) / weyl_order
 
 
-def _origin(k, n):
-    """The origin of C^(kn) as the one fixed component: weight z_i, order n."""
+def _origin(k, n, phi):
+    """The origin of C^(kn) as the one fixed component: weight z_i, order n;
+    checks the arguments of the Grassmannian and flag wrappers first."""
+    if k < 1 or n < k:
+        raise ValueError("need 1 <= k <= n")
+    if phi.nvars != k:
+        raise ValueError("class must live in %d variables" % k)
     unit = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
     return (FixedPointComponent("origin", [(LinearForm(u), n) for u in unit]),)
 
@@ -319,13 +280,10 @@ def flag_pairing(k, n, phi):
     >>> flag_pairing(1, 3, MultiPoly.variable(1, 0) ** 2)
     Fraction(1, 1)
     """
-    if k < 1 or n < k:
-        raise ValueError("need 1 <= k <= n")
-    if phi.nvars != k:
-        raise ValueError("class must live in %d variables" % k)
+    origin = _origin(k, n, phi)
     z = [MultiPoly.variable(k, i) for i in range(k)]
     factor = _product([z[i] - z[j] for i in range(k) for j in range(i + 1, k)], k)
-    return _localization_sum(_origin(k, n), phi, factor, None)
+    return _localization_sum(origin, phi, factor, None)
 
 
 def grassmannian_pairing(k, n, phi):
@@ -333,18 +291,16 @@ def grassmannian_pairing(k, n, phi):
     k-planes in n-space: 1/k! times the iterated residue at zero of
     phi * prod_{i != j}(z_i - z_j) / prod_i z_i^n.
     """
-    if k < 1 or n < k:
-        raise ValueError("need 1 <= k <= n")
-    if phi.nvars != k:
-        raise ValueError("class must live in %d variables" % k)
-    for i in range(k - 1):
-        swap = list(range(k))
-        swap[i], swap[i + 1] = swap[i + 1], swap[i]
-        if weyl_act(phi, weyl_element(swap, k)) != phi:
-            raise ValueError(
-                "class is not symmetric in the torus variables (swap %d,%d)"
-                % (i, i + 1)
-            )
+    origin = _origin(k, n, phi)
+    # S_k by adjacent swaps: generator i exchanges z_i and z_(i+1)
+    swaps = [[*range(i), i + 1, i, *range(i + 2, k)] for i in range(k - 1)]
+    try:
+        _check_weyl_invariant(phi, GroupData(k, weyl_generators=swaps, weyl_order=factorial(k)))
+    except WeylInvarianceError as exc:
+        i = exc.generator_index
+        raise ValueError(
+            "class is not symmetric in the torus variables (swap %d,%d)" % (i, i + 1)
+        ) from None
     z = [MultiPoly.variable(k, i) for i in range(k)]
     factor = _product([z[i] - z[j] for i in range(k) for j in range(k) if i != j], k)
-    return _localization_sum(_origin(k, n), phi, factor, None) / factorial(k)
+    return _localization_sum(origin, phi, factor, None) / factorial(k)

@@ -24,7 +24,7 @@ from .localize import (
 from .polyring import LinearForm, RationalFn
 from .residue import ResidueProblem, jk_residue
 from .schema import (
-    MAX_SCHUBERT_K, ProblemFileError, _expect, _fixed_points, _group, _int, _length,
+    MAX_SCHUBERT_K, ProblemFileError, _array, _expect, _fixed_points, _group, _int, _length,
     _moment_check, _poly, _rational, _ring, _series, _vector, _weights,
 )
 
@@ -238,18 +238,20 @@ MODES = {
 }
 
 
+def _mode(doc):
+    """The ``mode`` of a problem or result document, a key of ``MODES``."""
+    mode = doc.get("mode")
+    _expect(isinstance(mode, str) and mode in MODES, "$.mode",
+            "expected one of %s, got %r" % (", ".join(MODES), mode))
+    return mode
+
+
 class ProblemFile:
     """A parsed problem: mode, typed sections, and rendering options."""
 
     def __init__(self, doc):
         _expect(isinstance(doc, dict), "$", "problem file must be a JSON object")
-        mode = doc.get("mode")
-        _expect(
-            isinstance(mode, str) and mode in MODES,
-            "$.mode",
-            "expected one of %s, got %r" % (", ".join(MODES), mode),
-        )
-        self.mode = mode
+        self.mode = mode = _mode(doc)
         self.doc = doc
         options = doc.get("options", {})
         _expect(isinstance(options, dict), "$.options", "expected an object")
@@ -283,14 +285,7 @@ class ProblemFile:
         self.class_eta = None
         MODES[mode][0](self, doc)
 
-        self.moment_checks = []
-        if "moment_checks" in doc:
-            checks = doc["moment_checks"]
-            _expect(isinstance(checks, list), "$.moment_checks", "expected an array")
-            self.moment_checks = [
-                _moment_check(item, "$.moment_checks[%d]" % i)
-                for i, item in enumerate(checks)
-            ]
+        self.moment_checks = _array(doc, "moment_checks", "$", _moment_check)
 
     def pairing_problem(self):
         return PairingProblem(

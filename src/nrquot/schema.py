@@ -96,6 +96,14 @@ def _length(value, length, path):
         _expect(len(value) == length, path, "expected length %d, got %d" % (length, len(value)))
 
 
+def _array(value, key, path, read):
+    """The optional array ``value[key]`` (empty when absent), each entry read
+    by ``read(entry, entry_path)``."""
+    items = value.get(key, [])
+    _expect(isinstance(items, list), "%s.%s" % (path, key), "expected an array")
+    return [read(item, "%s.%s[%d]" % (path, key, i)) for i, item in enumerate(items)]
+
+
 def _complex_vector(value, length, path):
     """A nonempty array of ``[re, im]`` number pairs, as a tuple of complex."""
     _expect(
@@ -166,23 +174,11 @@ def _generator(value, path):
 def _group(value, path):
     _expect(isinstance(value, dict), path, "expected a group object")
     rank = _int(value.get("rank"), path + ".rank", minimum=1)
-    roots = value.get("positive_roots", [])
-    _expect(isinstance(roots, list), path + ".positive_roots", "expected an array")
-    roots = [
-        LinearForm(_vector(r, rank, "%s.positive_roots[%d]" % (path, i)))
-        for i, r in enumerate(roots)
-    ]
-    weights = value.get("unipotent_weights", [])
-    _expect(isinstance(weights, list), path + ".unipotent_weights", "expected an array")
-    weights = [
-        LinearForm(_vector(w, rank, "%s.unipotent_weights[%d]" % (path, i)))
-        for i, w in enumerate(weights)
-    ]
-    gens = value.get("weyl_generators", [])
-    _expect(isinstance(gens, list), path + ".weyl_generators", "expected an array")
-    gens = [
-        _generator(g, "%s.weyl_generators[%d]" % (path, i)) for i, g in enumerate(gens)
-    ]
+    roots, weights = (
+        _array(value, key, path, lambda item, ipath: LinearForm(_vector(item, rank, ipath)))
+        for key in ("positive_roots", "unipotent_weights")
+    )
+    gens = _array(value, "weyl_generators", path, _generator)
     order = _int(value.get("weyl_order", 1), path + ".weyl_order",
                  minimum=1, maximum=MAX_WEYL_ORDER)
     grading = value.get("grading")
@@ -290,11 +286,7 @@ def _ring(value, path):
         path + ".top_degree",
         "more than %d monomials in degrees 0..%d" % (MAX_RING_MONOMIALS, top + 1),
     )
-    rels = value.get("relations", [])
-    _expect(isinstance(rels, list), path + ".relations", "expected an array")
-    relations = [
-        _poly(r, nvars, "%s.relations[%d]" % (path, i)) for i, r in enumerate(rels)
-    ]
+    relations = _array(value, "relations", path, lambda item, ipath: _poly(item, nvars, ipath))
     try:
         return GradedRingPresentation.polynomial_quotient(nvars, relations, top)
     except ValueError as exc:

@@ -226,6 +226,72 @@ def test_reemit_rejects_malformed_document(tmp_path, doc, path):
     assert out.stderr.count("\n") == 1
 
 
+PERFECTION = {"perfect": True, "remainder": "0", "nonnegative": True}
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"mode": [1, 2]}, "$.mode"),
+        ({"mode": "pair_everything"}, "$.mode"),
+        ({"mode": None}, "$.mode"),
+        ({"tables": 5}, "$.tables"),
+        ({"tables": {"betti": [1]}}, "$.tables.betti"),
+        ({"tables": {"graded_dims": 3}}, "$.tables.graded_dims"),
+        ({"tables": {"graded_dims": [1, 2, -1]}}, "$.tables.graded_dims[2]"),
+        ({"tables": {"annihilator_dims": [1, "2"]}}, "$.tables.annihilator_dims[1]"),
+        ({"tables": {"invariant_dims": [True]}}, "$.tables.invariant_dims[0]"),
+        ({"perfection": [1]}, "$.perfection"),
+        ({"perfection": {"perfect": True}}, "$.perfection"),
+        ({"perfection": dict(PERFECTION, extra=1)}, "$.perfection"),
+        ({"perfection": dict(PERFECTION, perfect=1)}, "$.perfection.perfect"),
+        ({"perfection": dict(PERFECTION, remainder=0)}, "$.perfection.remainder"),
+        ({"perfection": dict(PERFECTION, nonnegative="yes")}, "$.perfection.nonnegative"),
+    ],
+)
+def test_reemit_rejects_malformed_mode_tables_and_perfection(tmp_path, capsys, fields, path):
+    doc = {"kind": "series", "mode": "ring", "coeffs": [1, 0, 1], "bound": 4,
+           "tables": {"graded_dims": [1, 2, 1]}, "perfection": PERFECTION}
+    doc.update(fields)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    code, out, err = run_main(capsys, tmp_path, doc, "--reemit")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % path)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_DOCS))
+def test_reemit_round_trips_every_mode_bit_for_bit(tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.delenv("NRQUOT_OUTPUT_DIR", raising=False)
+    code, rendered, _ = run_main(capsys, tmp_path, MODE_DOCS[mode], "--format", "json")
+    assert code == 0
+    path = tmp_path / "result.json"
+    path.write_text(rendered)
+    assert cli.main([str(path), "--reemit"]) == 0
+    assert capsys.readouterr() == (rendered, "")
+
+
+def test_reemit_writes_into_the_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NRQUOT_OUTPUT_DIR", raising=False)
+    rendered = run_main(capsys, tmp_path, MODE_DOCS["ring"], "--format", "json")[1]
+    source = tmp_path / "result.json"
+    source.write_text(rendered)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.setenv("NRQUOT_OUTPUT_DIR", str(outdir))
+    assert cli.main([str(source), "--reemit"]) == 0
+    assert capsys.readouterr() == (rendered, "")
+    assert (outdir / "result.json").read_text() == rendered
+    # a directory that cannot be written to is a computation-stage failure
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("NRQUOT_OUTPUT_DIR", str(missing))
+    assert cli.main([str(source), "--reemit"]) == 2
+    out, err = capsys.readouterr()
+    assert out == rendered
+    assert err.startswith("error: cannot write %s: " % (missing / "result.json"))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")], ids=["array", "object"])
 @pytest.mark.parametrize("flags", [(), ("--reemit",)], ids=["problem", "reemit"])
 def test_deeply_nested_json_is_rejected_in_one_line(tmp_path, opening, closing, flags):

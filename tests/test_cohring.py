@@ -14,8 +14,7 @@ from nrquot.cohring import (
     quotient_presentation_betti,
 )
 from nrquot.exactnum import TruncSeries
-from nrquot.groupdata import GroupData, euler_class_nonreductive
-from nrquot.localize import WeylInvarianceError
+from nrquot.groupdata import GroupData, WeylInvarianceError, euler_class_nonreductive
 from nrquot.polyring import MultiPoly, weyl_act
 from oracles import grassmannian_betti
 

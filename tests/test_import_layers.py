@@ -1,0 +1,50 @@
+"""The import layers of the package, read from the source with ``ast``.
+
+Computation modules never import the I/O layer (the schema readers, the
+problem files and the command line), and the pairing module ``localize`` and
+the ring module ``cohring`` import nothing from each other: what both need,
+such as the Weyl-invariance checks, lives in ``groupdata`` below them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrquot"
+COMPUTATION = ("exactnum", "_linalg", "polyring", "groupdata", "residue", "localize", "betti",
+               "cohring", "momentdiag")
+IO_LAYER = {"schema", "problemfile", "cli"}
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports anywhere in its source."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("nrquot."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("nrquot"):
+                continue
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            if parts and parts[0]:
+                out.add(parts[0])  # from .polyring import ..., from nrquot.cli import ...
+            else:
+                out.update(a.name for a in node.names)  # from . import _linalg
+    return out
+
+
+def test_the_reader_sees_every_form_of_import():
+    assert package_imports("cohring") >= {"_linalg", "exactnum", "groupdata", "polyring"}
+    assert package_imports("cli") >= {"problemfile", "schema", "momentdiag"}
+
+
+@pytest.mark.parametrize("module", COMPUTATION)
+def test_computation_modules_do_not_import_the_io_layer(module):
+    assert not package_imports(module) & IO_LAYER
+
+
+def test_localize_and_cohring_do_not_import_each_other():
+    assert "cohring" not in package_imports("localize")
+    assert "localize" not in package_imports("cohring")

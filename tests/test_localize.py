@@ -8,14 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrquot import cli
-from nrquot.groupdata import ConeChoice, GroupData, _euler_forms, euler_class_nonreductive
-from nrquot.localize import (
-    FixedPointComponent,
+from nrquot.groupdata import (
+    ConeChoice,
+    GroupData,
+    WeylInvarianceError,
     _check_factors_invariant,
     _check_weyl_invariant,
+    _euler_forms,
+    euler_class_nonreductive,
+)
+from nrquot.localize import (
+    FixedPointComponent,
     _localization_sum,
     PairingProblem,
-    WeylInvarianceError,
     flag_pairing,
     grassmannian_pairing,
     integrate_abelianized,
@@ -24,7 +29,7 @@ from nrquot.localize import (
     integrate_uhat,
     torus_pairing_fn,
 )
-from nrquot.polyring import LinearForm, MultiPoly, RationalFn
+from nrquot.polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from nrquot.residue import ResidueProblem, jk_residue
 from oracles import dense_mul, pieri_power
 
@@ -468,6 +473,54 @@ def test_grassmannian_symmetry_check():
     z0, _ = zz()
     with pytest.raises(ValueError):
         grassmannian_pairing(2, 4, z0 ** 4)
+
+
+def swap_loop_reference(k, phi):
+    """The adjacent-swap symmetry check as grassmannian_pairing once ran it
+    inline: the message of the first swap that moves ``phi``, or None."""
+    for i in range(k - 1):
+        swap = list(range(k))
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        if weyl_act(phi, weyl_element(swap, k)) != phi:
+            return "class is not symmetric in the torus variables (swap %d,%d)" % (i, i + 1)
+    return None
+
+
+@st.composite
+def partly_symmetric_classes(draw):
+    """A class in k = 2..4 variables, symmetrised in its first j variables for
+    a drawn j, so that every swap can be the first one to fail."""
+    k = draw(st.integers(2, 4))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * k), st.integers(-3, 3).filter(bool), max_size=4
+    ))
+    phi = MultiPoly(k, terms)
+    j = draw(st.integers(0, k))
+    if j > 1:
+        phi = sum(
+            (weyl_act(phi, weyl_element(list(p) + list(range(j, k)), k))
+             for p in permutations(range(j))),
+            MultiPoly.zero(k),
+        )
+    return k, phi
+
+
+@settings(deadline=None, max_examples=60)
+@given(partly_symmetric_classes())
+@example((2, MultiPoly.variable(2, 0, 4)))
+@example((3, MultiPoly(3, {(1, 1, 0): 1})))  # first fails at swap 1,2
+@example((4, MultiPoly(4, {(1, 1, 0, 0): 1})))  # swap 1,2
+@example((4, MultiPoly(4, {(1, 1, 1, 0): 1})))  # swap 2,3
+@example((4, MultiPoly(4, {(2, 1, 1, 1): 1, (1, 2, 1, 1): 1, (1, 1, 2, 1): 1, (1, 1, 1, 2): 1})))
+def test_grassmannian_symmetry_check_agrees_with_the_swap_loop(case):
+    k, phi = case
+    expected = swap_loop_reference(k, phi)
+    try:
+        grassmannian_pairing(k, k + 1, phi)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 def test_grassmannian_schur_basis_oracle():
