@@ -25,8 +25,11 @@ from .schema import ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
 
+# The modes whose result is a series; every other mode writes a rational.
+_SERIES_MODES = ("betti_uhat", "betti_H", "morse", "ring")
 # What a result document may carry beside its value: the tables of ring mode,
 # and the perfection report of morse mode with the type of each field.
+_EXTRA_KEYS = {"ring": ("tables",), "morse": ("perfection",)}
 _RING_TABLES = ("graded_dims", "invariant_dims", "annihilator_dims")
 _PERFECTION = {"perfect": bool, "remainder": str, "nonnegative": bool}
 
@@ -87,15 +90,23 @@ def reemit(text):
     """Re-render a JSON output document; used to verify round-tripping."""
     doc = json.loads(text)
     _expect(isinstance(doc, dict), "$", "result document must be a JSON object")
-    if doc.get("kind") == "rational":
-        result = {"kind": "rational", "value": _rational(doc.get("value"), "$.value")}
-    elif doc.get("kind") == "series":
+    kind = doc.get("kind")
+    if kind == "rational":
+        result = {"kind": kind, "value": _rational(doc.get("value"), "$.value")}
+        keys = {"kind", "mode", "value"}
+    elif kind == "series":
         bound = _int(doc.get("bound"), "$.bound", minimum=0,
                      maximum=problemfile.MAX_TRUNCATION_BOUND)
-        result = {"kind": "series", "value": _series(doc.get("coeffs"), bound, "$.coeffs")}
+        result = {"kind": kind, "value": _series(doc.get("coeffs"), bound, "$.coeffs")}
+        keys = {"kind", "mode", "coeffs", "bound"}
     else:
         raise ProblemFileError("$.kind", "not a result document")
-    result["mode"] = problemfile._mode(doc)
+    mode = result["mode"] = problemfile._mode(doc)
+    _expect((kind == "series") == (mode in _SERIES_MODES), "$.kind",
+            "mode %s does not write a %s" % (mode, kind))
+    keys.update(_EXTRA_KEYS.get(mode, ()))
+    for key in doc:
+        _expect(key in keys, "$." + key, "mode %s does not write this key" % mode)
     if "tables" in doc:
         tables = result["tables"] = doc["tables"]
         _expect(isinstance(tables, dict), "$.tables", "expected an object")

@@ -5,10 +5,6 @@ they sanity-check the weight data a user feeds the exact pipeline (does the
 declared circle weight at a fixed point match the numerically evaluated
 moment value? does the analytic derivative formula agree with a finite
 difference?), and they never flow back into a symbolic computation.
-
-numpy is imported inside the functions that do float work, not at module
-level, so importing ``nrquot`` and running the exact pipeline never loads
-it; only a diagnostic call does.
 """
 
 import math
@@ -28,30 +24,36 @@ TWO_PI_I = 2j * math.pi
 class LinearActionSample(_ReadOnly):
     """A point on projective space, an infinitesimal action, a character shift.
 
-    ``point`` is a nonzero lift in C^{n+1}; ``lie_element`` is the matrix of
-    the infinitesimal action on C^{n+1}; ``shift`` is the rational character
-    twist added to the evaluated moment component.
+    ``point`` is a nonzero lift in C^{n+1}, ``lie_element`` the matrix of the
+    infinitesimal action on C^{n+1}, both as tuples of ``complex``; ``shift``
+    is the rational character twist added to the evaluated moment component.
     """
 
     def __init__(self, point, lie_element, shift=0.0):
+        point = tuple(map(complex, point))
+        lie_element = tuple(tuple(map(complex, row)) for row in lie_element)
+        if not any(point):
+            raise ValueError("point must be a nonzero vector")
+        if len(lie_element) != len(point) or any(len(row) != len(point) for row in lie_element):
+            raise ValueError("matrix shape does not match the point")
         vars(self).update(point=point, lie_element=lie_element, shift=shift)
 
-    def arrays(self):
-        import numpy as np
 
-        x = np.asarray(self.point, dtype=complex)
-        rho = np.asarray(self.lie_element, dtype=complex)
-        if x.ndim != 1 or not x.any():
-            raise ValueError("point must be a nonzero vector")
-        if rho.shape != (x.size, x.size):
-            raise ValueError("matrix shape does not match the point")
-        return x, rho
+def _vdot(u, v):
+    """The conjugate-linear dot product ``conj(u)^T v``."""
+    return sum(a.conjugate() * b for a, b in zip(u, v))
+
+
+def _apply(rho, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rho)
+
+
+def _norm(v):
+    return math.hypot(*(part for z in v for part in (z.real, z.imag)))
 
 
 def _raw_moment(x, rho):
-    import numpy as np
-
-    return (x.conj() @ rho @ x) / (TWO_PI_I * float(np.vdot(x, x).real))
+    return _vdot(x, _apply(rho, x)) / (TWO_PI_I * _vdot(x, x).real)
 
 
 def moment_value(sample):
@@ -60,8 +62,7 @@ def moment_value(sample):
     For ``rho = 2 pi i diag(w_0..w_n)`` and ``point = e_j`` this returns
     ``w_j + shift``; the value is invariant under rescaling the lift.
     """
-    x, rho = sample.arrays()
-    return complex(_raw_moment(x, rho) + sample.shift)
+    return complex(_raw_moment(sample.point, sample.lie_element) + sample.shift)
 
 
 def moment_derivative_check(sample, tangent, step=1e-5):
@@ -74,28 +75,26 @@ def moment_derivative_check(sample, tangent, step=1e-5):
     ``conj(x)^T rho tangent + conj(tangent)^T rho x``.  Returns the absolute
     residual, which scales quadratically in the step.
     """
-    import numpy as np
-
-    x, rho = sample.arrays()
-    xi = np.asarray(tangent, dtype=complex)
-    if xi.shape != x.shape:
+    x, rho, xi = sample.point, sample.lie_element, tuple(map(complex, tangent))
+    if len(xi) != len(x):
         raise ValueError("tangent shape does not match the point")
-    x = x / np.linalg.norm(x)
-    if not xi.any():
+    norm, speed = _norm(x), _norm(xi)
+    x = tuple(z / norm for z in x)
+    if not any(xi):
         return 0.0
-    if abs(np.vdot(x, xi)) > 1e-9 * np.linalg.norm(xi):
+    if abs(_vdot(x, xi)) > 1e-9 * speed:
         raise ValueError("tangent is not orthogonal to the point")
-    speed = np.linalg.norm(xi)
-    direction = xi / speed
+    direction = tuple(z / speed for z in xi)
 
     def curve(s):
-        return np.cos(speed * s) * x + np.sin(speed * s) * direction
+        c, t = math.cos(speed * s), math.sin(speed * s)
+        return tuple(c * a + t * b for a, b in zip(x, direction))
 
     plus = _raw_moment(curve(step), rho)
     minus = _raw_moment(curve(-step), rho)
     numeric = TWO_PI_I * (plus - minus) / (2 * step)
-    analytic = x.conj() @ rho @ xi + xi.conj() @ rho @ x
-    return float(abs(numeric - analytic))
+    analytic = _vdot(x, _apply(rho, xi)) + _vdot(xi, _apply(rho, x))
+    return abs(numeric - analytic)
 
 
 def fixed_point_weight_residual(sample, declared_weight):

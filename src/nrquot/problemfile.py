@@ -59,12 +59,10 @@ def _betti_sections(p, doc):
     _expect("dims" in doc, "$.dims", "Betti modes need a dims section")
     dims = doc["dims"]
     _expect(isinstance(dims, dict), "$.dims", "expected an object")
+    sizes = [_int(dims.get(key), "$.dims." + key, minimum=0)
+             for key in ("dim_x", "dim_u", "dim_zmin")]
     try:
-        p.dims = QuotientDims(
-            _int(dims.get("dim_x"), "$.dims.dim_x", minimum=0),
-            _int(dims.get("dim_u"), "$.dims.dim_u", minimum=0),
-            _int(dims.get("dim_zmin"), "$.dims.dim_zmin", minimum=0),
-        )
+        p.dims = QuotientDims(*sizes)
     except ValueError as exc:
         raise ProblemFileError("$.dims", str(exc)) from None
     if p.group is not None:

@@ -227,6 +227,19 @@ def test_reemit_rejects_malformed_document(tmp_path, doc, path):
 
 
 PERFECTION = {"perfect": True, "remainder": "0", "nonnegative": True}
+SERIES_RESULT = {"kind": "series", "coeffs": [1, 0, 1], "bound": 4}
+RING_RESULT = dict(SERIES_RESULT, mode="ring", tables={"graded_dims": [1, 2, 1]})
+MORSE_RESULT = dict(SERIES_RESULT, mode="morse", perfection=PERFECTION)
+
+
+def reemit_error(capsys, tmp_path, base, fields):
+    """The stderr of --reemit on ``base`` updated by ``fields``, where a field
+    given as None is removed; it must fail with exit 1 and print nothing."""
+    doc = {k: v for k, v in dict(base, **fields).items() if v is not None}
+    code, out, err = run_main(capsys, tmp_path, doc, "--reemit")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize(
@@ -250,14 +263,30 @@ PERFECTION = {"perfect": True, "remainder": "0", "nonnegative": True}
     ],
 )
 def test_reemit_rejects_malformed_mode_tables_and_perfection(tmp_path, capsys, fields, path):
-    doc = {"kind": "series", "mode": "ring", "coeffs": [1, 0, 1], "bound": 4,
-           "tables": {"graded_dims": [1, 2, 1]}, "perfection": PERFECTION}
-    doc.update(fields)
-    doc = {k: v for k, v in doc.items() if v is not None}
-    code, out, err = run_main(capsys, tmp_path, doc, "--reemit")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: %s: " % path)
-    assert err.count("\n") == 1
+    # tables belong to a ring result, a perfection report to a morse result
+    base = MORSE_RESULT if "perfection" in fields else RING_RESULT
+    assert reemit_error(capsys, tmp_path, base, fields).startswith("error: %s: " % path)
+
+
+@pytest.mark.parametrize(
+    "base, fields, path",
+    [
+        (RING_RESULT, {"perfection": PERFECTION}, "$.perfection"),
+        (MORSE_RESULT, {"tables": {"graded_dims": [1]}}, "$.tables"),
+        (SERIES_RESULT, {"mode": "betti_uhat", "tables": {}}, "$.tables"),
+        (SERIES_RESULT, {"mode": "pair_uhat"}, "$.kind"),
+        ({"kind": "rational", "value": "2"}, {"mode": "ring", "extra": 1}, "$.kind"),
+        ({"kind": "rational", "value": "2"}, {"mode": "flag", "extra": 1}, "$.extra"),
+        (RING_RESULT, {"value": "2"}, "$.value"),
+        ({"kind": "matrix"}, {"mode": "ring"}, "$.kind"),
+    ],
+    ids=["perfection-on-ring", "tables-on-morse", "tables-on-betti", "series-from-pairing",
+         "rational-from-ring", "extra-key", "value-on-series", "unknown-kind-first"],
+)
+def test_reemit_rejects_a_kind_or_key_its_mode_does_not_write(
+    tmp_path, capsys, base, fields, path
+):
+    assert reemit_error(capsys, tmp_path, base, fields).startswith("error: %s: " % path)
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_DOCS))
@@ -524,8 +553,9 @@ def test_ring_mode_never_expands_an_euler_class_above_the_top_degree(
         (lambda doc: doc["group"].update(grading=["1", "2", "3"]),
          "$.group.grading: unipotent weight z0 - z1 pairs to -1 with the grading; "
          "it must be positive"),
+        (lambda doc: doc["dims"].update(dim_x="a"), "$.dims.dim_x: expected an integer"),
     ],
-    ids=["dim_u-mismatch", "zero-pairing", "negative-pairing"],
+    ids=["dim_u-mismatch", "zero-pairing", "negative-pairing", "dim_x-not-an-integer"],
 )
 @pytest.mark.parametrize("mode", ["betti_uhat", "betti_H"])
 def test_betti_modes_check_the_group_hypotheses(tmp_path, mode, change, message):
@@ -973,8 +1003,8 @@ for args in json.loads(sys.argv[2]):
 print(json.dumps(report))
 """
 
-# Modules no exact mode uses: numpy serves --check-moment only, and the
-# others are what dataclasses pulls in at every start-up.
+# Modules no run loads, --check-moment included: numpy serves only the tests
+# and demos, and the others are what dataclasses pulls in at every start-up.
 UNUSED_MODULES = ["dataclasses", "inspect", "ast", "dis", "numpy"]
 
 
@@ -993,14 +1023,10 @@ def test_exact_modes_load_no_unused_module(tmp_path):
     abelianized["mode"] = "pair_abelianized"
     docs = dict(MODE_DOCS, pair_abelianized=abelianized)
     paths += [write_problem(tmp_path, doc, mode + ".json") for mode, doc in docs.items()]
-    report, _ = probe_modules(UNUSED_MODULES, *([p, "--format", "json"] for p in paths))
-    assert report == {"import": [], "calls": [[0, []]] * len(paths)}
-
-
-def test_check_moment_loads_numpy(tmp_path):
-    path = write_problem(tmp_path, moment_problem())
-    report, stderr = probe_modules(["numpy"], [path, "--check-moment"])
-    assert report == {"import": [], "calls": [[0, ["numpy"]]]}
+    calls = [[p, "--format", "json"] for p in paths]
+    calls.append([write_problem(tmp_path, moment_problem(), "moment.json"), "--check-moment"])
+    report, stderr = probe_modules(UNUSED_MODULES, *calls)
+    assert report == {"import": [], "calls": [[0, []]] * len(calls)}
     assert stderr == "moment check 0: weight residual 0.000e+00 ok\n"
 
 

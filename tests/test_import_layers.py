@@ -4,14 +4,18 @@ Computation modules never import the I/O layer (the schema readers, the
 problem files and the command line), and the pairing module ``localize`` and
 the ring module ``cohring`` import nothing from each other: what both need,
 such as the Weyl-invariance checks, lives in ``groupdata`` below them.
+Below all of them is the standard library: the package has no runtime
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nrquot"
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 COMPUTATION = ("exactnum", "_linalg", "polyring", "groupdata", "residue", "localize", "betti",
                "cohring", "momentdiag")
 IO_LAYER = {"schema", "problemfile", "cli"}
@@ -48,3 +52,25 @@ def test_computation_modules_do_not_import_the_io_layer(module):
 def test_localize_and_cohring_do_not_import_each_other():
     assert "cohring" not in package_imports("localize")
     assert "localize" not in package_imports("cohring")
+
+
+def external_imports(path):
+    """The top-level names that ``path`` imports from outside the package."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out - {"nrquot"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_module_imports_only_the_standard_library(path):
+    assert external_imports(path) <= sys.stdlib_module_names
+
+
+def test_the_package_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []

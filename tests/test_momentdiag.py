@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrquot.localize import FixedPointComponent
 from nrquot.momentdiag import (
@@ -130,3 +132,41 @@ def test_fixed_point_weight_matches_localization_data():
     sample = diag_sample(weights, 3)
     residual = fixed_point_weight_residual(sample, component.lambda_weight)
     assert residual < 1e-10
+
+
+# The moment formulas in numpy, kept as the reference for the plain complex
+# arithmetic of the module.
+def reference_moment(x, rho):
+    return (x.conj() @ rho @ x) / (TWO_PI_I * float(np.vdot(x, x).real))
+
+
+def reference_derivative_residual(x, rho, xi, step):
+    x = x / np.linalg.norm(x)
+    speed = np.linalg.norm(xi)
+    direction = xi / speed
+
+    def curve(s):
+        return np.cos(speed * s) * x + np.sin(speed * s) * direction
+
+    plus = reference_moment(curve(step), rho)
+    minus = reference_moment(curve(-step), rho)
+    numeric = TWO_PI_I * (plus - minus) / (2 * step)
+    analytic = x.conj() @ rho @ xi + xi.conj() @ rho @ x
+    return float(abs(numeric - analytic))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_plain_arithmetic_matches_the_numpy_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_unitary_action(rng, n)
+    x, xi = random_tangent_pair(rng, n)
+    lift = x * (rng.normal() + 1j * rng.normal())  # any nonzero multiple
+    shift = rng.normal()
+    sample = LinearActionSample(tuple(lift), tuple(map(tuple, rho)), shift)
+    expected = complex(reference_moment(lift, rho) + shift)
+    # relative to the size of the value, or to 1 near a zero of the moment map
+    assert abs(moment_value(sample) - expected) <= 1e-12 * max(abs(expected), 1.0)
+    for step in (1e-2, 1e-3, 1e-5):
+        residual = moment_derivative_check(sample, tuple(xi), step=step)
+        assert abs(residual - reference_derivative_residual(lift, rho, xi, step)) < 1e-8
