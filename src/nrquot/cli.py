@@ -269,7 +269,7 @@ def _main(args):
     if args.check_moment:
         try:
             ok = _moment_diagnostics(problem, sys.stderr) and ok
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             print("moment check error: %s" % exc, file=sys.stderr)
             ok = False
     if args.check_invariants:

@@ -1097,6 +1097,14 @@ def test_nonorthogonal_tangent_is_a_computation_error(tmp_path):
     )
 
 
+def test_underflowing_point_is_a_computation_error(tmp_path):
+    # |point|^2 underflows to zero in the denominator of the moment value
+    out = run_cli(write_problem(tmp_path, moment_problem(point=[[1e-200, 0], [0, 0]])),
+                  "--check-moment")
+    assert (out.returncode, out.stdout) == (2, "-1\n")
+    assert out.stderr == "moment check error: complex division by zero\n"
+
+
 # -- series rendering -----------------------------------------------------------
 
 
