@@ -1,12 +1,13 @@
 """Poincare series of quotients, Morse assembly and perfection checking.
 
 Dimensions entering this module are complex dimensions; the doubling into
-exponents of ``t`` happens here and nowhere else.  The two quotient series
-share one kernel: the truncated expansion of ``(1 - t^{2d}) / (1 - t^2)``,
-i.e. ``1 + t^2 + ... + t^{2(d-1)}``, with ``d`` the codimension of the swept
-minimal stratum.  Morse assembly sums ``t^{2 codim} * P(stratum)`` and the
-perfection check divides the defect by ``(1 + t)``, reporting whether the
-quotient series vanishes and whether it is coefficientwise nonnegative.
+exponents of ``t`` happens here and nowhere else.  Every formula is a shift,
+a sum and at most one ``geom_div``, so each costs O(bound).  A quotient
+series is ``P * (1 - t^{2d}) / (1 - t^2)``, with ``d`` the codimension of the
+swept minimal stratum.  Morse assembly sums ``t^{2 codim} * P(stratum)``, and
+the perfection check divides the defect by ``1 + t`` as
+``(1 - t) / (1 - t^2)``, reporting whether the quotient series vanishes and
+whether it is coefficientwise nonnegative.
 """
 
 from .exactnum import TruncSeries, _ReadOnly
@@ -49,11 +50,6 @@ class QuotientDims(_ReadOnly):
         return self.dim_x - self.dim_u - self.dim_zmin
 
 
-def _kernel(d, bound):
-    """1 + t^2 + ... + t^{2(d-1)} as a truncated series."""
-    return TruncSeries.from_dict({2 * i: 1 for i in range(min(d, bound // 2 + 1))}, bound)
-
-
 def _require_nonnegative(series, what):
     """Betti data is a dimension count; a negative coefficient is bad input."""
     if any(c < 0 for c in series.coeffs):
@@ -64,8 +60,8 @@ def _require_nonnegative(series, what):
 def poincare_uhat(p_zmin, dims):
     """Series of the quotient by the graded extension U x| C*.
 
-    Multiplies the series of the minimal fixed locus by the kernel
-    ``1 + t^2 + ... + t^{2(d-1)}``, ``d = dim X - dim U - dim Z_min >= 1``.
+    Multiplies the series of the minimal fixed locus by
+    ``(1 - t^{2d}) / (1 - t^2)``, ``d = dim X - dim U - dim Z_min >= 1``.
     The quotient by H = U x| R is the same formula: pass the series of the
     residual-group quotient of the minimal locus, or, when the residual
     group has no stable locus there (a minimal fixed point, say), the
@@ -77,7 +73,8 @@ def poincare_uhat(p_zmin, dims):
     d = dims.codim
     if d < 1:
         raise ValueError("quotient codimension must be at least 1")
-    return _require_nonnegative(p_zmin * _kernel(d, p_zmin.bound), "quotient series")
+    quotient = (p_zmin - p_zmin.shift(2 * d)).geom_div(2)
+    return _require_nonnegative(quotient, "quotient series")
 
 
 def morse_assemble(strata):
@@ -88,8 +85,7 @@ def morse_assemble(strata):
     bound = min(s.series.bound for s in strata)
     total = TruncSeries.zero(bound)
     for s in strata:
-        shift = TruncSeries.monomial(2 * s.codim, bound)
-        total = total + shift * s.series
+        total = total + s.series.shift(2 * s.codim)
     return _require_nonnegative(total, "Morse assembly")
 
 
@@ -113,19 +109,15 @@ def check_perfect(total, strata_sum):
     """
     diff = strata_sum - total
     bound = diff.bound
-    quotient = [0] * (bound + 1)
-    carry = 0
-    for i in range(bound):
-        quotient[i] = diff.coeffs[i] - carry
-        carry = quotient[i]
-    residue = diff.coeffs[bound] - carry if bound >= 1 else diff.coeffs[0]
-    if bound >= 1 and residue != 0:
+    quotient = (diff - diff.shift(1)).geom_div(2).coeffs
+    residue = quotient[bound]
+    if bound == 0 and residue != 0:
+        raise ValueError("Morse defect is a nonzero constant")
+    if residue != 0:
         raise ValueError(
             "Morse defect is not divisible by (1 + t); residue %d" % residue
         )
-    if bound == 0 and diff.coeffs[0] != 0:
-        raise ValueError("Morse defect is a nonzero constant")
-    remainder = TruncSeries(quotient[:bound] if bound >= 1 else [0], max(bound - 1, 0))
+    remainder = TruncSeries(quotient[:bound] or [0], max(bound - 1, 0))
     return PerfectionReport(
         perfect=remainder.is_zero(),
         remainder=remainder,
@@ -147,4 +139,5 @@ def weighted_projective_poincare(weights, bound=None):
     m = len(weights)
     if bound is None:
         bound = 2 * (m - 1)
-    return _kernel(m, bound)
+    one = TruncSeries.one(bound)
+    return (one - one.shift(2 * m)).geom_div(2)

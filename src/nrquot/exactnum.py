@@ -80,14 +80,15 @@ class TruncSeries:
     """Integer power series in ``t`` truncated above a fixed bound.
 
     Coefficients are stored for exponents ``0..bound`` inclusive; anything
-    beyond the bound is unknown and never read.  Arithmetic truncates the
-    result at the minimum of the operand bounds.
+    beyond the bound is unknown and never read.  A sum or difference is
+    known up to the smaller operand bound; ``shift`` and ``geom_div`` keep
+    the bound and drop the terms they push past it.
 
     >>> a = TruncSeries([1, 0, 1], 4)   # 1 + t^2, known up to t^4
-    >>> print(a * a)
+    >>> print(a.shift(2))
+    t^2 + t^4
+    >>> print((a - a.shift(4)).geom_div(2))
     1 + 2*t^2 + t^4
-    >>> print(TruncSeries.one(6).geom_div(2))
-    1 + t^2 + t^4 + t^6
     """
 
     __slots__ = ("coeffs", "bound")
@@ -109,15 +110,6 @@ class TruncSeries:
     @classmethod
     def one(cls, bound):
         return cls([1], bound)
-
-    @classmethod
-    def monomial(cls, exponent, bound, coeff=1):
-        """The single term ``coeff * t**exponent`` (zero if beyond bound)."""
-        if exponent > bound:
-            return cls.zero(bound)
-        c = [0] * (exponent + 1)
-        c[exponent] = coeff
-        return cls(c, bound)
 
     @classmethod
     def from_dict(cls, terms, bound):
@@ -151,30 +143,18 @@ class TruncSeries:
 
     def __add__(self, other):
         b = min(self.bound, other.bound)
-        return TruncSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(b + 1)], b
-        )
+        return TruncSeries([x + y for x, y in zip(self.coeffs, other.coeffs)], b)
 
     def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return TruncSeries([other * c for c in self.coeffs], self.bound)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
         b = min(self.bound, other.bound)
-        out = [0] * (b + 1)
-        for i, ci in enumerate(self.coeffs[: b + 1]):
-            if ci == 0:
-                continue
-            for j in range(b + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncSeries(out, b)
+        return TruncSeries([x - y for x, y in zip(self.coeffs, other.coeffs)], b)
 
-    __rmul__ = __mul__
+    def shift(self, k):
+        """Multiply by ``t^k``; the terms pushed past the bound are dropped."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        kept = max(self.bound + 1 - k, 0)
+        return TruncSeries([0] * (self.bound + 1 - kept) + list(self.coeffs[:kept]), self.bound)
 
     def geom_div(self, k):
         """Multiply by the geometric series ``1 + t^k + t^{2k} + ...``.

@@ -24,8 +24,9 @@ from .localize import (
 from .polyring import LinearForm, RationalFn
 from .residue import ResidueProblem, jk_residue
 from .schema import (
-    MAX_SCHUBERT_K, ProblemFileError, _array, _expect, _fixed_points, _group, _int, _length,
-    _moment_check, _poly, _rational, _ring, _series, _vector, _weights,
+    MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, ProblemFileError, _array, _expect,
+    _fixed_points, _group, _int, _length, _moment_check, _poly, _rational, _ring, _series,
+    _vector, _weights,
 )
 
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
@@ -99,6 +100,13 @@ def _morse_sections(p, doc):
     strata = doc["strata"]
     _expect(isinstance(strata, list), "$.strata", "expected an array")
     bound = p.truncation_bound
+    if bound is not None:
+        _expect(
+            (len(strata) + 1) * (bound + 1) <= MAX_MORSE_COEFFICIENTS,
+            "$.strata",
+            "%d strata and the total series at truncation bound %d exceed %d coefficients"
+            % (len(strata), bound, MAX_MORSE_COEFFICIENTS),
+        )
     p.strata = []
     for i, item in enumerate(strata):
         ipath = "$.strata[%d]" % i
@@ -126,7 +134,8 @@ def _residue_sections(p, doc):
     _expect("integrand" in doc, "$.integrand", "residue mode needs an integrand")
     section = doc["integrand"]
     _expect(isinstance(section, dict), "$.integrand", "expected an object")
-    rank = p.group.rank if p.group else _int(doc.get("rank"), "$.rank", minimum=1)
+    rank = p.group.rank if p.group else _int(doc.get("rank"), "$.rank",
+                                             minimum=1, maximum=MAX_RANK)
     if p.cone is not None:
         _length(p.cone.xi, rank, "$.cone")
     num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")

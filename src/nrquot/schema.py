@@ -35,6 +35,16 @@ MAX_RING_MONOMIALS = 5000
 # would not do, as the cost of one degree grows with the number of variables.
 MAX_POLY_MONOMIALS = 20000
 
+# Largest accepted torus rank, of a group or a residue: every polynomial,
+# linear form and residue loop has one entry or variable per torus
+# coordinate, so the rank is a time and memory budget.
+MAX_RANK = 64
+
+# Largest accepted number of series coefficients a morse document stores with
+# options.truncation_bound set: each stratum and the total series is held out
+# to the bound, so (strata + 1) * (bound + 1) is a time and memory budget.
+MAX_MORSE_COEFFICIENTS = 10**7
+
 # Largest accepted k of the grassmannian and flag modes: both expand the
 # Vandermonde product of the k(k-1) or k(k-1)/2 root forms in full, so k is a
 # time and memory budget.
@@ -173,7 +183,7 @@ def _generator(value, path):
 
 def _group(value, path):
     _expect(isinstance(value, dict), path, "expected a group object")
-    rank = _int(value.get("rank"), path + ".rank", minimum=1)
+    rank = _int(value.get("rank"), path + ".rank", minimum=1, maximum=MAX_RANK)
     roots, weights = (
         _array(value, key, path, lambda item, ipath: LinearForm(_vector(item, rank, ipath)))
         for key in ("positive_roots", "unipotent_weights")

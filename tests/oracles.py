@@ -89,3 +89,67 @@ def laurent_derivative(coeffs):
         if e != 0 and c != 0:
             out[e - 1] = out.get(e - 1, Fraction(0)) + e * c
     return out
+
+
+def truncated_product(a, b, bound):
+    """Coefficients 0..bound of the product of two coefficient lists, by the
+    schoolbook convolution."""
+    out = [0] * (bound + 1)
+    for i, ci in enumerate(a[: bound + 1]):
+        for j, cj in enumerate(b[: bound + 1 - i]):
+            out[i + j] += ci * cj
+    return out
+
+
+def betti_kernel(d, bound):
+    """Coefficients 0..bound of 1 + t^2 + ... + t^{2(d-1)}."""
+    return [1 if e % 2 == 0 and e < 2 * d else 0 for e in range(bound + 1)]
+
+
+def _nonnegative(coeffs, what):
+    if any(c < 0 for c in coeffs):
+        raise ValueError("%s produced a negative coefficient; input inconsistent" % what)
+    return coeffs
+
+
+def quotient_betti(coeffs, d):
+    """P(Z_min) times the kernel, at the bound of ``coeffs``; raises as the
+    quotient formula does on a negative coefficient."""
+    bound = len(coeffs) - 1
+    return _nonnegative(
+        truncated_product(coeffs, betti_kernel(d, bound), bound), "quotient series"
+    )
+
+
+def morse_sum(strata):
+    """Sum of t^(2 codim) times the series over ``(codim, coeffs)`` pairs, at
+    the least bound; the empty sum is [0]."""
+    if not strata:
+        return [0]
+    bound = min(len(coeffs) for _, coeffs in strata) - 1
+    total = [0] * (bound + 1)
+    for codim, coeffs in strata:
+        monomial = [1 if e == 2 * codim else 0 for e in range(bound + 1)]
+        product = truncated_product(monomial, coeffs, bound)
+        total = [x + y for x, y in zip(total, product)]
+    return _nonnegative(total, "Morse assembly")
+
+
+def divide_by_one_plus_t(total, strata_sum):
+    """Divide ``strata_sum - total`` by 1 + t with a carry loop: the quotient
+    coefficients below the bound, or the perfection check's ValueError."""
+    diff = [s - t for s, t in zip(strata_sum, total)]
+    bound = len(diff) - 1
+    if bound == 0:
+        if diff[0] != 0:
+            raise ValueError("Morse defect is a nonzero constant")
+        return [0]
+    quotient = []
+    carry = 0
+    for c in diff[:bound]:
+        carry = c - carry
+        quotient.append(carry)
+    residue = diff[bound] - carry
+    if residue != 0:
+        raise ValueError("Morse defect is not divisible by (1 + t); residue %d" % residue)
+    return quotient

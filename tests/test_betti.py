@@ -12,6 +12,8 @@ from nrquot.betti import (
 )
 from nrquot.exactnum import TruncSeries
 
+from oracles import betti_kernel, divide_by_one_plus_t, morse_sum, quotient_betti
+
 
 def one(bound=12):
     return TruncSeries.one(bound)
@@ -179,8 +181,80 @@ def test_perfect_stratifications_random(data):
     assert report.perfect and report.nonnegative
     # perturb within the Morse inequality direction: add (1+t) R, R >= 0
     extra = data.draw(nonnegative_series(2, bound - 1))
-    one_plus_t = TruncSeries([1, 1], bound)
-    perturbed = morse_assemble(strata) + one_plus_t * TruncSeries(extra.coeffs, bound)
+    r = TruncSeries(extra.coeffs, bound)
+    perturbed = morse_assemble(strata) + r + r.shift(1)
     report = check_perfect(total, perturbed)
     assert report.nonnegative
     assert report.perfect == extra.is_zero()
+
+
+# -- the formulas against the convolution and carry-loop reference -----------
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def coefficients(bound):
+    """Coefficient lists with negative entries, known up to t^bound."""
+    return st.lists(st.integers(-3, 3), min_size=bound + 1, max_size=bound + 1)
+
+
+BOUNDS = st.integers(0, 14)
+# small codimensions reach every kernel length; huge ones only the bound
+CODIMS = st.one_of(st.integers(1, 9), st.integers(1, 10 ** 11))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_poincare_uhat_matches_the_convolution_reference(data):
+    coeffs = data.draw(BOUNDS.flatmap(coefficients))
+    d = data.draw(CODIMS)
+    dim_u, dim_zmin = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    dims = QuotientDims(d + dim_u + dim_zmin, dim_u, dim_zmin)
+    got = outcome(lambda: list(poincare_uhat(TruncSeries(coeffs, len(coeffs) - 1), dims).coeffs))
+    assert got == outcome(quotient_betti, coeffs, d)
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.none() | BOUNDS)
+def test_weighted_projective_matches_the_kernel_reference(weights, bound):
+    series = weighted_projective_poincare(weights, bound)
+    expected_bound = 2 * (len(weights) - 1) if bound is None else bound
+    assert list(series.coeffs) == betti_kernel(len(weights), expected_bound)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 8) | st.integers(0, 10 ** 11),
+                          BOUNDS.flatmap(coefficients)), max_size=4))
+def test_morse_assemble_matches_the_convolution_reference(strata):
+    data = [StratumDatum(codim, TruncSeries(c, len(c) - 1)) for codim, c in strata]
+    got = outcome(lambda: list(morse_assemble(data).coeffs))
+    assert got == outcome(morse_sum, strata)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_check_perfect_matches_the_carry_loop_reference(data):
+    bound = data.draw(BOUNDS)
+    total = data.draw(coefficients(bound))
+    # total + (1 + t) R, plus noise that need not be divisible by 1 + t, so
+    # that both reports and errors are compared
+    r = data.draw(coefficients(bound - 1)) + [0] if bound else [0]
+    noise = data.draw(st.just([0] * (bound + 1)) | coefficients(bound))
+    strata_sum = [t + x + (r[e - 1] if e else 0) + n
+                  for e, (t, x, n) in enumerate(zip(total, r, noise))]
+    longer = bound + data.draw(st.integers(0, 3))  # the sum may be known further
+
+    def report():
+        rep = check_perfect(TruncSeries(total, bound), TruncSeries(strata_sum, longer))
+        return rep.perfect, list(rep.remainder.coeffs), rep.nonnegative
+
+    def reference():
+        quotient = divide_by_one_plus_t(total, strata_sum)
+        return not any(quotient), quotient, all(c >= 0 for c in quotient)
+
+    assert outcome(report) == outcome(reference)

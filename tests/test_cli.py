@@ -129,12 +129,13 @@ def moment_problem(**fields):
     return doc
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "nrquot.cli", *args],
         capture_output=True,
         text=True,
         cwd=REPO,
+        timeout=timeout,
     )
 
 
@@ -626,6 +627,77 @@ def test_huge_dim_x_needs_only_the_truncated_terms(tmp_path):
     unbounded = run_cli(write_problem(tmp_path, doc))
     assert unbounded.returncode == 1
     assert unbounded.stderr.startswith("error: $.dims.dim_x: ")
+
+
+# Documents of a few KB that once ran for tens of seconds or ran out of
+# memory: (document, the path it must fail at, or None if it must succeed).
+TINY_DOCUMENTS = {
+    "betti-long-kernel": (
+        {"mode": "betti_uhat", "dims": {"dim_x": 500000, "dim_u": 0, "dim_zmin": 0},
+         "zmin_series": [1] * 1000},
+        None,
+    ),
+    "group-rank": (
+        {"mode": "betti_uhat", "group": {"rank": 10 ** 9},
+         "dims": {"dim_x": 2, "dim_u": 0, "dim_zmin": 0}},
+        "$.group.rank",
+    ),
+    "residue-rank": (
+        {"mode": "residue", "rank": 10 ** 8, "integrand": {"numerator": [], "denominator": []}},
+        "$.rank",
+    ),
+    "morse-strata": (
+        {"mode": "morse", "strata": [{"codim": 0}] * 300,
+         "options": {"truncation_bound": 10 ** 6}},
+        "$.strata",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, path", TINY_DOCUMENTS.values(), ids=TINY_DOCUMENTS)
+def test_tiny_documents_end_within_seconds(tmp_path, doc, path):
+    out = run_cli(write_problem(tmp_path, doc), "--format", "json", timeout=15)
+    if path is not None:
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: %s: " % path) and out.stderr.count("\n") == 1
+        return
+    assert out.returncode == 0 and out.stderr == ""
+    coeffs = json.loads(out.stdout)["coeffs"]
+    assert len(coeffs) == 10 ** 6 + 1
+    for e in (0, 1, 2, 998, 999, 1000, 1001, 500000, 999998, 999999, 10 ** 6):
+        # (1 + t + ... + t^999)(1 + t^2 + ... + t^999998), coefficient of t^e
+        expected = sum(1 for i in range(min(e, 999) + 1) if (e - i) % 2 == 0 and e - i < 10 ** 6)
+        assert coeffs[e] == expected
+
+
+@pytest.mark.parametrize("rank", [schema.MAX_RANK, schema.MAX_RANK + 1])
+def test_torus_rank_is_budgeted(tmp_path, capsys, rank):
+    residue = run_main(capsys, tmp_path, residue_doc(rank))
+    betti = run_main(capsys, tmp_path, {
+        "mode": "betti_uhat", "group": {"rank": rank},
+        "dims": {"dim_x": 2, "dim_u": 0, "dim_zmin": 0},
+    })
+    if rank <= schema.MAX_RANK:
+        assert residue == (0, "%s\n" % Fraction(2, 3), "")
+        assert betti == (0, "1 + t^2\n", "")
+    else:
+        message = ": must be at most %d\n" % schema.MAX_RANK
+        assert residue == (1, "", "error: $.rank" + message)
+        assert betti == (1, "", "error: $.group.rank" + message)
+
+
+def test_morse_series_are_budgeted_when_a_bound_is_set(tmp_path, capsys):
+    # nine strata and the total series at bound b store 10 (b + 1) coefficients
+    bound = schema.MAX_MORSE_COEFFICIENTS // 10
+    doc = {"mode": "morse", "strata": [{"codim": 0}] * 9,
+           "options": {"truncation_bound": bound}}
+    assert run_main(capsys, tmp_path, doc) == (
+        1, "", "error: $.strata: 9 strata and the total series at truncation bound %d "
+        "exceed %d coefficients\n" % (bound, schema.MAX_MORSE_COEFFICIENTS),
+    )
+    # without a bound each series is as long as the document spells it out
+    del doc["options"]
+    assert run_main(capsys, tmp_path, doc) == (0, "9\n", "")
 
 
 def test_readme_mode_table_names_every_mode():

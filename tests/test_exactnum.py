@@ -49,29 +49,6 @@ def test_rational_ring_laws_random(a, b, c):
 # -- truncated series ---------------------------------------------------------
 
 
-def test_series_mul_identity():
-    a = TruncSeries([1, 0, 1], 4)
-    one = TruncSeries.one(4)
-    assert a * one == a
-
-
-def test_series_mul_square():
-    a = TruncSeries([1, 0, 1], 4)
-    assert a * a == TruncSeries([1, 0, 2, 0, 1], 4)
-
-
-def test_series_mul_telescopes():
-    a = TruncSeries([1, 0, 1, 0, 1], 6)
-    b = TruncSeries([1, 0, -1], 6)
-    assert a * b == TruncSeries.from_dict({0: 1, 6: -1}, 6)
-
-
-def test_series_mul_truncates_to_min_bound():
-    a = TruncSeries([1, 1], 3)
-    b = TruncSeries([1, 1], 7)
-    assert (a * b).bound == 3
-
-
 def test_geom_div_of_one():
     assert TruncSeries.one(6).geom_div(2) == TruncSeries(
         [1, 0, 1, 0, 1, 0, 1], 6
@@ -94,8 +71,32 @@ def test_geom_div_inverts_multiplication_random(data):
     coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=bound + 1, max_size=bound + 1))
     a = TruncSeries(coeffs, bound)
     k = 2 * data.draw(st.integers(1, bound // 2))
-    onemk = TruncSeries.from_dict({0: 1, k: -1}, bound)
-    assert (a * onemk).geom_div(k) == a
+    assert (a - a.shift(k)).geom_div(k) == a
+
+
+def test_shift_multiplies_by_a_power_of_t():
+    a = TruncSeries([1, 2, 3], 4)
+    assert a.shift(0) == a
+    assert a.shift(1) == TruncSeries([0, 1, 2, 3], 4)
+    assert a.shift(3) == TruncSeries([0, 0, 0, 1, 2], 4)
+
+
+def test_shift_past_the_bound_is_zero():
+    a = TruncSeries([1, 2, 3], 4)
+    assert a.shift(5) == TruncSeries.zero(4)
+    # no list of 10**11 zeros is built
+    assert a.shift(10 ** 11) == TruncSeries.zero(4)
+
+
+def test_shift_rejects_a_negative_power():
+    with pytest.raises(ValueError):
+        TruncSeries.one(4).shift(-1)
+
+
+def test_series_difference_truncates_to_min_bound():
+    a = TruncSeries([1, 1], 3)
+    b = TruncSeries([0, 2, 5], 7)
+    assert a - b == TruncSeries([1, -1, -5], 3)
 
 
 def test_geom_div_validates_stride():
