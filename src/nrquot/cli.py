@@ -6,10 +6,11 @@ A parsed problem runs through the handler of its mode in
 of ``schema``.  Both read the input file in one place: an unreadable file
 and undecodable, malformed or over-deep JSON are validation errors.
 
-Exit codes: 0 on success, 1 on a validation error (bad file or schema), 2 on
-a computation error (invalid cone, inconsistent data) or on any unexpected
-internal error, reported as one ``error: internal error: ...`` line.  Results
-go to stdout; diagnostics go to stderr.
+Exit codes: 0 on success, 1 on a validation error (bad file or schema, or a
+field that a handler finds inconsistent, named by its path), 2 on a
+computation error (invalid cone, a class that is not Weyl invariant) or on
+any unexpected internal error, reported as one ``error: internal error:
+...`` line.  Results go to stdout; diagnostics go to stderr.
 """
 
 import argparse
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 from . import problemfile
 from .exactnum import _series_text
-from .momentdiag import fixed_point_weight_residual, moment_derivative_check
 from .schema import ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
@@ -139,6 +139,8 @@ def _moment_diagnostics(problem, stream):
     if not checks:
         print("moment diagnostics: no matrix data in the problem file", file=stream)
         return True
+    from .momentdiag import fixed_point_weight_residual, moment_derivative_check
+
     ok = True
     for i, check in enumerate(checks):
         for what, residual_of, data, tolerance in (
@@ -261,6 +263,9 @@ def _main(args):
 
     try:
         result = run(problem)
+    except ProblemFileError as exc:  # a field the handler found inconsistent
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -10,19 +10,9 @@ offending field.
 
 from fractions import Fraction
 
-from .betti import (
-    QuotientDims, StratumDatum, check_perfect, morse_assemble, poincare_uhat,
-)
 from .exactnum import TruncSeries
-from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
 from .groupdata import ConeChoice, check_grading, euler_class_nonreductive
-from .localize import (
-    PairingProblem, _minimality_mismatches, flag_pairing, grassmannian_pairing,
-    integrate_abelianized, integrate_nonreductive, integrate_reductive, integrate_uhat,
-    torus_pairing_fn,
-)
 from .polyring import LinearForm, RationalFn
-from .residue import ResidueProblem, jk_residue
 from .schema import (
     MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, ProblemFileError, _array, _expect,
     _fixed_points, _group, _int, _length, _moment_check, _poly, _rational, _ring, _series,
@@ -43,6 +33,8 @@ def _pairing_sections(p, doc, graded=False):
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
     p.fixed_points = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
     if graded:
+        from .localize import _minimality_mismatches
+
         _expect(p.group.rank == 1, "$.group.rank",
                 "expected 1: the graded-extension pairing needs a rank 1 torus")
         for i in _minimality_mismatches(p.fixed_points):
@@ -57,6 +49,8 @@ def _pairing_sections(p, doc, graded=False):
 
 
 def _betti_sections(p, doc):
+    from .betti import QuotientDims
+
     _expect("dims" in doc, "$.dims", "Betti modes need a dims section")
     dims = doc["dims"]
     _expect(isinstance(dims, dict), "$.dims", "expected an object")
@@ -95,28 +89,53 @@ def _betti_sections(p, doc):
     p.zmin_series = _series(doc.get("zmin_series", [1]), bound, "$.zmin_series")
 
 
+def _morse_budget(strata, bound):
+    _expect(
+        (strata + 1) * (bound + 1) <= MAX_MORSE_COEFFICIENTS,
+        "$.strata",
+        "%d strata and the total series at truncation bound %d exceed %d coefficients"
+        % (strata, bound, MAX_MORSE_COEFFICIENTS),
+    )
+
+
 def _morse_sections(p, doc):
+    from .betti import StratumDatum
+
     _expect("strata" in doc, "$.strata", "morse mode needs strata")
     strata = doc["strata"]
     _expect(isinstance(strata, list), "$.strata", "expected an array")
     bound = p.truncation_bound
     if bound is not None:
-        _expect(
-            (len(strata) + 1) * (bound + 1) <= MAX_MORSE_COEFFICIENTS,
-            "$.strata",
-            "%d strata and the total series at truncation bound %d exceed %d coefficients"
-            % (len(strata), bound, MAX_MORSE_COEFFICIENTS),
-        )
-    p.strata = []
+        _morse_budget(len(strata), bound)
+    read = []
     for i, item in enumerate(strata):
         ipath = "$.strata[%d]" % i
         _expect(isinstance(item, dict), ipath, "expected a stratum object")
         codim = _int(item.get("codim"), ipath + ".codim", minimum=0)
-        series = _series(item.get("series", [1]), bound, ipath + ".series")
-        p.strata.append(StratumDatum(codim, series))
-    p.total_series = None
+        read.append((codim, _series(item.get("series", [1]), bound, ipath + ".series")))
+    total = None
     if "total_series" in doc:
-        p.total_series = _series(doc["total_series"], bound, "$.total_series")
+        total = _series(doc["total_series"], bound, "$.total_series")
+    if bound is None:
+        # One bound for every series: the last exponent of the total and of
+        # each stratum series shifted by 2 * codim, so that the sum keeps
+        # every term of every stratum.
+        ends = [s.bound + 2 * codim for codim, s in read]
+        if total is not None:
+            ends.append(total.bound)
+        bound = max(ends, default=0)
+        _expect(
+            bound <= MAX_TRUNCATION_BOUND,
+            "$.strata",
+            "the default truncation bound %d exceeds %d; set options.truncation_bound"
+            % (bound, MAX_TRUNCATION_BOUND),
+        )
+        _morse_budget(len(strata), bound)
+        read = [(codim, TruncSeries(s.coeffs, bound)) for codim, s in read]
+        if total is not None:
+            total = TruncSeries(total.coeffs, bound)
+    p.strata = [StratumDatum(codim, s) for codim, s in read]
+    p.total_series = total
 
 
 def _ring_sections(p, doc):
@@ -157,6 +176,18 @@ def _residue_sections(p, doc):
         p.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon"))
 
 
+def _grassmannian(p):
+    from .localize import grassmannian_pairing
+
+    return _result(grassmannian_pairing(p.k, p.n, p.phi))
+
+
+def _flag(p):
+    from .localize import flag_pairing
+
+    return _result(flag_pairing(p.k, p.n, p.phi))
+
+
 def _schubert_sections(p, doc):
     p.k = _int(doc.get("k"), "$.k", minimum=1, maximum=MAX_SCHUBERT_K)
     p.n = _int(doc.get("n"), "$.n", minimum=p.k)
@@ -177,7 +208,27 @@ def _oriented(value, problem, rank):
     return value * (-1) ** rank if problem.sign_flip else value
 
 
+def _pair_reductive(p):
+    from .localize import integrate_reductive
+
+    return _result(integrate_reductive(p.pairing_problem()))
+
+
+def _pair_uhat(p):
+    from .localize import integrate_uhat
+
+    return _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1))
+
+
+def _pair_nonreductive(p):
+    from .localize import integrate_nonreductive
+
+    return _result(integrate_nonreductive(p.pairing_problem()))
+
+
 def _pair_abelianized(p):
+    from .localize import integrate_abelianized, torus_pairing_fn
+
     euler = euler_class_nonreductive(p.group)
     order = p.group.weyl_order
     # the route divides by the Weyl order itself, so only an override of the
@@ -189,10 +240,15 @@ def _pair_abelianized(p):
 
 
 def _morse(p):
+    from .betti import check_perfect, morse_assemble
+
     assembled = morse_assemble(p.strata)
     if p.total_series is None:
         return _result(assembled)
-    report = check_perfect(p.total_series, assembled)
+    try:
+        report = check_perfect(p.total_series, assembled)
+    except ValueError as exc:  # the strata do not add up to the total
+        raise ProblemFileError("$.total_series", str(exc)) from None
     return _result(assembled, perfection={
         "perfect": report.perfect,
         "remainder": str(report.remainder),
@@ -200,7 +256,16 @@ def _morse(p):
     })
 
 
+def _betti(p):
+    # The H quotient has the U x| C* series formula; see poincare_uhat.
+    from .betti import poincare_uhat
+
+    return _result(poincare_uhat(p.zmin_series, p.dims))
+
+
 def _ring_betti(p):
+    from .cohring import _quotient_betti_with_invariants, annihilator_dims, graded_dims
+
     ring, group = p.ring, p.group
     series, inv, euler = _quotient_betti_with_invariants(ring, group, group)
     return _result(series, tables={
@@ -211,6 +276,8 @@ def _ring_betti(p):
 
 
 def _residue(p):
+    from .residue import ResidueProblem, jk_residue
+
     residue = ResidueProblem(p.integrand, p.cone, p.basis)
     if p.epsilon is not None and min(p.epsilon) < 0:
         residue.validate()  # a bad cone or basis still fails
@@ -221,27 +288,22 @@ def _residue(p):
 # The one mode table, in the order the $.mode error lists it: mode ->
 # (sections, run).  ``sections(problem, doc)`` parses the mode's own sections
 # after options, group and cone; ``run(problem)`` computes the result
-# document without its mode, and the CLI dispatches through it.  Handlers
-# name the computation functions in their bodies, so they call whatever the
+# document without its mode, and the CLI dispatches through it.  Parsers and
+# handlers import the computation modules they call in their bodies, so a
+# run loads only the modules of its mode, and each call takes whatever the
 # module binds at call time.  Only pair_uhat and residue read the orientation.
 MODES = {
-    "pair_reductive": (
-        _pairing_sections, lambda p: _result(integrate_reductive(p.pairing_problem()))),
-    "pair_uhat": (
-        lambda p, doc: _pairing_sections(p, doc, graded=True),
-        lambda p: _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1))),
-    "pair_nonreductive": (
-        _pairing_sections, lambda p: _result(integrate_nonreductive(p.pairing_problem()))),
+    "pair_reductive": (_pairing_sections, _pair_reductive),
+    "pair_uhat": (lambda p, doc: _pairing_sections(p, doc, graded=True), _pair_uhat),
+    "pair_nonreductive": (_pairing_sections, _pair_nonreductive),
     "pair_abelianized": (_pairing_sections, _pair_abelianized),
-    "betti_uhat": (_betti_sections, lambda p: _result(poincare_uhat(p.zmin_series, p.dims))),
-    # The H quotient has the U x| C* series formula; see poincare_uhat.
-    "betti_H": (_betti_sections, lambda p: _result(poincare_uhat(p.zmin_series, p.dims))),
+    "betti_uhat": (_betti_sections, _betti),
+    "betti_H": (_betti_sections, _betti),
     "morse": (_morse_sections, _morse),
     "ring": (_ring_sections, _ring_betti),
     "residue": (_residue_sections, _residue),
-    "grassmannian": (
-        _schubert_sections, lambda p: _result(grassmannian_pairing(p.k, p.n, p.phi))),
-    "flag": (_schubert_sections, lambda p: _result(flag_pairing(p.k, p.n, p.phi))),
+    "grassmannian": (_schubert_sections, _grassmannian),
+    "flag": (_schubert_sections, _flag),
 }
 
 
@@ -295,6 +357,8 @@ class ProblemFile:
         self.moment_checks = _array(doc, "moment_checks", "$", _moment_check)
 
     def pairing_problem(self):
+        from .localize import PairingProblem
+
         return PairingProblem(
             group=self.group,
             fixed_points=self.fixed_points,

@@ -5,19 +5,17 @@ with the path of its field.
 Rationals are strings ``"p/q"`` (or JSON integers); polynomials are arrays of
 ``{"coeff": "p/q", "exp": [e_0, ..., e_{r-1}]}``; linear forms are arrays of
 rationals; Weyl generators are either flat permutation arrays or nested
-row-major rational matrices; series are integer coefficient arrays indexed
-by the exponent of ``t``.  A reader raises :class:`ProblemFileError`, whose
-message starts with the path of the offending field.
+row-major rational matrices; series are Poincare series, arrays of
+nonnegative integer coefficients indexed by the exponent of ``t``.  A reader
+raises :class:`ProblemFileError`, whose message starts with the path of the
+offending field.
 """
 
 import math
 from fractions import Fraction
 
-from .cohring import GradedRingPresentation
 from .exactnum import TruncSeries, _ReadOnly
 from .groupdata import GroupData
-from .localize import FixedPointComponent
-from .momentdiag import LinearActionSample
 from .polyring import LinearForm, MultiPoly
 
 # Largest accepted Weyl group order, |S_7|: parsing closes the group to check
@@ -40,9 +38,9 @@ MAX_POLY_MONOMIALS = 20000
 # coordinate, so the rank is a time and memory budget.
 MAX_RANK = 64
 
-# Largest accepted number of series coefficients a morse document stores with
-# options.truncation_bound set: each stratum and the total series is held out
-# to the bound, so (strata + 1) * (bound + 1) is a time and memory budget.
+# Largest accepted number of series coefficients a morse document stores: each
+# stratum and the total series is held out to the truncation bound, so
+# (strata + 1) * (bound + 1) is a time and memory budget.
 MAX_MORSE_COEFFICIENTS = 10**7
 
 # Largest accepted k of the grassmannian and flag modes: both expand the
@@ -164,8 +162,10 @@ def _poly(value, nvars, path):
 
 
 def _series(value, bound, path):
+    """A Poincare series: nonnegative integer coefficients, held to ``bound``
+    or, when it is ``None``, to the last given coefficient."""
     _expect(isinstance(value, list), path, "expected an array of integers")
-    coeffs = [_int(c, "%s[%d]" % (path, i)) for i, c in enumerate(value)]
+    coeffs = [_int(c, "%s[%d]" % (path, i), minimum=0) for i, c in enumerate(value)]
     if bound is None:
         bound = max(len(coeffs) - 1, 0)
     _expect(len(coeffs) <= bound + 1, path, "more coefficients than the bound allows")
@@ -240,6 +240,8 @@ def _weights(value, rank, path):
 
 
 def _fixed_points(value, rank, path):
+    from .localize import FixedPointComponent
+
     _expect(isinstance(value, list) and value, path, "expected a nonempty array")
     out = []
     for i, item in enumerate(value):
@@ -285,6 +287,8 @@ def _more_monomials(nvars, degree, budget):
 
 
 def _ring(value, path):
+    from .cohring import GradedRingPresentation
+
     _expect(isinstance(value, dict), path, "expected a ring object")
     _expect(
         "dims" not in value, path + ".dims", "ring mode needs nvars, relations and top_degree"
@@ -312,6 +316,8 @@ class MomentCheck(_ReadOnly):
 
 
 def _moment_check(item, path):
+    from .momentdiag import LinearActionSample
+
     _expect(isinstance(item, dict), path, "expected an object")
     _expect("point" in item, path + ".point", "missing")
     _expect("matrix" in item, path + ".matrix", "missing")

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nrquot
 from nrquot import cli, cohring, groupdata, localize, problemfile, schema
 from nrquot.exactnum import TruncSeries
 
@@ -196,12 +198,13 @@ def test_json_roundtrip_bit_for_bit(tmp_path):
         ({"coeffs": 5}, "$.coeffs"),
         ({"coeffs": None}, "$.coeffs"),
         ({"coeffs": [1, 0, 1, 0, 1, 0]}, "$.coeffs"),
+        ({"coeffs": [1, -1, 1]}, "$.coeffs[1]"),
         ({"bound": -1}, "$.bound"),
         ({"bound": "4"}, "$.bound"),
         ({"bound": None}, "$.bound"),
     ],
     ids=[
-        "rational-string", "float", "scalar", "no-coeffs", "too-many",
+        "rational-string", "float", "scalar", "no-coeffs", "too-many", "negative",
         "negative-bound", "string-bound", "no-bound",
     ],
 )
@@ -695,9 +698,69 @@ def test_morse_series_are_budgeted_when_a_bound_is_set(tmp_path, capsys):
         1, "", "error: $.strata: 9 strata and the total series at truncation bound %d "
         "exceed %d coefficients\n" % (bound, schema.MAX_MORSE_COEFFICIENTS),
     )
-    # without a bound each series is as long as the document spells it out
+    # without a bound the series are held to the last exponent they reach
     del doc["options"]
     assert run_main(capsys, tmp_path, doc) == (0, "9\n", "")
+
+
+@pytest.mark.parametrize(
+    "strata, message",
+    [
+        ([{"codim": 500001}], "the default truncation bound 1000002 exceeds 1000000; "
+         "set options.truncation_bound"),
+        ([{"codim": 500000}] * 9, "9 strata and the total series at truncation bound 1000000 "
+         "exceed 10000000 coefficients"),
+    ],
+    ids=["bound", "coefficients"],
+)
+def test_morse_default_bound_is_budgeted(tmp_path, capsys, strata, message):
+    doc = {"mode": "morse", "strata": strata}
+    assert run_main(capsys, tmp_path, doc) == (1, "", "error: $.strata: %s\n" % message)
+
+
+def test_morse_reads_every_series_at_one_bound(tmp_path, capsys):
+    # Without options.truncation_bound the bound is the last exponent of the
+    # total and of every stratum series shifted by 2 * codim, so a stratum
+    # with a short series cuts no other series short.
+    doc = {"mode": "morse", "strata": [{"codim": 0, "series": [1, 0, 1]}, {"codim": 1}]}
+    assert run_main(capsys, tmp_path, doc) == (0, "1 + 2*t^2\n", "")
+    doc["total_series"] = [1, 0, 2, 0, 0, 0]
+    code, out, err = run_main(capsys, tmp_path, doc, "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["coeffs"], result["bound"]) == ([1, 0, 2, 0, 0, 0], 5)
+    assert result["perfection"] == {"perfect": True, "remainder": "0", "nonnegative": True}
+
+
+@pytest.mark.parametrize(
+    "strata, total, message",
+    [
+        ([{"codim": 0, "series": [1, 0, 1]}], [1, 0, 2],
+         "Morse defect is not divisible by (1 + t); residue -1"),
+        ([{"codim": 0}], [2], "Morse defect is a nonzero constant"),
+    ],
+    ids=["not-divisible", "constant"],
+)
+def test_a_total_series_the_strata_contradict_fails_at_its_path(
+    tmp_path, capsys, strata, total, message
+):
+    doc = {"mode": "morse", "strata": strata, "total_series": total}
+    assert run_main(capsys, tmp_path, doc) == (1, "", "error: $.total_series: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (dict(MODE_DOCS["betti_H"], zmin_series=[1, 0, -1]), "$.zmin_series[2]"),
+        (dict(MODE_DOCS["morse"], strata=[{"codim": 0}, {"codim": 1, "series": [1, -1]}]),
+         "$.strata[1].series[1]"),
+        (dict(MODE_DOCS["morse"], total_series=[1, -1]), "$.total_series[1]"),
+    ],
+    ids=["zmin", "stratum", "total"],
+)
+def test_a_negative_series_coefficient_fails_at_its_path(tmp_path, capsys, doc, path):
+    # every series of a problem file is a Poincare series
+    assert run_main(capsys, tmp_path, doc) == (1, "", "error: %s: must be at least 0\n" % path)
 
 
 def test_readme_mode_table_names_every_mode():
@@ -1059,16 +1122,19 @@ def test_python_m_nrquot_entry_point():
 
 # Runs nrquot.cli.main in one fresh interpreter on each argument list given as
 # JSON in argv[2]; the last stdout line lists which of the modules named in
-# argv[1] the imports had added to sys.modules, and which had been added after
-# each call, with each call's exit code.
+# argv[1] `import nrquot` had added to sys.modules, which `import nrquot.cli`
+# then had, and which had been added after each call, with each call's exit
+# code.
 MODULE_PROBE = """
 import json, sys
 watched = json.loads(sys.argv[1])
 before = set(sys.modules)
-import nrquot, nrquot.cli
 def added():
     return [m for m in watched if m in sys.modules and m not in before]
-report = {"import": added(), "calls": []}
+import nrquot
+package = added()
+import nrquot.cli
+report = {"package": package, "import": added(), "calls": []}
 for args in json.loads(sys.argv[2]):
     code = nrquot.cli.main(args)
     report["calls"].append([code, added()])
@@ -1089,14 +1155,21 @@ def probe_modules(watched, *calls):
     return json.loads(out.stdout.splitlines()[-1]), out.stderr
 
 
+def mode_documents():
+    """One document of every mode: the samples in problems/ and MODE_DOCS."""
+    docs = dict(MODE_DOCS)
+    for path in PROBLEMS.glob("*.json"):
+        doc = json.loads(path.read_text())
+        docs[doc["mode"]] = doc
+    docs["pair_abelianized"] = dict(docs["pair_reductive"], mode="pair_abelianized")
+    return docs
+
+
 def test_exact_modes_load_no_unused_module(tmp_path):
-    paths = sorted(str(p) for p in PROBLEMS.glob("*.json"))
-    abelianized = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
-    abelianized["mode"] = "pair_abelianized"
-    docs = dict(MODE_DOCS, pair_abelianized=abelianized)
-    paths += [write_problem(tmp_path, doc, mode + ".json") for mode, doc in docs.items()]
+    paths = [write_problem(tmp_path, doc, mode + ".json")
+             for mode, doc in sorted(mode_documents().items())]
     report, _ = probe_modules(UNUSED_MODULES, *([p, "--format", "json"] for p in paths))
-    assert report == {"import": [], "calls": [[0, []]] * len(paths)}
+    assert report == {"package": [], "import": [], "calls": [[0, []]] * len(paths)}
 
 
 def test_check_moment_loads_numpy(tmp_path):
@@ -1104,8 +1177,55 @@ def test_check_moment_loads_numpy(tmp_path):
     # must load none of the unused modules, numpy included.
     path = write_problem(tmp_path, moment_problem())
     report, stderr = probe_modules(UNUSED_MODULES, [path, "--check-moment"])
-    assert report == {"import": [], "calls": [[0, []]]}
+    assert report == {"package": [], "import": [], "calls": [[0, []]]}
     assert stderr == "moment check 0: weight residual 0.000e+00 ok\n"
+
+
+# The computation modules, and the modes that never load each of them: a run
+# imports only the modules its mode calls.
+COMPUTATION_MODULES = ["nrquot." + m for m in (
+    "exactnum", "_linalg", "polyring", "groupdata", "residue", "localize", "betti", "cohring",
+    "momentdiag")]
+PAIRING_MODES = ("flag", "grassmannian", "pair_reductive", "pair_uhat", "pair_nonreductive",
+                 "pair_abelianized")
+SKIPPED_BY = {
+    **dict.fromkeys(PAIRING_MODES, {"cohring", "betti", "momentdiag"}),
+    **dict.fromkeys(("betti_uhat", "betti_H", "morse"),
+                    {"localize", "residue", "cohring", "momentdiag"}),
+    "ring": {"localize", "residue", "betti", "momentdiag"},
+    "residue": {"localize", "cohring", "betti", "momentdiag"},
+}
+
+
+def test_import_nrquot_loads_no_submodule():
+    io_layer = ["nrquot.schema", "nrquot.problemfile", "nrquot.cli"]
+    report, _ = probe_modules(COMPUTATION_MODULES + io_layer)
+    assert report["package"] == []
+    # the command line loads the I/O layer and what every group or polynomial reader needs
+    assert {m[len("nrquot."):] for m in report["import"]} == {
+        "exactnum", "_linalg", "polyring", "groupdata", "schema", "problemfile", "cli"}
+
+
+@pytest.mark.parametrize("mode", sorted(problemfile.MODES))
+def test_a_mode_loads_none_of_the_modules_it_skips(tmp_path, mode):
+    path = write_problem(tmp_path, mode_documents()[mode])
+    for args in ([path], [path, "--format", "json", "--check-invariants"]):
+        report, _ = probe_modules(COMPUTATION_MODULES, args)
+        [[code, loaded]] = report["calls"]
+        assert code == 0
+        assert not {m[len("nrquot."):] for m in loaded} & SKIPPED_BY[mode]
+
+
+def test_every_public_name_resolves_from_its_submodule():
+    namespace = {}
+    exec("from nrquot import *", namespace)
+    assert set(nrquot.__all__) <= set(namespace)
+    assert set(nrquot.__all__) <= set(dir(nrquot))
+    for name in nrquot.__all__:
+        owner = importlib.import_module("nrquot." + nrquot._EXPORTS[name])
+        assert namespace[name] is getattr(nrquot, name) is getattr(owner, name)
+        assert name in owner.__all__
+    assert not hasattr(nrquot, "no_such_name")
 
 
 def test_no_module_compile_dominates_the_import():

@@ -74,3 +74,15 @@ def test_the_package_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def test_the_package_namespace_imports_no_module_at_load():
+    # `import nrquot` loads no submodule: its public names are imported on
+    # first access, so only function bodies may import from the package.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    package_imports = [
+        node.lineno for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nrquot"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("nrquot") for a in node.names)
+    ]
+    assert package_imports == []
