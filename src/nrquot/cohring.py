@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from . import _linalg
 from .exactnum import TruncSeries
 from .groupdata import GroupData, _check_factors_invariant, _euler_forms, _product
-from .polyring import MultiPoly, weyl_act
+from .polyring import MultiPoly, _trusted_poly, weyl_act
 
 __all__ = [
     "GradedRingPresentation",
@@ -155,18 +155,16 @@ class GradedRingPresentation:
         return v
 
     def element(self, degree, vector):
-        """Polynomial representative of quotient coordinates at a degree."""
+        """Polynomial representative of quotient coordinates at a degree;
+        ``vector`` holds Fractions, as :meth:`reduce` and
+        :func:`invariant_basis` return them."""
         free = self._degree_data(degree)[0]
-        terms = {}
-        for coeff, mono in zip(vector, free):
-            if coeff != 0:
-                terms[mono] = coeff
-        return MultiPoly(self.nvars, terms)
+        return _trusted_poly(self.nvars, dict(zip(free, vector)))
 
     def basis_elements(self, degree):
         """Monomial representatives of the quotient basis at a degree."""
-        free = self._degree_data(degree)[0]
-        return [MultiPoly(self.nvars, {mono: 1}) for mono in free]
+        one = Fraction(1)
+        return [_trusted_poly(self.nvars, {mono: one}) for mono in self._degree_data(degree)[0]]
 
 
 def graded_dims(ringp):

@@ -18,6 +18,11 @@ __all__ = [
 
 def as_fraction(value):
     """Coerce ``value`` to Fraction, refusing floats and other inexact types."""
+    cls = type(value)
+    if cls is Fraction:
+        return value
+    if cls is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -38,7 +38,7 @@ from operator import sub
 from .exactnum import _ReadOnly, as_fraction
 from .groupdata import (GroupData, WeylInvarianceError, _check_weyl_invariant, _product,
                         euler_class_nonreductive)
-from .polyring import LinearForm, MultiPoly, RationalFn
+from .polyring import LinearForm, MultiPoly, RationalFn, _integer, _trusted_poly
 from .residue import ResidueProblem, jk_residue
 
 __all__ = [
@@ -65,7 +65,8 @@ class FixedPointComponent(_ReadOnly):
     sequence of (linear form, multiplicity) pairs whose product is the
     equivariant Euler class of the normal bundle.  ``lambda_weight`` is the
     moment value of the grading circle on the component and ``is_min`` flags
-    membership in the minimal level.
+    membership in the minimal level.  A multiplicity must be a positive int
+    (not a bool).
     """
 
     def __init__(self, name, normal_weights, restriction=None, lambda_weight=Fraction(0),
@@ -78,7 +79,11 @@ class FixedPointComponent(_ReadOnly):
                 raise ValueError(
                     "component %r has a zero normal weight" % (name,)
                 )
-            weights.append((form, int(mult)))
+            what = "component %r normal weight multiplicity" % (name,)
+            mult = _integer(mult, what)
+            if mult < 1:
+                raise ValueError("%s must be positive, got %d" % (what, mult))
+            weights.append((form, mult))
         vars(self).update(
             name=name, normal_weights=tuple(weights), restriction=restriction,
             lambda_weight=as_fraction(lambda_weight), is_min=is_min,
@@ -116,7 +121,7 @@ class FixedPointComponent(_ReadOnly):
             return RationalFn(MultiPoly.zero(num.nvars), den)
         small, large = sorted((num.terms, extra_factor.terms), key=len)
         corner = sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
-        return RationalFn(MultiPoly(num.nvars, {caps: corner}), den)
+        return RationalFn(_trusted_poly(num.nvars, {caps: corner}), den)
 
 
 def _pole_caps(den, nvars):

@@ -11,6 +11,11 @@ products of linear forms, so the factored representation is the natural one.
 Products, powers and the Weyl action share one private kernel on
 ``{monomial: coefficient}`` dicts, so int coefficients stay ints through it.
 
+The public constructors (``MultiPoly(...)`` and its classmethods,
+``LinearForm``, ``RationalFn``) validate their input; a result computed
+from already-valid polynomials is stored by the private trusted
+constructor :func:`_trusted_poly`, which only drops zero coefficients.
+
 >>> p = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)   # z0 + z1
 >>> q = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)   # z0 - z1
 >>> (p * q).terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
@@ -18,7 +23,7 @@ True
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, index
 
 from .exactnum import as_fraction
 from . import _linalg
@@ -32,9 +37,20 @@ __all__ = [
 ]
 
 
+def _integer(value, what="exponent"):
+    """``value`` as an int: an exponent or a multiplicity.  A bool or a value
+    without ``__index__`` (a float, a Fraction, a string) is a TypeError."""
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError("%s must be an integer, got %r" % (what, value))
+
+
 def _times(a, b):
     """Product of two ``{monomial: coefficient}`` dicts, int or Fraction; a
-    sum that cancels stays as a zero until a :class:`MultiPoly` prunes it."""
+    sum that cancels stays as a zero until :func:`_trusted_poly` prunes it."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -58,8 +74,12 @@ def _power(a, k):
 class MultiPoly:
     """Sparse polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``nvars`` to nonzero Fractions;
-    zero coefficients are pruned at construction.  Instances are immutable.
+    Invariant: every stored coefficient is a nonzero Fraction, and every
+    exponent tuple holds ``nvars`` nonnegative ints.  ``MultiPoly(...)``
+    checks its input against it (an exponent must be an int and not a bool,
+    a coefficient an int, a Fraction or a ``'p/q'`` string) and prunes zero
+    coefficients; kernel results are built by :func:`_trusted_poly`, which
+    keeps it without re-checking.  Instances are immutable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -69,16 +89,16 @@ class MultiPoly:
             raise ValueError("variable count must be nonnegative")
         clean = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(_integer, expo))
             if len(expo) != nvars:
                 raise ValueError(
                     "exponent vector %r has length %d, expected %d"
                     % (expo, len(expo), nvars)
                 )
-            if any(e < 0 for e in expo):
+            if expo and min(expo) < 0:
                 raise ValueError("negative exponent in polynomial monomial")
             coeff = as_fraction(coeff)
-            if coeff != 0:
+            if coeff:
                 clean[expo] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -120,7 +140,7 @@ class MultiPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def coefficient(self, monomial):
-        monomial = tuple(int(e) for e in monomial)
+        monomial = tuple(map(_integer, monomial))
         if len(monomial) != self.nvars:
             raise ValueError("monomial length does not match variable count")
         return self.terms.get(monomial, Fraction(0))
@@ -148,7 +168,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+        return _trusted_poly(self.nvars, out)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -156,22 +176,25 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _trusted_poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_compatible(other)
-            return MultiPoly(self.nvars, _times(self.terms, other.terms))
+            return _trusted_poly(self.nvars, _times(self.terms, other.terms))
         coeff = as_fraction(other)
-        return MultiPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+        return _trusted_poly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        n = _integer(n)
+        if n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        return MultiPoly(self.nvars, _power(self.terms, n) if n else {(0,) * self.nvars: 1})
+        if not n:
+            return _trusted_poly(self.nvars, {(0,) * self.nvars: Fraction(1)})
+        return _trusted_poly(self.nvars, _power(self.terms, n))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -213,15 +236,28 @@ class MultiPoly:
         return self.render()
 
 
-class LinearForm:
-    """A linear functional sum(c_i * z_i) given by its coefficient vector."""
+def _trusted_poly(nvars, terms):
+    """The trusted constructor: a :class:`MultiPoly` of ``terms`` with its
+    zero coefficients dropped, and nothing else checked.  Only for results
+    computed from valid polynomials, whose exponent tuples already hold
+    ``nvars`` nonnegative ints and whose coefficients are Fractions."""
+    poly = object.__new__(MultiPoly)
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+    return poly
 
-    __slots__ = ("coeffs",)
+
+class LinearForm:
+    """A linear functional sum(c_i * z_i) given by its coefficient vector.
+
+    Forms key every denominator merge, so the hash is computed once."""
+
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs):
-        object.__setattr__(
-            self, "coeffs", tuple(as_fraction(c) for c in coeffs)
-        )
+        coeffs = tuple(map(as_fraction, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_hash", hash(coeffs))
 
     def __setattr__(self, *args):
         raise AttributeError("LinearForm is immutable")
@@ -242,13 +278,9 @@ class LinearForm:
 
     def to_poly(self):
         n = len(self.coeffs)
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                expo = [0] * n
-                expo[i] = 1
-                terms[tuple(expo)] = c
-        return MultiPoly(n, terms)
+        unit = (0,) * n
+        return _trusted_poly(n, {unit[:i] + (1,) + unit[i + 1:]: c
+                                 for i, c in enumerate(self.coeffs)})
 
     def __neg__(self):
         return LinearForm([-c for c in self.coeffs])
@@ -259,7 +291,7 @@ class LinearForm:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self._hash
 
     def act(self, element):
         """This form with each ``z_i`` replaced by its image under
@@ -297,9 +329,10 @@ class RationalFn:
                 raise ValueError("zero linear form in denominator")
             if form.nvars != num.nvars:
                 raise ValueError("denominator form length does not match ring")
+            mult = _integer(mult, "denominator multiplicity")
             if mult <= 0:
                 raise ValueError("denominator multiplicities must be positive")
-            merged[form] = merged.get(form, 0) + int(mult)
+            merged[form] = merged.get(form, 0) + mult
         object.__setattr__(self, "num", num)
         object.__setattr__(
             self,
@@ -328,9 +361,11 @@ class RationalFn:
     def __mul__(self, other):
         if isinstance(other, RationalFn):
             return RationalFn(self.num * other.num, self.den + other.den)
-        if isinstance(other, MultiPoly):
-            return RationalFn(self.num * other, self.den)
-        return RationalFn(self.num * as_fraction(other), self.den)
+        # a polynomial or a scalar: the denominator is already validated
+        fn = object.__new__(RationalFn)
+        object.__setattr__(fn, "num", self.num * other)
+        object.__setattr__(fn, "den", self.den)
+        return fn
 
     __rmul__ = __mul__
 
@@ -422,4 +457,4 @@ def weyl_act(poly, element):
                 out[mono] += c * coeff
             else:
                 out[mono] = c * coeff
-    return MultiPoly(n, out)
+    return _trusted_poly(n, out)

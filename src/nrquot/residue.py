@@ -19,7 +19,8 @@ from math import comb
 from . import _linalg
 from .exactnum import _ReadOnly
 from .groupdata import ConeChoice
-from .polyring import LinearForm, MultiPoly, RationalFn, _times, weyl_act, weyl_element
+from .polyring import (LinearForm, MultiPoly, RationalFn, _times, _trusted_poly, weyl_act,
+                       weyl_element)
 
 __all__ = [
     "ResidueProblem",
@@ -107,7 +108,7 @@ def residue_at_infinity(fn, var):
         if j >= 0 and j in series:
             for e, c in _times(slice_terms, series[j]).items():
                 terms[e] = terms.get(e, 0) + c
-    total = MultiPoly(n, terms)
+    total = _trusted_poly(n, terms)
     if total.is_zero():
         return RationalFn(MultiPoly.zero(n))
     return RationalFn(total, params)

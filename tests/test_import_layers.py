@@ -5,7 +5,9 @@ problem files and the command line), and the pairing module ``localize`` and
 the ring module ``cohring`` import nothing from each other: what both need,
 such as the Weyl-invariance checks, lives in ``groupdata`` below them.
 Below all of them is the standard library: the package has no runtime
-dependency.
+dependency.  The validating ``MultiPoly`` constructor is the I/O boundary:
+only the schema readers and the public classmethods run it, and the kernel
+builds its results with the trusted constructor.
 """
 
 import ast
@@ -86,3 +88,52 @@ def test_the_package_namespace_imports_no_module_at_load():
         or isinstance(node, ast.Import) and any(a.name.startswith("nrquot") for a in node.names)
     ]
     assert package_imports == []
+
+
+PUBLIC_CLASSMETHODS = {"zero", "one", "constant", "variable"}
+
+
+def validating_constructor_calls(path):
+    """``(class, function, line)`` of each call in ``path`` that runs
+    ``MultiPoly.__init__``: ``MultiPoly(...)``, or ``cls(...)`` inside the
+    class ``MultiPoly``.  ``class`` and ``function`` are the innermost ones
+    around the call, or None."""
+    out = []
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                name = child.func.id
+                if name == "MultiPoly" or name == "cls" and cls == "MultiPoly":
+                    out.append((cls, func, child.lineno))
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, func)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+            else:
+                visit(child, cls, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+    return out
+
+
+def test_the_reader_sees_the_boundary_calls():
+    assert {func for _, func, _ in validating_constructor_calls(PACKAGE / "schema.py")} == {"_poly"}
+    calls = validating_constructor_calls(PACKAGE / "polyring.py")
+    assert {func for cls, func, _ in calls if cls == "MultiPoly"} >= {"zero", "constant", "variable"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "schema"], ids=lambda p: p.stem
+)
+def test_only_the_boundary_runs_the_validating_constructor(path):
+    # The kernel (residue, localize, cohring, groupdata and polyring's own
+    # operators) stores its results with polyring._trusted_poly, so they are
+    # not re-validated; MultiPoly(...) belongs to the schema readers and the
+    # public classmethods.
+    stray = [
+        "%s:%d in %s" % (path.name, line, func)
+        for cls, func, line in validating_constructor_calls(path)
+        if not (path.stem == "polyring" and cls == "MultiPoly" and func in PUBLIC_CLASSMETHODS)
+    ]
+    assert stray == []

@@ -686,3 +686,15 @@ def test_rationalfn_restriction_for_preintegrated_components():
     for comp in (as_poly, as_ratio):
         p = PairingProblem(group=group, fixed_points=[comp], normalization=2)
         assert integrate_uhat(p) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("mult, error, message", [
+    (0, ValueError, "must be positive, got 0"),
+    (-1, ValueError, "must be positive, got -1"),
+    (1.5, TypeError, "must be an integer, got 1.5"),
+    (True, TypeError, "must be an integer, got True"),
+])
+def test_component_rejects_a_multiplicity_that_is_not_a_positive_int(mult, error, message):
+    # at construction, naming the component, not later in `term`
+    with pytest.raises(error, match="component 'p' normal weight multiplicity " + message):
+        FixedPointComponent("p", [(LinearForm([1]), mult)])

@@ -71,6 +71,80 @@ def test_float_coefficients_rejected():
         LinearForm([0.5])
 
 
+@pytest.mark.parametrize("bad", [1.5, True, Fraction(1), "1"])
+def test_non_integer_exponents_rejected(bad):
+    # int() would truncate 1.5 to 1 and read True as 1
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        MultiPoly(1, {(bad,): 1})
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        MultiPoly(1, {(1,): 1}).coefficient((bad,))
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        MultiPoly.variable(1, 0) ** bad
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        MultiPoly.variable(1, 0, bad)
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        MultiPoly.variable(1, 0) ** -1
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_non_integer_denominator_multiplicities_rejected(bad):
+    with pytest.raises(TypeError, match="denominator multiplicity must be an integer"):
+        RationalFn(MultiPoly.one(1), [(LinearForm([1]), bad)])
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_nonpositive_denominator_multiplicities_rejected(bad):
+    with pytest.raises(ValueError, match="denominator multiplicities must be positive"):
+        RationalFn(MultiPoly.one(1), [(LinearForm([1]), bad)])
+
+
+# -- kernel results ------------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """Rank 1-3, two polynomials, a power and a signed permutation matrix."""
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    gen = [[signs[i] * int(j == perm[i]) for j in range(n)] for i in range(n)]
+    return n, draw(random_polys(n, 3)), draw(random_polys(n, 3)), draw(st.integers(1, 3)), gen
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_kernel_results_keep_the_invariant_without_revalidation(case):
+    n, p, q, k, gen = case
+    results = {
+        "p + q": p + q,
+        "p + (-p)": p + (-p),
+        "(p + q) - p": (p + q) - p,
+        "p - q": p - q,
+        "p - p": p - p,
+        "-p": -p,
+        "p * q": p * q,
+        "p * 0": p * 0,
+        "0 * p": 0 * p,
+        "p * 3/2": p * Fraction(3, 2),
+        "p ** 0": p ** 0,
+        "p ** k": p ** k,
+        "weyl_act": weyl_act(p, weyl_element(gen, n)),
+    }
+    # each result keeps the MultiPoly invariant and passes the public checks
+    for name, result in results.items():
+        assert result == MultiPoly(n, result.terms), name
+        for expo, coeff in result.terms.items():
+            assert type(coeff) is Fraction and coeff != 0, name
+            assert len(expo) == n and all(type(e) is int and e >= 0 for e in expo), name
+    assert results["p + (-p)"].is_zero() and results["p - p"].is_zero()
+    assert results["p * 0"].is_zero() and results["0 * p"].is_zero()
+    assert results["(p + q) - p"] == q
+    assert results["p ** 0"] == MultiPoly.one(n)
+
+
 # -- coefficient extraction ----------------------------------------------------
 
 
