@@ -11,6 +11,7 @@ whether it is coefficientwise nonnegative.
 """
 
 from .exactnum import TruncSeries, _ReadOnly
+from .polyring import _integer
 
 __all__ = [
     "StratumDatum",
@@ -134,7 +135,7 @@ def weighted_projective_poincare(weights, bound=None):
     weights = list(weights)
     if not weights:
         raise ValueError("weight list must be nonempty")
-    if any(int(w) <= 0 for w in weights):
+    if any(_integer(w, "weight") <= 0 for w in weights):
         raise ValueError("weights must be positive integers")
     m = len(weights)
     if bound is None:

@@ -1,10 +1,10 @@
 """Command-line front end: run a problem file, render the result.
 
 A parsed problem runs through the handler of its mode in
-``problemfile.MODES``, the table that also parses the mode's sections.
-``--reemit`` reads a result document instead, with the JSON value readers
-of ``schema``.  Both read the input file in one place: an unreadable file
-and undecodable, malformed or over-deep JSON are validation errors.
+``problemfile.MODES``, the table that also parses its sections and says what
+its result holds; ``--reemit`` checks a result document against that table.
+Both read the input file in one place: an unreadable file and undecodable,
+malformed or over-deep JSON are validation errors.
 
 Exit codes: 0 on success, 1 on a validation error (bad file or schema, or a
 field that a handler finds inconsistent, named by its path), 2 on a
@@ -21,17 +21,9 @@ from fractions import Fraction
 
 from . import problemfile
 from .exactnum import _series_text
-from .schema import ProblemFileError, _expect, _int, _rational, _series
+from .schema import MAX_TRUNCATION_BOUND, ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
-
-# The modes whose result is a series; every other mode writes a rational.
-_SERIES_MODES = ("betti_uhat", "betti_H", "morse", "ring")
-# What a result document may carry beside its value: the tables of ring mode,
-# and the perfection report of morse mode with the type of each field.
-_EXTRA_KEYS = {"ring": ("tables",), "morse": ("perfection",)}
-_RING_TABLES = ("graded_dims", "invariant_dims", "annihilator_dims")
-_PERFECTION = {"perfect": bool, "remainder": str, "nonnegative": bool}
 
 
 def _rational_latex(value):
@@ -45,10 +37,12 @@ def _rational_latex(value):
 def render_result(result, fmt):
     """Render a result document in the requested format.
 
-    ``result`` is a dict with a ``kind`` of ``rational`` or ``series`` plus
-    optional extra tables; the JSON rendering is canonical (sorted keys) so
-    that re-parsing and re-rendering is byte-identical.
+    ``result`` holds a ``kind`` of ``rational`` or ``series``, a ``value`` and
+    the extras that its ``mode`` names in ``problemfile.MODES``; the JSON
+    rendering is canonical (sorted keys), so re-rendering is byte-identical.
     """
+    named = problemfile.MODES[result["mode"]].extras if "mode" in result else ()
+    extras = [key for key in named if key in result]
     if fmt == "json":
         doc = {"kind": result["kind"], "mode": result.get("mode")}
         if result["kind"] == "rational":
@@ -57,9 +51,8 @@ def render_result(result, fmt):
             series = result["value"]
             doc["coeffs"] = list(series.coeffs)
             doc["bound"] = series.bound
-        for key in ("tables", "perfection"):
-            if key in result:
-                doc[key] = result[key]
+        for key in extras:
+            doc[key] = result[key]
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     lines = []
     if result["kind"] == "rational":
@@ -75,55 +68,40 @@ def render_result(result, fmt):
     else:
         lines.append(str(result["value"]))
     if fmt == "text":
-        for name, values in result.get("tables", {}).items():
-            lines.append("%s: %s" % (name, " ".join(str(v) for v in values)))
-        if "perfection" in result:
-            info = result["perfection"]
-            lines.append(
-                "perfect: %s, remainder: %s, nonnegative: %s"
-                % (info["perfect"], info["remainder"], info["nonnegative"])
-            )
+        # an extra prints each array field (a ring table) on a line, its scalars on one
+        for key in extras:
+            fields = result[key].items()
+            lines += ["%s: %s" % (k, " ".join(map(str, v))) for k, v in fields
+                      if isinstance(v, list)]
+            scalars = ["%s: %s" % (k, v) for k, v in fields if not isinstance(v, list)]
+            lines += [", ".join(scalars)] if scalars else []
     return "\n".join(lines) + "\n"
 
 
 def reemit(text):
-    """Re-render a JSON output document; used to verify round-tripping."""
+    """Re-render a JSON result document, checked against its mode's entry in MODES."""
     doc = json.loads(text)
     _expect(isinstance(doc, dict), "$", "result document must be a JSON object")
     kind = doc.get("kind")
     if kind == "rational":
-        result = {"kind": kind, "value": _rational(doc.get("value"), "$.value")}
+        result = {"value": _rational(doc.get("value"), "$.value")}
         keys = {"kind", "mode", "value"}
     elif kind == "series":
-        bound = _int(doc.get("bound"), "$.bound", minimum=0,
-                     maximum=problemfile.MAX_TRUNCATION_BOUND)
-        result = {"kind": kind, "value": _series(doc.get("coeffs"), bound, "$.coeffs")}
+        bound = _int(doc.get("bound"), "$.bound", minimum=0, maximum=MAX_TRUNCATION_BOUND)
+        result = {"value": _series(doc.get("coeffs"), bound, "$.coeffs")}
         keys = {"kind", "mode", "coeffs", "bound"}
     else:
         raise ProblemFileError("$.kind", "not a result document")
-    mode = result["mode"] = problemfile._mode(doc)
-    _expect((kind == "series") == (mode in _SERIES_MODES), "$.kind",
-            "mode %s does not write a %s" % (mode, kind))
-    keys.update(_EXTRA_KEYS.get(mode, ()))
+    mode = problemfile._mode(doc)
+    entry = problemfile.MODES[mode]
+    _expect(kind == entry.kind, "$.kind", "mode %s does not write a %s" % (mode, kind))
+    keys.update(entry.extras)
     for key in doc:
         _expect(key in keys, "$." + key, "mode %s does not write this key" % mode)
-    if "tables" in doc:
-        tables = result["tables"] = doc["tables"]
-        _expect(isinstance(tables, dict), "$.tables", "expected an object")
-        for name, values in tables.items():
-            path = "$.tables." + name
-            _expect(name in _RING_TABLES, path, "expected one of %s" % ", ".join(_RING_TABLES))
-            _expect(isinstance(values, list), path, "expected an array of integers")
-            for i, v in enumerate(values):
-                _int(v, "%s[%d]" % (path, i), minimum=0)
-    if "perfection" in doc:
-        info = result["perfection"] = doc["perfection"]
-        _expect(isinstance(info, dict) and set(info) == set(_PERFECTION), "$.perfection",
-                "expected an object with keys %s" % ", ".join(_PERFECTION))
-        for key, kind in _PERFECTION.items():
-            _expect(isinstance(info[key], kind), "$.perfection." + key,
-                    "expected a %s" % ("string" if kind is str else "boolean"))
-    return render_result(result, "json")
+    for key, read in entry.extras.items():
+        if key in doc:
+            result[key] = read(doc[key], "$." + key)
+    return render_result(dict(result, kind=kind, mode=mode), "json")
 
 
 def run(problem):
@@ -131,7 +109,8 @@ def run(problem):
 
     Returns a result document: ``{"kind", "mode", "value", ...}``.
     """
-    return dict(problemfile.MODES[problem.mode][1](problem), mode=problem.mode)
+    entry = problemfile.MODES[problem.mode]
+    return dict(entry.run(problem), kind=entry.kind, mode=problem.mode)
 
 
 def _moment_diagnostics(problem, stream):

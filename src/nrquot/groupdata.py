@@ -13,7 +13,7 @@ pairing and Betti formulas hold.
 from collections import Counter
 
 from .exactnum import _ReadOnly, as_fraction
-from .polyring import LinearForm, MultiPoly, weyl_act, weyl_element
+from .polyring import LinearForm, MultiPoly, _integer, weyl_act, weyl_element
 
 __all__ = [
     "GroupData",
@@ -102,6 +102,7 @@ class GroupData(_ReadOnly):
 
     def __init__(self, rank, positive_roots=(), unipotent_weights=(), weyl_generators=(),
                  weyl_order=1, grading=None):
+        rank = _integer(rank, "torus rank")
         if rank < 1:
             raise ValueError("torus rank must be positive")
         roots = tuple(_as_form(f) for f in positive_roots)

@@ -38,8 +38,9 @@ __all__ = [
 
 
 def _integer(value, what="exponent"):
-    """``value`` as an int: an exponent or a multiplicity.  A bool or a value
-    without ``__index__`` (a float, a Fraction, a string) is a TypeError."""
+    """``value`` as an int: an exponent, a multiplicity, a variable count, a
+    rank or a weight.  A bool or a value without ``__index__`` (a float, a
+    Fraction, a string) is a TypeError."""
     if type(value) is not bool:
         try:
             return index(value)
@@ -85,6 +86,7 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
+        nvars = _integer(nvars, "variable count")
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         clean = {}

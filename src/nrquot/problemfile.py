@@ -2,28 +2,25 @@
 and the mode table.
 
 ``MODES`` is the one list of modes: it maps each mode to the parser of its
-sections, which :class:`ProblemFile` calls, and to its handler, which the
-CLI dispatches through.  The sections are read with the JSON value readers
-of :mod:`nrquot.schema`, so a validation failure carries the path of the
-offending field.
+sections, which :class:`ProblemFile` calls, to its handler, which the CLI
+dispatches through, and to the kind and extra keys of its result.  The
+sections are read with the JSON value readers of :mod:`nrquot.schema`, so a
+validation failure carries the path of the offending field.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import TruncSeries
 from .groupdata import ConeChoice, check_grading, euler_class_nonreductive
 from .polyring import LinearForm, RationalFn
 from .schema import (
-    MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, ProblemFileError, _array, _expect,
-    _fixed_points, _group, _int, _length, _moment_check, _poly, _rational, _ring, _series,
-    _vector, _weights,
+    MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, MAX_TRUNCATION_BOUND, ProblemFileError,
+    _array, _expect, _fixed_points, _group, _int, _length, _moment_check, _perfection, _poly,
+    _rational, _ring, _series, _tables, _vector, _weights,
 )
 
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
-
-# Largest accepted series truncation bound: a series holds one Python int per
-# coefficient, so the bound is a memory budget.
-MAX_TRUNCATION_BOUND = 10**6
 
 
 def _pairing_sections(p, doc, graded=False):
@@ -179,13 +176,13 @@ def _residue_sections(p, doc):
 def _grassmannian(p):
     from .localize import grassmannian_pairing
 
-    return _result(grassmannian_pairing(p.k, p.n, p.phi))
+    return {"value": grassmannian_pairing(p.k, p.n, p.phi)}
 
 
 def _flag(p):
     from .localize import flag_pairing
 
-    return _result(flag_pairing(p.k, p.n, p.phi))
+    return {"value": flag_pairing(p.k, p.n, p.phi)}
 
 
 def _schubert_sections(p, doc):
@@ -193,12 +190,6 @@ def _schubert_sections(p, doc):
     p.n = _int(doc.get("n"), "$.n", minimum=p.k)
     _expect("phi" in doc, "$.phi", "missing the class to integrate")
     p.phi = _poly(doc["phi"], p.k, "$.phi")
-
-
-def _result(value, **extras):
-    """A result document without its mode: a series or an exact scalar."""
-    kind = "series" if isinstance(value, TruncSeries) else "rational"
-    return {"kind": kind, "value": value, **extras}
 
 
 def _oriented(value, problem, rank):
@@ -211,19 +202,19 @@ def _oriented(value, problem, rank):
 def _pair_reductive(p):
     from .localize import integrate_reductive
 
-    return _result(integrate_reductive(p.pairing_problem()))
+    return {"value": integrate_reductive(p.pairing_problem())}
 
 
 def _pair_uhat(p):
     from .localize import integrate_uhat
 
-    return _result(_oriented(integrate_uhat(p.pairing_problem()), p, 1))
+    return {"value": _oriented(integrate_uhat(p.pairing_problem()), p, 1)}
 
 
 def _pair_nonreductive(p):
     from .localize import integrate_nonreductive
 
-    return _result(integrate_nonreductive(p.pairing_problem()))
+    return {"value": integrate_nonreductive(p.pairing_problem())}
 
 
 def _pair_abelianized(p):
@@ -236,7 +227,7 @@ def _pair_abelianized(p):
     pairing = torus_pairing_fn(
         p.fixed_points, cone=p.cone, normalization=order * p.pairing_problem().constant()
     )
-    return _result(integrate_abelianized(pairing, p.class_eta, euler, order))
+    return {"value": integrate_abelianized(pairing, p.class_eta, euler, order)}
 
 
 def _morse(p):
@@ -244,23 +235,23 @@ def _morse(p):
 
     assembled = morse_assemble(p.strata)
     if p.total_series is None:
-        return _result(assembled)
+        return {"value": assembled}
     try:
         report = check_perfect(p.total_series, assembled)
     except ValueError as exc:  # the strata do not add up to the total
         raise ProblemFileError("$.total_series", str(exc)) from None
-    return _result(assembled, perfection={
+    return {"value": assembled, "perfection": {
         "perfect": report.perfect,
         "remainder": str(report.remainder),
         "nonnegative": report.nonnegative,
-    })
+    }}
 
 
 def _betti(p):
     # The H quotient has the U x| C* series formula; see poincare_uhat.
     from .betti import poincare_uhat
 
-    return _result(poincare_uhat(p.zmin_series, p.dims))
+    return {"value": poincare_uhat(p.zmin_series, p.dims)}
 
 
 def _ring_betti(p):
@@ -268,11 +259,11 @@ def _ring_betti(p):
 
     ring, group = p.ring, p.group
     series, inv, euler = _quotient_betti_with_invariants(ring, group, group)
-    return _result(series, tables={
+    return {"value": series, "tables": {
         "graded_dims": list(graded_dims(ring)),
         "invariant_dims": [len(inv.get(d, [])) for d in range(ring.top_degree + 1)],
         "annihilator_dims": list(annihilator_dims(ring, euler)),
-    })
+    }}
 
 
 def _residue(p):
@@ -281,29 +272,32 @@ def _residue(p):
     residue = ResidueProblem(p.integrand, p.cone, p.basis)
     if p.epsilon is not None and min(p.epsilon) < 0:
         residue.validate()  # a bad cone or basis still fails
-        return _result(Fraction(0))
-    return _result(_oriented(jk_residue(residue), p, p.integrand.nvars))
+        return {"value": Fraction(0)}
+    return {"value": _oriented(jk_residue(residue), p, p.integrand.nvars)}
 
 
-# The one mode table, in the order the $.mode error lists it: mode ->
-# (sections, run).  ``sections(problem, doc)`` parses the mode's own sections
-# after options, group and cone; ``run(problem)`` computes the result
-# document without its mode, and the CLI dispatches through it.  Parsers and
-# handlers import the computation modules they call in their bodies, so a
-# run loads only the modules of its mode, and each call takes whatever the
-# module binds at call time.  Only pair_uhat and residue read the orientation.
+# The one mode table, in the order the $.mode error lists it.  ``sections``
+# parses a mode's own sections after options, group and cone; ``run`` returns
+# the result's ``value`` and extras, to which the CLI adds ``kind`` and mode;
+# ``extras`` maps each key a result may hold beside its value to the
+# ``schema`` reader of ``--reemit``.  Parsers and handlers import the
+# computation modules they call in their bodies, so a run loads only its
+# mode's modules, and each call takes whatever the module binds at call time.
+# Only pair_uhat and residue read the orientation.
+_Mode = namedtuple("_Mode", "sections run kind extras")
 MODES = {
-    "pair_reductive": (_pairing_sections, _pair_reductive),
-    "pair_uhat": (lambda p, doc: _pairing_sections(p, doc, graded=True), _pair_uhat),
-    "pair_nonreductive": (_pairing_sections, _pair_nonreductive),
-    "pair_abelianized": (_pairing_sections, _pair_abelianized),
-    "betti_uhat": (_betti_sections, _betti),
-    "betti_H": (_betti_sections, _betti),
-    "morse": (_morse_sections, _morse),
-    "ring": (_ring_sections, _ring_betti),
-    "residue": (_residue_sections, _residue),
-    "grassmannian": (_schubert_sections, _grassmannian),
-    "flag": (_schubert_sections, _flag),
+    "pair_reductive": _Mode(_pairing_sections, _pair_reductive, "rational", {}),
+    "pair_uhat": _Mode(lambda p, doc: _pairing_sections(p, doc, graded=True), _pair_uhat,
+                       "rational", {}),
+    "pair_nonreductive": _Mode(_pairing_sections, _pair_nonreductive, "rational", {}),
+    "pair_abelianized": _Mode(_pairing_sections, _pair_abelianized, "rational", {}),
+    "betti_uhat": _Mode(_betti_sections, _betti, "series", {}),
+    "betti_H": _Mode(_betti_sections, _betti, "series", {}),
+    "morse": _Mode(_morse_sections, _morse, "series", {"perfection": _perfection}),
+    "ring": _Mode(_ring_sections, _ring_betti, "series", {"tables": _tables}),
+    "residue": _Mode(_residue_sections, _residue, "rational", {}),
+    "grassmannian": _Mode(_schubert_sections, _grassmannian, "rational", {}),
+    "flag": _Mode(_schubert_sections, _flag, "rational", {}),
 }
 
 
@@ -352,7 +346,7 @@ class ProblemFile:
             self.cone = ConeChoice(tuple(_vector(doc["cone"], rank, "$.cone")))
 
         self.class_eta = None
-        MODES[mode][0](self, doc)
+        MODES[mode].sections(self, doc)
 
         self.moment_checks = _array(doc, "moment_checks", "$", _moment_check)
 

@@ -14,7 +14,7 @@ at zero.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import _linalg
 from .exactnum import _ReadOnly
@@ -53,12 +53,11 @@ def _series_mul(a, b, jmax):
 def _split_factors(fn, var):
     """Classify denominator factors by their behaviour in ``var``.
 
-    Returns (pole_mult, pole_scale, mixed, params) where pure poles are the
-    factors ``a*z_var``, mixed factors are ``a*z_var + b`` with ``b`` nonzero,
-    and params do not involve ``z_var`` at all.
+    Returns (poles, mixed, params) where poles are the pure poles ``a*z_var``
+    as (a, multiplicity) pairs, mixed factors are ``a*z_var + b`` with ``b``
+    nonzero, and params do not involve ``z_var`` at all.
     """
-    pole_mult = 0
-    pole_scale = Fraction(1)
+    poles = []
     mixed = []
     params = []
     for form, mult in fn.den:
@@ -69,11 +68,10 @@ def _split_factors(fn, var):
         if a == 0:
             params.append((form, mult))
         elif rest.is_zero():
-            pole_mult += mult
-            pole_scale *= a**mult
+            poles.append((a, mult))
         else:
             mixed.append((a, rest, mult))
-    return pole_mult, pole_scale, mixed, params
+    return poles, mixed, params
 
 
 def residue_at_infinity(fn, var):
@@ -84,8 +82,8 @@ def residue_at_infinity(fn, var):
     infinity is its negative.
     """
     n = fn.nvars
-    pole_mult, pole_scale, mixed, params = _split_factors(fn, var)
-    base_mult = pole_mult + sum(m for _, _, m in mixed)
+    poles, mixed, params = _split_factors(fn, var)
+    base_mult = sum(m for _, m in poles) + sum(m for _, _, m in mixed)
     num_slices = _var_slices(fn.num, var)
     if not num_slices:
         return RationalFn(MultiPoly.zero(n))
@@ -93,7 +91,10 @@ def residue_at_infinity(fn, var):
     if jmax < 0:
         return RationalFn(MultiPoly.zero(n))
     # 1/(a z + b)^m expands at infinity as
-    # sum_j (-1)^j C(m+j-1, j) b^j a^(-m-j) z^(-m-j); pure poles only keep j=0
+    # sum_j (-1)^j C(m+j-1, j) b^j a^(-m-j) z^(-m-j); pure poles only keep
+    # j=0.  Their scale a**m is taken only past the jmax check: a multiplicity
+    # that makes jmax negative may make a**m too large to hold.
+    pole_scale = prod((a**mult for a, mult in poles), start=Fraction(1))
     series = {0: {(0,) * n: 1 / pole_scale}}
     for a, rest, mult in mixed:
         rest_poly = rest.to_poly()

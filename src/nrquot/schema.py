@@ -1,6 +1,6 @@
 """JSON value readers: rationals, integers, vectors, polynomials, series,
-groups, fixed-point components, rings and moment checks, each validated
-with the path of its field.
+groups, fixed-point components, rings, moment checks and the extras of a
+result document, each validated with the path of its field.
 
 Rationals are strings ``"p/q"`` (or JSON integers); polynomials are arrays of
 ``{"coeff": "p/q", "exp": [e_0, ..., e_{r-1}]}``; linear forms are arrays of
@@ -17,6 +17,10 @@ from fractions import Fraction
 from .exactnum import TruncSeries, _ReadOnly
 from .groupdata import GroupData
 from .polyring import LinearForm, MultiPoly
+
+# Largest accepted series truncation bound: a series holds one Python int per
+# coefficient, so the bound is a memory budget.
+MAX_TRUNCATION_BOUND = 10**6
 
 # Largest accepted Weyl group order, |S_7|: parsing closes the group to check
 # the declared order, so the order is a time and memory budget.
@@ -170,6 +174,29 @@ def _series(value, bound, path):
         bound = max(len(coeffs) - 1, 0)
     _expect(len(coeffs) <= bound + 1, path, "more coefficients than the bound allows")
     return TruncSeries(coeffs, bound)
+
+
+def _tables(value, path):
+    """The ``tables`` of a result document: an object of graded dimensions,
+    each read as a series, named by one of the ring tables."""
+    names = ("graded_dims", "invariant_dims", "annihilator_dims")
+    _expect(isinstance(value, dict), path, "expected an object")
+    for name, values in value.items():
+        _expect(name in names, "%s.%s" % (path, name), "expected one of %s" % ", ".join(names))
+        _series(values, None, "%s.%s" % (path, name))
+    return value
+
+
+def _perfection(value, path):
+    """The ``perfection`` report of a result document: exactly a boolean
+    ``perfect``, a string ``remainder`` and a boolean ``nonnegative``."""
+    fields = {"perfect": bool, "remainder": str, "nonnegative": bool}
+    _expect(isinstance(value, dict) and set(value) == set(fields), path,
+            "expected an object with keys %s" % ", ".join(fields))
+    for key, kind in fields.items():
+        _expect(isinstance(value[key], kind), "%s.%s" % (path, key),
+                "expected a %s" % ("string" if kind is str else "boolean"))
+    return value
 
 
 def _generator(value, path):

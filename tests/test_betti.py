@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,16 @@ def test_weighted_projective_space():
         weighted_projective_poincare([])
     with pytest.raises(ValueError):
         weighted_projective_poincare([0, 1])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3", Fraction(1, 2)])
+def test_weighted_projective_weights_must_be_integers(bad):
+    # int() read 1.5, True and "3" as weights and called 1/2 not positive
+    message = "weight must be an integer, got %r" % (bad,)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        weighted_projective_poincare([bad, 2])
+    with pytest.raises(ValueError, match="weights must be positive integers"):
+        weighted_projective_poincare([2, -3])
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))

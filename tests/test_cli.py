@@ -293,6 +293,30 @@ def test_reemit_rejects_a_kind_or_key_its_mode_does_not_write(
     assert reemit_error(capsys, tmp_path, base, fields).startswith("error: %s: " % path)
 
 
+# The fields that hold a result's value, by kind.
+VALUE_KEYS = {"rational": {"value"}, "series": {"coeffs", "bound"}}
+EXTRA_KEYS = {key for entry in problemfile.MODES.values() for key in entry.extras}
+
+
+@pytest.mark.parametrize("mode", sorted(problemfile.MODES))
+def test_a_result_holds_the_kind_and_extras_its_mode_entry_names(tmp_path, capsys, mode):
+    entry = problemfile.MODES[mode]
+    code, rendered, _ = run_main(capsys, tmp_path, mode_documents()[mode], "--format", "json")
+    assert code == 0
+    result = json.loads(rendered)
+    assert result["kind"] == entry.kind and result["mode"] == mode
+    assert set(result) == {"kind", "mode"} | VALUE_KEYS[entry.kind] | set(entry.extras)
+    # the same document as the other kind, with that kind's fields
+    other = ({"kind": "series", "coeffs": [1], "bound": 0} if entry.kind == "rational"
+             else {"kind": "rational", "value": "0"})
+    flipped = {k: v for k, v in result.items() if k not in VALUE_KEYS[entry.kind]}
+    assert reemit_error(capsys, tmp_path, flipped, other).startswith(
+        "error: $.kind: mode %s does not write a %s" % (mode, other["kind"]))
+    for key in EXTRA_KEYS - set(entry.extras):
+        assert reemit_error(capsys, tmp_path, result, {key: {}}).startswith(
+            "error: $.%s: mode %s does not write this key" % (key, mode))
+
+
 @pytest.mark.parametrize("mode", sorted(MODE_DOCS))
 def test_reemit_round_trips_every_mode_bit_for_bit(tmp_path, capsys, monkeypatch, mode):
     monkeypatch.delenv("NRQUOT_OUTPUT_DIR", raising=False)
@@ -382,8 +406,8 @@ def test_unexpected_failure_is_one_line_with_exit_2(monkeypatch, capsys):
     def broken(problem):
         raise TypeError("boom")
 
-    sections, _ = problemfile.MODES["pair_reductive"]
-    monkeypatch.setitem(problemfile.MODES, "pair_reductive", (sections, broken))
+    entry = problemfile.MODES["pair_reductive"]._replace(run=broken)
+    monkeypatch.setitem(problemfile.MODES, "pair_reductive", entry)
     assert cli.main([str(PROBLEMS / "gr24_pairing.json")]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: internal error: TypeError: boom\n"
@@ -634,6 +658,7 @@ def test_huge_dim_x_needs_only_the_truncated_terms(tmp_path):
 
 # Documents of a few KB that once ran for tens of seconds or ran out of
 # memory: (document, the path it must fail at, or None if it must succeed).
+# A pole of order 2 * 10**10 leaves no residue, so both such documents give 0.
 TINY_DOCUMENTS = {
     "betti-long-kernel": (
         {"mode": "betti_uhat", "dims": {"dim_x": 500000, "dim_u": 0, "dim_zmin": 0},
@@ -654,6 +679,18 @@ TINY_DOCUMENTS = {
          "options": {"truncation_bound": 10 ** 6}},
         "$.strata",
     ),
+    "reductive-pole-order": (
+        {"mode": "pair_reductive", "group": {"rank": 1},
+         "fixed_points": [{"normal_weights": [[["3"], 2 * 10 ** 10]]}],
+         "class": [{"coeff": "1", "exp": [0]}]},
+        None,
+    ),
+    "residue-pole-order": (
+        {"mode": "residue", "rank": 1,
+         "integrand": {"numerator": [{"coeff": "1", "exp": [0]}],
+                       "denominator": [[["2"], 2 * 10 ** 10]]}},
+        None,
+    ),
 }
 
 
@@ -665,7 +702,11 @@ def test_tiny_documents_end_within_seconds(tmp_path, doc, path):
         assert out.stderr.startswith("error: %s: " % path) and out.stderr.count("\n") == 1
         return
     assert out.returncode == 0 and out.stderr == ""
-    coeffs = json.loads(out.stdout)["coeffs"]
+    result = json.loads(out.stdout)
+    if result["kind"] == "rational":
+        assert result["value"] == "0"
+        return
+    coeffs = result["coeffs"]
     assert len(coeffs) == 10 ** 6 + 1
     for e in (0, 1, 2, 998, 999, 1000, 1001, 500000, 999998, 999999, 10 ** 6):
         # (1 + t + ... + t^999)(1 + t^2 + ... + t^999998), coefficient of t^e

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,14 @@ from nrquot.groupdata import (
     lambda_projection,
 )
 from nrquot.polyring import LinearForm, MultiPoly, weyl_act, weyl_element
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1), "1"])
+def test_non_integer_rank_rejected(bad):
+    # True would be stored as the rank; 1.0 failed inside the grading default
+    message = "torus rank must be an integer, got %r" % (bad,)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        GroupData(bad)
 
 
 def test_grading_sl2_borel():

@@ -56,6 +56,35 @@ def test_localize_and_cohring_do_not_import_each_other():
     assert "localize" not in package_imports("cohring")
 
 
+def mode_names():
+    """The keys of ``MODES`` in ``problemfile``, read from its source."""
+    tree = ast.parse((PACKAGE / "problemfile.py").read_text(encoding="utf-8"))
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["MODES"]]
+    return {key.value for key in table.keys}
+
+
+def test_the_reader_sees_every_mode():
+    assert {"pair_reductive", "betti_H", "morse", "ring", "residue", "flag"} <= mode_names()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "problemfile"],
+    ids=lambda p: p.stem,
+)
+def test_only_the_mode_table_names_a_mode(path):
+    # What a mode reads, runs and writes is said once, in problemfile.MODES:
+    # no other module keeps a list of modes.  The package namespace may name
+    # a submodule that shares its name with a mode (residue).
+    modes = mode_names()
+    named = {
+        node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in modes
+        and not (path.stem == "__init__" and (PACKAGE / (node.value + ".py")).exists())
+    }
+    assert named == set()
+
+
 def external_imports(path):
     """The top-level names that ``path`` imports from outside the package."""
     out = set()

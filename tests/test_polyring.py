@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,14 @@ def test_non_integer_exponents_rejected(bad):
         MultiPoly.variable(1, 0) ** bad
     with pytest.raises(TypeError, match="exponent must be an integer"):
         MultiPoly.variable(1, 0, bad)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1), "1"])
+def test_non_integer_variable_counts_rejected(bad):
+    # 1.0 would be stored and fail later inside is_constant; True would be stored
+    message = "variable count must be an integer, got %r" % (bad,)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        MultiPoly(bad, {(1,): 1})
 
 
 def test_negative_power_rejected():
