@@ -10,8 +10,7 @@ the perfection check divides the defect by ``1 + t`` as
 whether it is coefficientwise nonnegative.
 """
 
-from .exactnum import TruncSeries, _ReadOnly
-from .polyring import _integer
+from .exactnum import TruncSeries, _integer, _ReadOnly
 
 __all__ = [
     "StratumDatum",
@@ -28,6 +27,7 @@ class StratumDatum(_ReadOnly):
     """A stratum: complex codimension and its (equivariant) Poincare series."""
 
     def __init__(self, codim, series):
+        codim = _integer(codim, "codimension")
         if codim < 0:
             raise ValueError("codimension must be nonnegative")
         vars(self).update(codim=codim, series=series)
@@ -38,6 +38,7 @@ class QuotientDims(_ReadOnly):
     minimal fixed locus; the quotient fibre codimension is their difference."""
 
     def __init__(self, dim_x, dim_u, dim_zmin):
+        dim_x, dim_u, dim_zmin = (_integer(d, "dimension") for d in (dim_x, dim_u, dim_zmin))
         if min(dim_x, dim_u, dim_zmin) < 0:
             raise ValueError("dimensions must be nonnegative")
         if dim_x < dim_u + dim_zmin:

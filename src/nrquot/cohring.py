@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import _linalg
-from .exactnum import TruncSeries
+from .exactnum import TruncSeries, _integer
 from .groupdata import GroupData, _check_factors_invariant, _euler_forms, _product
 from .polyring import MultiPoly, _trusted_poly, weyl_act
 
@@ -55,8 +55,8 @@ class GradedRingPresentation:
     @classmethod
     def polynomial_quotient(cls, nvars, relations, top_degree):
         self = object.__new__(cls)
-        self.nvars = nvars
-        self.top_degree = int(top_degree)
+        self.nvars = _integer(nvars, "variable count")
+        self.top_degree = _integer(top_degree, "top degree")
         if self.top_degree < 0:
             raise ValueError("top degree must be nonnegative")
         rels = []
@@ -180,7 +180,7 @@ def _weyl_group(ringp, weyl):
     else:
         generators, order = weyl
         group = GroupData(
-            rank=ringp.nvars, weyl_generators=tuple(generators), weyl_order=int(order)
+            rank=ringp.nvars, weyl_generators=tuple(generators), weyl_order=order
         )
     if group.rank != ringp.nvars:
         raise ValueError("Weyl data rank does not match the ring")

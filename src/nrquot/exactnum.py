@@ -9,6 +9,7 @@ numerical diagnostics live in :mod:`nrquot.momentdiag` and nowhere else.
 """
 
 from fractions import Fraction
+from operator import index
 
 __all__ = [
     "as_fraction",
@@ -34,6 +35,19 @@ def as_fraction(value):
     raise TypeError(
         "expected int, Fraction or 'p/q' string, got %r" % type(value).__name__
     )
+
+
+def _integer(value, what="exponent"):
+    """``value`` as an int: an exponent, a multiplicity or any other count the
+    library takes (a variable count, a rank, a weight, a dimension, an order,
+    a bound).  A bool or a value without ``__index__`` (a float, a Fraction,
+    a string) is a TypeError."""
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError("%s must be an integer, got %r" % (what, value))
 
 
 def _as_int_coeff(value):
@@ -99,6 +113,7 @@ class TruncSeries:
     __slots__ = ("coeffs", "bound")
 
     def __init__(self, coeffs, bound):
+        bound = _integer(bound, "truncation bound")
         if bound < 0:
             raise ValueError("truncation bound must be nonnegative")
         coeffs = [_as_int_coeff(c) for c in coeffs]

@@ -12,8 +12,8 @@ pairing and Betti formulas hold.
 
 from collections import Counter
 
-from .exactnum import _ReadOnly, as_fraction
-from .polyring import LinearForm, MultiPoly, _integer, weyl_act, weyl_element
+from .exactnum import _integer, _ReadOnly, as_fraction
+from .polyring import MultiPoly, _as_form, weyl_act, weyl_element
 
 __all__ = [
     "GroupData",
@@ -43,10 +43,6 @@ class WeylInvarianceError(ValueError):
             "class is not Weyl-invariant; witness generator #%d: %r"
             % (generator_index, generator)
         )
-
-
-def _as_form(value):
-    return value if isinstance(value, LinearForm) else LinearForm(value)
 
 
 def _compose(g, m):
@@ -112,6 +108,7 @@ class GroupData(_ReadOnly):
                 raise ValueError("root/weight length does not match rank")
             if f.is_zero():
                 raise ValueError("roots and unipotent weights must be nonzero")
+        weyl_order = _integer(weyl_order, "Weyl order")
         if weyl_order < 1:
             raise ValueError("Weyl order must be at least 1")
         gens = tuple(tuple(tuple(x) if isinstance(x, list) else x for x in g)

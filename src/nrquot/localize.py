@@ -35,10 +35,10 @@ from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from .exactnum import _ReadOnly, as_fraction
+from .exactnum import _integer, _ReadOnly, as_fraction
 from .groupdata import (GroupData, WeylInvarianceError, _check_weyl_invariant, _product,
                         euler_class_nonreductive)
-from .polyring import LinearForm, MultiPoly, RationalFn, _integer, _trusted_poly
+from .polyring import LinearForm, MultiPoly, RationalFn, _as_form, _trusted_poly
 from .residue import ResidueProblem, jk_residue
 
 __all__ = [
@@ -73,8 +73,7 @@ class FixedPointComponent(_ReadOnly):
                  is_min=False):
         weights = []
         for form, mult in normal_weights:
-            if not isinstance(form, LinearForm):
-                form = LinearForm(form)
+            form = _as_form(form)
             if form.is_zero():
                 raise ValueError(
                     "component %r has a zero normal weight" % (name,)
@@ -261,6 +260,7 @@ def integrate_abelianized(torus_pairing_value_fn, a_tilde, e, weyl_order):
     It is the caller's responsibility that ``a_tilde`` is a genuine lift of
     the class downstairs; that condition is not checkable from pairing data.
     """
+    weyl_order = _integer(weyl_order, "Weyl order")
     if weyl_order < 1:
         raise ValueError("Weyl order must be positive")
     return torus_pairing_value_fn(a_tilde, e) / weyl_order

@@ -14,7 +14,8 @@ Products, powers and the Weyl action share one private kernel on
 The public constructors (``MultiPoly(...)`` and its classmethods,
 ``LinearForm``, ``RationalFn``) validate their input; a result computed
 from already-valid polynomials is stored by the private trusted
-constructor :func:`_trusted_poly`, which only drops zero coefficients.
+constructor :func:`_trusted_poly`, which only drops zero coefficients, and
+one over an already-valid denominator by :func:`_trusted_fn`.
 
 >>> p = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)   # z0 + z1
 >>> q = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)   # z0 - z1
@@ -23,9 +24,9 @@ True
 """
 
 from fractions import Fraction
-from operator import add, index
+from operator import add
 
-from .exactnum import as_fraction
+from .exactnum import _integer, as_fraction
 from . import _linalg
 
 __all__ = [
@@ -35,18 +36,6 @@ __all__ = [
     "weyl_element",
     "weyl_act",
 ]
-
-
-def _integer(value, what="exponent"):
-    """``value`` as an int: an exponent, a multiplicity, a variable count, a
-    rank or a weight.  A bool or a value without ``__index__`` (a float, a
-    Fraction, a string) is a TypeError."""
-    if type(value) is not bool:
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise TypeError("%s must be an integer, got %r" % (what, value))
 
 
 def _times(a, b):
@@ -312,6 +301,11 @@ class LinearForm:
         return "LinearForm(%r)" % (list(self.coeffs),)
 
 
+def _as_form(value):
+    """``value`` as a :class:`LinearForm`, validated unless it is one."""
+    return value if isinstance(value, LinearForm) else LinearForm(value)
+
+
 class RationalFn:
     """Ratio of a polynomial by a product of linear-form factors.
 
@@ -325,8 +319,7 @@ class RationalFn:
     def __init__(self, num, den=()):
         merged = {}
         for form, mult in den:
-            if not isinstance(form, LinearForm):
-                form = LinearForm(form)
+            form = _as_form(form)
             if form.is_zero():
                 raise ValueError("zero linear form in denominator")
             if form.nvars != num.nvars:
@@ -364,10 +357,7 @@ class RationalFn:
         if isinstance(other, RationalFn):
             return RationalFn(self.num * other.num, self.den + other.den)
         # a polynomial or a scalar: the denominator is already validated
-        fn = object.__new__(RationalFn)
-        object.__setattr__(fn, "num", self.num * other)
-        object.__setattr__(fn, "den", self.den)
-        return fn
+        return _trusted_fn(self.num * other, self.den)
 
     __rmul__ = __mul__
 
@@ -402,6 +392,15 @@ class RationalFn:
         return "RationalFn(%r, %r)" % (self.num, list(self.den))
 
 
+def _trusted_fn(num, den):
+    """The trusted constructor of :class:`RationalFn`: ``num`` over ``den``,
+    stored as given; ``den`` holds sorted, merged factors of valid ones."""
+    fn = object.__new__(RationalFn)
+    object.__setattr__(fn, "num", num)
+    object.__setattr__(fn, "den", den)
+    return fn
+
+
 def weyl_element(gen, nvars):
     """Validate a Weyl element and normalise it to its variable images.
 
@@ -423,7 +422,7 @@ def weyl_element(gen, nvars):
     True
     """
     if gen and not isinstance(gen[0], (list, tuple)):
-        perm = [int(x) for x in gen]
+        perm = [_integer(x, "permutation entry") for x in gen]
         if sorted(perm) != list(range(nvars)):
             raise ValueError("generator is not a permutation of 0..%d" % (nvars - 1))
         return tuple(((j, 1),) for j in perm)

@@ -2,9 +2,10 @@
 
 Everything here is exact.  A residue in the variable ``z_i`` is extracted by
 formally expanding each denominator factor ``a*z_i + b(z')`` in powers of
-``1/z_i`` around infinity, truncated at the finite order that can contribute
-to the ``z_i^{-1}`` coefficient; that order is bounded by the numerator
-degree, so no division of polynomials is ever needed.  The sign of that
+``1/z_i`` around infinity, every factor by one binomial series (a pure pole,
+``b = 0``, keeps only its order 0), truncated at the finite order that can
+contribute to the ``z_i^{-1}`` coefficient; that order is bounded by the
+numerator degree, so no division of polynomials is ever needed.  The sign of that
 coefficient makes the degree of the hyperplane class on projective space
 come out +1.  The iterated operator :func:`jk_residue` takes it variable by
 variable in basis order and divides by the square of the basis determinant.
@@ -14,13 +15,13 @@ at zero.
 """
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 from . import _linalg
 from .exactnum import _ReadOnly
 from .groupdata import ConeChoice
-from .polyring import (LinearForm, MultiPoly, RationalFn, _times, _trusted_poly, weyl_act,
-                       weyl_element)
+from .polyring import (RationalFn, _as_form, _power, _times, _trusted_fn, _trusted_poly,
+                       weyl_act, weyl_element)
 
 __all__ = [
     "ResidueProblem",
@@ -51,27 +52,23 @@ def _series_mul(a, b, jmax):
 
 
 def _split_factors(fn, var):
-    """Classify denominator factors by their behaviour in ``var``.
+    """Split the denominator factors by whether they involve ``var``.
 
-    Returns (poles, mixed, params) where poles are the pure poles ``a*z_var``
-    as (a, multiplicity) pairs, mixed factors are ``a*z_var + b`` with ``b``
-    nonzero, and params do not involve ``z_var`` at all.
+    Returns (poles, params): each factor ``a*z_var + b`` with ``a`` nonzero
+    is a pole ``(a, b_terms, multiplicity)``, expanded like every other, with
+    the ``{monomial: coefficient}`` terms of ``b`` (none for a pure pole);
+    params are the ``(form, multiplicity)`` factors without ``z_var``.
     """
     poles = []
-    mixed = []
     params = []
     for form, mult in fn.den:
         a = form.coeffs[var]
-        rest = LinearForm(
-            [Fraction(0) if i == var else c for i, c in enumerate(form.coeffs)]
-        )
         if a == 0:
             params.append((form, mult))
-        elif rest.is_zero():
-            poles.append((a, mult))
         else:
-            mixed.append((a, rest, mult))
-    return poles, mixed, params
+            b_terms = {e: c for e, c in form.to_poly().terms.items() if not e[var]}
+            poles.append((a, b_terms, mult))
+    return poles, tuple(params)
 
 
 def residue_at_infinity(fn, var):
@@ -82,26 +79,23 @@ def residue_at_infinity(fn, var):
     infinity is its negative.
     """
     n = fn.nvars
-    poles, mixed, params = _split_factors(fn, var)
-    base_mult = sum(m for _, m in poles) + sum(m for _, _, m in mixed)
+    poles, params = _split_factors(fn, var)
+    base_mult = sum(m for _, _, m in poles)
     num_slices = _var_slices(fn.num, var)
-    if not num_slices:
-        return RationalFn(MultiPoly.zero(n))
-    jmax = max(num_slices) - base_mult + 1
+    jmax = max(num_slices, default=-1) - base_mult + 1
     if jmax < 0:
-        return RationalFn(MultiPoly.zero(n))
+        return _trusted_fn(_trusted_poly(n, {}), ())
     # 1/(a z + b)^m expands at infinity as
-    # sum_j (-1)^j C(m+j-1, j) b^j a^(-m-j) z^(-m-j); pure poles only keep
-    # j=0.  Their scale a**m is taken only past the jmax check: a multiplicity
-    # that makes jmax negative may make a**m too large to hold.
-    pole_scale = prod((a**mult for a, mult in poles), start=Fraction(1))
-    series = {0: {(0,) * n: 1 / pole_scale}}
-    for a, rest, mult in mixed:
-        rest_poly = rest.to_poly()
-        expansion = {}
-        for j in range(jmax + 1):
-            coeff = Fraction((-1) ** j) * comb(mult + j - 1, j) / a ** (mult + j)
-            expansion[j] = ((rest_poly**j) * coeff).terms
+    # sum_j (-1)^j C(m+j-1, j) b^j a^(-m-j) z^(-m-j).  a**(m+j) is taken only
+    # past the jmax check: a multiplicity that makes jmax negative may make it
+    # too large to hold.
+    unit = (0,) * n
+    series = {0: {unit: 1}}
+    for a, b, mult in poles:
+        expansion = {0: {unit: 1 / a**mult}}
+        for j in range(1, jmax + 1 if b else 1):
+            coeff = (-1) ** j * comb(mult + j - 1, j) / a ** (mult + j)
+            expansion[j] = {e: c * coeff for e, c in _power(b, j).items()}
         series = _series_mul(series, expansion, jmax)
     terms = {}
     for k, slice_terms in num_slices.items():
@@ -110,9 +104,7 @@ def residue_at_infinity(fn, var):
             for e, c in _times(slice_terms, series[j]).items():
                 terms[e] = terms.get(e, 0) + c
     total = _trusted_poly(n, terms)
-    if total.is_zero():
-        return RationalFn(MultiPoly.zero(n))
-    return RationalFn(total, params)
+    return _trusted_fn(total, () if total.is_zero() else params)
 
 
 class ResidueProblem(_ReadOnly):
@@ -129,9 +121,13 @@ class ResidueProblem(_ReadOnly):
     def __init__(self, integrand, cone=None, basis=None):
         n = integrand.nvars
         if basis is not None:
-            basis = tuple(b if isinstance(b, LinearForm) else LinearForm(b) for b in basis)
+            basis = tuple(map(_as_form, basis))
             if len(basis) != n:
                 raise ValueError("basis must contain one form per variable")
+            for i, form in enumerate(basis):
+                if form.nvars != n:
+                    raise ValueError("basis form #%d has %d coefficients, expected %d"
+                                     % (i, form.nvars, n))
         if cone is not None and not isinstance(cone, ConeChoice):
             cone = ConeChoice(tuple(cone))
         vars(self).update(integrand=integrand, cone=cone, basis=basis)

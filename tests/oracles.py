@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch against the most naive
 possible algorithms (dense exponent dictionaries, a Pieri-rule walk on
-partitions, the q-binomial recursion) so test expectations never depend on
-the code under test.
+partitions, the q-binomial recursion, univariate long division) so test
+expectations never depend on the code under test.
 """
 
 from fractions import Fraction
@@ -153,3 +153,44 @@ def divide_by_one_plus_t(total, strata_sum):
     if residue != 0:
         raise ValueError("Morse defect is not divisible by (1 + t); residue %d" % residue)
     return quotient
+
+
+def residue_at_infinity_by_division(num_terms, den_forms, var, point):
+    """The coefficient of ``z^-1`` at ``z = infinity`` of num / den, where
+    ``z`` is variable ``var`` and every other variable takes its value in
+    ``point``.
+
+    ``num_terms`` maps exponent tuples to coefficients and ``den_forms`` is a
+    list of ``(coefficient list, multiplicity)`` pairs.  Specialised at
+    ``point``, num and den are polynomials in ``z``; long division gives
+    num = q den + r with deg r < deg den = d, q contributes no ``z^-1`` and
+    r / den = (r_{d-1} / den_d) z^-1 + O(z^-2).  The leading coefficient
+    ``den_d`` must not vanish at ``point``.
+    """
+    num = {}
+    for expo, c in num_terms.items():
+        term = Fraction(c)
+        for i, e in enumerate(expo):
+            if i != var:
+                term *= Fraction(point[i]) ** e
+        num[expo[var]] = num.get(expo[var], 0) + term
+    num = [num.get(k, 0) for k in range(max(num, default=0) + 1)]
+    den = [Fraction(1)]
+    for coeffs, mult in den_forms:
+        rest = sum(Fraction(c) * point[i] for i, c in enumerate(coeffs) if i != var)
+        factor = [rest, Fraction(coeffs[var])] if coeffs[var] else [rest]
+        for _ in range(mult):
+            product = [Fraction(0)] * (len(den) + len(factor) - 1)
+            for i, a in enumerate(den):
+                for j, b in enumerate(factor):
+                    product[i + j] += a * b
+            den = product
+    d = len(den) - 1
+    if d == 0:
+        return Fraction(0)
+    r = num + [Fraction(0)] * max(d - len(num), 0)
+    for k in range(len(r) - 1, d - 1, -1):
+        q = r[k] / den[d]
+        for i in range(d + 1):
+            r[k - d + i] -= q * den[i]
+    return r[d - 1] / den[d]

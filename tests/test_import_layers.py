@@ -7,7 +7,8 @@ such as the Weyl-invariance checks, lives in ``groupdata`` below them.
 Below all of them is the standard library: the package has no runtime
 dependency.  The validating ``MultiPoly`` constructor is the I/O boundary:
 only the schema readers and the public classmethods run it, and the kernel
-builds its results with the trusted constructor.
+builds its results with the trusted constructors, which are the only code
+that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.
 """
 
 import ast
@@ -146,10 +147,38 @@ def validating_constructor_calls(path):
     return out
 
 
+def calls_of(path, callee):
+    """``(function, tests, call)`` of each call of ``callee`` (its source, such
+    as ``"RationalFn"`` or ``"object.__new__"``) in ``path``: the innermost
+    function around it, the source of each ``if`` test it sits under
+    (``not (...)`` in an ``else`` branch) and the source of the call."""
+    out = []
+
+    def visit(nodes, func, tests):
+        for node in nodes:
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
+                out.append((func, tests, ast.unparse(node)))
+            if isinstance(node, ast.FunctionDef):
+                visit(ast.iter_child_nodes(node), node.name, ())
+            elif isinstance(node, ast.If):
+                test = ast.unparse(node.test)
+                visit([node.test], func, tests)
+                visit(node.body, func, tests + (test,))
+                visit(node.orelse, func, tests + ("not (%s)" % test,))
+            else:
+                visit(ast.iter_child_nodes(node), func, tests)
+
+    visit([ast.parse(path.read_text(encoding="utf-8"))], None, ())
+    return out
+
+
 def test_the_reader_sees_the_boundary_calls():
     assert {func for _, func, _ in validating_constructor_calls(PACKAGE / "schema.py")} == {"_poly"}
     calls = validating_constructor_calls(PACKAGE / "polyring.py")
     assert {func for cls, func, _ in calls if cls == "MultiPoly"} >= {"zero", "constant", "variable"}
+    assert ("_origin", (), "LinearForm(u)") in calls_of(PACKAGE / "localize.py", "LinearForm")
+    assert ("term", ("caps is None",), "RationalFn(num * extra_factor, den)") in calls_of(
+        PACKAGE / "localize.py", "RationalFn")
 
 
 @pytest.mark.parametrize(
@@ -166,3 +195,26 @@ def test_only_the_boundary_runs_the_validating_constructor(path):
         if not (path.stem == "polyring" and cls == "MultiPoly" and func in PUBLIC_CLASSMETHODS)
     ]
     assert stray == []
+
+
+def test_the_residue_step_validates_no_form_or_function():
+    # residue_at_infinity expands valid kernel data and stores its results
+    # with polyring._trusted_fn.  Only the basis rewrite of jk_residue, whose
+    # forms change, builds a checked RationalFn.
+    path = PACKAGE / "residue.py"
+    assert calls_of(path, "LinearForm") == []
+    assert [(func, tests) for func, tests, _ in calls_of(path, "RationalFn")] == [
+        ("jk_residue", ("problem.basis is not None",))
+    ]
+
+
+def test_each_trusted_constructor_is_the_one_bypass_of_its_class():
+    bypasses = {
+        (path.stem, func, call) for path in PACKAGE.glob("*.py")
+        for func, _, call in calls_of(path, "object.__new__")
+    }
+    assert bypasses == {
+        ("polyring", "_trusted_poly", "object.__new__(MultiPoly)"),
+        ("polyring", "_trusted_fn", "object.__new__(RationalFn)"),
+        ("cohring", "polynomial_quotient", "object.__new__(cls)"),
+    }

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from nrquot import betti, groupdata, localize, momentdiag, residue, schema
+from nrquot import betti, cohring, groupdata, localize, momentdiag, residue, schema
 from nrquot.exactnum import TruncSeries
-from nrquot.polyring import LinearForm, MultiPoly, RationalFn
+from nrquot.polyring import LinearForm, MultiPoly, RationalFn, weyl_element
 
 SERIES = TruncSeries([1, 0, 1], 2)
 GROUP = groupdata.GroupData(1)
@@ -117,10 +117,54 @@ def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
             lambda: residue.ResidueProblem(RationalFn(MultiPoly.one(2)), basis=[[1, 0]]),
             "basis must contain one form per variable",
         ),
+        (
+            # reached jk_residue, which called the basis not invertible
+            lambda: residue.ResidueProblem(RationalFn(MultiPoly.one(2)),
+                                           basis=[[1, 0, 0], [0, 1, 0]]),
+            "basis form #0 has 3 coefficients, expected 2",
+        ),
     ],
-    ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem"],
+    ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem",
+         "ResidueProblem-form"],
 )
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+Z = MultiPoly.variable(1, 0)
+RING = cohring.GradedRingPresentation.polynomial_quotient(
+    2, [MultiPoly.variable(2, 0) ** 2, MultiPoly.variable(2, 1) ** 2], 2)
+
+# Each count a library constructor or function takes, as (what its message
+# names, a call that passes the value in its place).  Before they were read
+# as ints, 1.5 and True were stored, truncated or read as 1.
+COUNTS = {
+    "GroupData.weyl_order": ("Weyl order", lambda v: groupdata.GroupData(1, weyl_order=v)),
+    "StratumDatum.codim": ("codimension", lambda v: betti.StratumDatum(v, SERIES)),
+    "QuotientDims.dim_x": ("dimension", lambda v: betti.QuotientDims(v, 1, 0)),
+    "QuotientDims.dim_u": ("dimension", lambda v: betti.QuotientDims(4, v, 0)),
+    "QuotientDims.dim_zmin": ("dimension", lambda v: betti.QuotientDims(4, 1, v)),
+    "TruncSeries.bound": ("truncation bound", lambda v: TruncSeries([1], v)),
+    "weighted_projective_poincare.bound": (
+        "truncation bound", lambda v: betti.weighted_projective_poincare([1, 1], v)),
+    "integrate_abelianized.weyl_order": (
+        "Weyl order", lambda v: localize.integrate_abelianized(lambda a, e: 3, Z, Z, v)),
+    "weyl_element.permutation": ("permutation entry", lambda v: weyl_element([v, 0], 2)),
+    "polynomial_quotient.nvars": (
+        "variable count",
+        lambda v: cohring.GradedRingPresentation.polynomial_quotient(v, [Z ** 3], 2)),
+    "polynomial_quotient.top_degree": (
+        "top degree",
+        lambda v: cohring.GradedRingPresentation.polynomial_quotient(1, [Z ** 3], v)),
+    "invariant_basis.weyl_order": ("Weyl order", lambda v: cohring.invariant_basis(RING, ([[1, 0]], v))),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+@pytest.mark.parametrize("what, call", COUNTS.values(), ids=COUNTS)
+def test_library_counts_must_be_integers(what, call, bad):
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == "%s must be an integer, got %r" % (what, bad)

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nrquot.groupdata import ConeChoice, InvalidConeError
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn
 from nrquot.residue import ResidueProblem, jk_residue, residue_at_infinity
-from oracles import laurent_derivative
+from oracles import laurent_derivative, residue_at_infinity_by_division
 
 
 def zvar(i=0, n=1):
@@ -317,3 +318,108 @@ def test_jk_rank_three_basis_covariance():
     ]
     for basis in shears:
         assert jk_residue(ResidueProblem(integrand=f, basis=basis)) == standard
+
+
+# -- one expansion for every pole ------------------------------------------------
+
+
+@st.composite
+def split_integrands(draw):
+    """(fn, var, point, numerator terms, denominator forms) for a rational
+    function in one to three variables whose denominator mixes pure poles
+    ``a*z_var``, mixed factors ``a*z_var + b`` and params without ``z_var``,
+    each of multiplicity 1 to 3, and a point of small rationals at which no
+    param vanishes."""
+    n = draw(st.integers(1, 3))
+    var = draw(st.integers(0, n - 1))
+    others = [i for i in range(n) if i != var]
+    nonzero = st.integers(-3, 3).filter(bool)
+    den = []
+    for kind in draw(st.lists(st.sampled_from(["pure", "mixed", "param"] if others else
+                                              ["pure"]), min_size=1, max_size=4)):
+        coeffs = [0] * n
+        if kind != "pure":
+            for i in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
+                coeffs[i] = draw(nonzero)
+        if kind != "param":
+            coeffs[var] = draw(nonzero)
+        den.append((coeffs, draw(st.integers(1, 3))))
+    poles = sum(m for coeffs, m in den if coeffs[var])
+    # a z_var degree below poles - 1 never reaches the z_var^-1 coefficient
+    expo = [st.integers(max(poles - 2, 0), poles + 3) if i == var else st.integers(0, 2)
+            for i in range(n)]
+    num = draw(st.dictionaries(st.tuples(*expo), st.integers(-5, 5).filter(bool),
+                               min_size=1, max_size=5))
+    point = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n))
+    assume(all(sum(c * x for c, x in zip(coeffs, point)) for coeffs, _ in den
+               if not coeffs[var]))
+    fn = RationalFn(MultiPoly(n, num), [(LinearForm(coeffs), m) for coeffs, m in den])
+    return fn, var, point, num, den
+
+
+def value_at(fn, point):
+    """A rational function without poles at ``point``, evaluated there."""
+    num = sum(c * prod(Fraction(x) ** e for x, e in zip(point, expo))
+              for expo, c in fn.num.terms.items())
+    den = prod(sum(c * x for c, x in zip(form.coeffs, point)) ** m for form, m in fn.den)
+    return num / den
+
+
+# z0^4 / (z0^3 (z0 + z1)^2 (2 z0 - z1) z1) at z1 = 1/2: a pure pole, a mixed
+# factor of multiplicity 2, another mixed factor and a param
+MIXED_CASE = (
+    RationalFn(MultiPoly(2, {(6, 0): 1}),
+               [(LinearForm([1, 0]), 3), (LinearForm([1, 1]), 2), (LinearForm([2, -1]), 1),
+                (LinearForm([0, 1]), 1)]),
+    0, [0, Fraction(1, 2)], {(6, 0): 1},
+    [([1, 0], 3), ([1, 1], 2), ([2, -1], 1), ([0, 1], 1)],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_integrands())
+@example(MIXED_CASE)
+def test_residue_at_infinity_matches_long_division_100(case):
+    fn, var, point, num, den = case
+    res = residue_at_infinity(fn, var)
+    assert all(form.coeffs[var] == 0 for form, _ in res.den)
+    assert all(expo[var] == 0 for expo in res.num.terms)
+    assert value_at(res, point) == residue_at_infinity_by_division(num, den, var, point)
+
+
+def test_the_long_division_example_is_not_vacuous():
+    # z0^3 / ((z0 + z1)^2 (2 z0 - z1)) = 1/2 - (3 z1 / 4) / z0 + ..., over z1
+    fn, var, point, num, den = MIXED_CASE
+    assert residue_at_infinity_by_division(num, den, var, point) == Fraction(-3, 4)
+    assert value_at(residue_at_infinity(fn, var), point) == Fraction(-3, 4)
+
+
+# (z0 + z1 + z2)^5 z1 / (z0^2 (z0 + z1) (2 z0 - z1 + z2)^2 z1 (z1 + 3 z2) z2^2):
+# pure poles and mixed factors in z0 and z1, and params in both
+RANK3_MIXED = RationalFn(
+    (MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1) + MultiPoly.variable(3, 2)) ** 5
+    * MultiPoly.variable(3, 1),
+    [(LinearForm(form), m) for form, m in
+     [([1, 0, 0], 2), ([1, 1, 0], 1), ([2, -1, 1], 2), ([0, 1, 0], 1), ([0, 1, 3], 1),
+      ([0, 0, 1], 2)]],
+)
+
+
+def test_jk_residue_validates_no_form_or_function_past_the_problem(monkeypatch):
+    # Every residue step works on the problem's valid data, so it builds its
+    # results with the trusted constructors.  Only a basis rewrite, whose
+    # forms change, goes through the checked ones.
+    plain = ResidueProblem(RANK3_MIXED)
+    sheared = ResidueProblem(RANK3_MIXED, basis=[[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    calls = []
+    for cls in (LinearForm, RationalFn):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            calls.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    value = jk_residue(plain)
+    assert calls == []
+    assert value != 0
+    assert jk_residue(sheared) == value
+    assert {"LinearForm", "RationalFn"} <= set(calls)
+
