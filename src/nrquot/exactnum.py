@@ -171,6 +171,7 @@ class TruncSeries:
 
     def shift(self, k):
         """Multiply by ``t^k``; the terms pushed past the bound are dropped."""
+        k = _integer(k, "shift")
         if k < 0:
             raise ValueError("shift must be nonnegative")
         kept = max(self.bound + 1 - k, 0)

@@ -266,9 +266,12 @@ def lambda_projection(weight, group):
 def _euler_forms(group):
     """The linear factors of :func:`euler_class_nonreductive`, in its
     multiplication order: each positive root, then its negative, then each
-    Lie(U) weight."""
-    roots = tuple(f for root in group.positive_roots for f in (root, -root))
-    return roots + group.unipotent_weights
+    Lie(U) weight.  Memoised in the group's ``__dict__``, as its Weyl
+    elements are."""
+    if "_euler_forms" not in group.__dict__:
+        roots = tuple(f for root in group.positive_roots for f in (root, -root))
+        group.__dict__["_euler_forms"] = roots + group.unipotent_weights
+    return group.__dict__["_euler_forms"]
 
 
 def _product(factors, nvars):

@@ -38,7 +38,7 @@ from operator import sub
 from .exactnum import _integer, _ReadOnly, as_fraction
 from .groupdata import (GroupData, WeylInvarianceError, _check_weyl_invariant, _product,
                         euler_class_nonreductive)
-from .polyring import LinearForm, MultiPoly, RationalFn, _as_form, _trusted_poly
+from .polyring import LinearForm, MultiPoly, _as_form, _merge, _trusted_fn, _trusted_poly
 from .residue import ResidueProblem, jk_residue
 
 __all__ = [
@@ -109,18 +109,22 @@ class FixedPointComponent(_ReadOnly):
                 % (self.name,)
             )
         if isinstance(restriction, MultiPoly):
-            restriction = RationalFn(restriction)
+            restriction = _trusted_fn(restriction, ())
         num = restriction.num
-        den = restriction.den + self.normal_weights
+        for form, _ in self.normal_weights:
+            if form.nvars != num.nvars:
+                raise ValueError("component %r has a normal weight in %d variables, expected %d"
+                                 % (self.name, form.nvars, num.nvars))
+        den = _merge(restriction.den + self.normal_weights)
         caps = _pole_caps(den, num.nvars)
         if caps is None:
-            return RationalFn(num * extra_factor, den)
+            return _trusted_fn(num * extra_factor, den)
         num._check_compatible(extra_factor)
         if -1 in caps:
-            return RationalFn(MultiPoly.zero(num.nvars), den)
+            return _trusted_fn(_trusted_poly(num.nvars, {}), den)
         small, large = sorted((num.terms, extra_factor.terms), key=len)
         corner = sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
-        return RationalFn(_trusted_poly(num.nvars, {caps: corner}), den)
+        return _trusted_fn(_trusted_poly(num.nvars, {caps: corner}), den)
 
 
 def _pole_caps(den, nvars):
@@ -129,7 +133,7 @@ def _pole_caps(den, nvars):
     caps = [-1] * nvars
     for form, mult in den:
         support = [i for i, c in enumerate(form.coeffs) if c != 0]
-        if len(support) != 1 or form.nvars != nvars:
+        if len(support) != 1:
             return None
         caps[support[0]] += mult
     return tuple(caps)

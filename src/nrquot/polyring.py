@@ -15,7 +15,8 @@ The public constructors (``MultiPoly(...)`` and its classmethods,
 ``LinearForm``, ``RationalFn``) validate their input; a result computed
 from already-valid polynomials is stored by the private trusted
 constructor :func:`_trusted_poly`, which only drops zero coefficients, and
-one over an already-valid denominator by :func:`_trusted_fn`.
+one over an already-valid denominator by :func:`_trusted_fn`, whose factors
+:func:`_merge` puts in order.
 
 >>> p = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)   # z0 + z1
 >>> q = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)   # z0 - z1
@@ -113,9 +114,11 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars, index, power=1):
-        expo = [0] * nvars
-        expo[index] = power
-        return cls(nvars, {tuple(expo): 1})
+        nvars = _integer(nvars, "variable count")
+        index = _integer(index, "variable index")
+        if index not in range(nvars):
+            raise ValueError("variable index must be in 0..%d, got %d" % (nvars - 1, index))
+        return cls(nvars, {tuple(power if i == index else 0 for i in range(nvars)): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -317,7 +320,7 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        merged = {}
+        factors = []
         for form, mult in den:
             form = _as_form(form)
             if form.is_zero():
@@ -327,13 +330,9 @@ class RationalFn:
             mult = _integer(mult, "denominator multiplicity")
             if mult <= 0:
                 raise ValueError("denominator multiplicities must be positive")
-            merged[form] = merged.get(form, 0) + mult
+            factors.append((form, mult))
         object.__setattr__(self, "num", num)
-        object.__setattr__(
-            self,
-            "den",
-            tuple(sorted(merged.items(), key=lambda fm: fm[0].coeffs)),
-        )
+        object.__setattr__(self, "den", _merge(factors))
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFn is immutable")
@@ -355,7 +354,7 @@ class RationalFn:
 
     def __mul__(self, other):
         if isinstance(other, RationalFn):
-            return RationalFn(self.num * other.num, self.den + other.den)
+            return _trusted_fn(self.num * other.num, _merge(self.den + other.den))
         # a polynomial or a scalar: the denominator is already validated
         return _trusted_fn(self.num * other, self.den)
 
@@ -376,7 +375,7 @@ class RationalFn:
                     num = num * f.to_poly() ** (m - den.get(f, 0))
             return num
 
-        return RationalFn(lift(self.num, mine) + lift(other.num, theirs), tuple(common.items()))
+        return _trusted_fn(lift(self.num, mine) + lift(other.num, theirs), _merge(common.items()))
 
     def render(self):
         num = self.num.render()
@@ -392,9 +391,19 @@ class RationalFn:
         return "RationalFn(%r, %r)" % (self.num, list(self.den))
 
 
+def _merge(factors):
+    """Valid ``(form, multiplicity)`` factors as :attr:`RationalFn.den` holds
+    them: equal forms merged, multiplicities summed, sorted by coefficients."""
+    merged = {}
+    for form, mult in factors:
+        merged[form] = merged.get(form, 0) + mult
+    return tuple(sorted(merged.items(), key=lambda fm: fm[0].coeffs))
+
+
 def _trusted_fn(num, den):
     """The trusted constructor of :class:`RationalFn`: ``num`` over ``den``,
-    stored as given; ``den`` holds sorted, merged factors of valid ones."""
+    stored as given; ``den`` holds sorted, merged factors of valid ones, as
+    :func:`_merge` returns them."""
     fn = object.__new__(RationalFn)
     object.__setattr__(fn, "num", num)
     object.__setattr__(fn, "den", den)

@@ -12,8 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import TruncSeries
-from .groupdata import ConeChoice, check_grading, euler_class_nonreductive
-from .polyring import LinearForm, RationalFn
+from .groupdata import ConeChoice, InvalidConeError, check_grading, euler_class_nonreductive
+from .polyring import RationalFn
 from .schema import (
     MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, MAX_TRUNCATION_BOUND, ProblemFileError,
     _array, _expect, _fixed_points, _group, _int, _length, _moment_check, _perfection, _poly,
@@ -147,6 +147,8 @@ def _ring_sections(p, doc):
 
 
 def _residue_sections(p, doc):
+    from .residue import ResidueProblem
+
     _expect("integrand" in doc, "$.integrand", "residue mode needs an integrand")
     section = doc["integrand"]
     _expect(isinstance(section, dict), "$.integrand", "expected an object")
@@ -157,20 +159,22 @@ def _residue_sections(p, doc):
     num = _poly(section.get("numerator", []), rank, "$.integrand.numerator")
     den = _weights(section.get("denominator", []), rank, "$.integrand.denominator")
     try:
-        p.integrand = RationalFn(num, den)
+        integrand = RationalFn(num, den)
     except ValueError as exc:
         raise ProblemFileError("$.integrand", str(exc)) from None
-    p.basis = None
+    basis = None
     if "basis" in doc:
         basis = doc["basis"]
         _expect(isinstance(basis, list), "$.basis", "expected an array of forms")
         _length(basis, rank, "$.basis")
-        p.basis = tuple(
-            LinearForm(_vector(b, rank, "$.basis[%d]" % i)) for i, b in enumerate(basis)
-        )
-    p.epsilon = None
-    if "epsilon" in doc:
-        p.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon"))
+        basis = [_vector(b, rank, "$.basis[%d]" % i) for i, b in enumerate(basis)]
+    p.epsilon = tuple(_vector(doc["epsilon"], rank, "$.epsilon")) if "epsilon" in doc else None
+    try:
+        p.residue = ResidueProblem(integrand, p.cone, basis)
+    except InvalidConeError as exc:
+        raise ProblemFileError("$.cone", str(exc)) from None
+    except ValueError as exc:
+        raise ProblemFileError("$.basis", str(exc)) from None
 
 
 def _grassmannian(p):
@@ -267,13 +271,11 @@ def _ring_betti(p):
 
 
 def _residue(p):
-    from .residue import ResidueProblem, jk_residue
+    from .residue import jk_residue
 
-    residue = ResidueProblem(p.integrand, p.cone, p.basis)
     if p.epsilon is not None and min(p.epsilon) < 0:
-        residue.validate()  # a bad cone or basis still fails
         return {"value": Fraction(0)}
-    return {"value": _oriented(jk_residue(residue), p, p.integrand.nvars)}
+    return {"value": _oriented(jk_residue(p.residue), p, p.residue.integrand.nvars)}
 
 
 # The one mode table, in the order the $.mode error lists it.  ``sections``

@@ -20,8 +20,8 @@ from math import comb
 from . import _linalg
 from .exactnum import _ReadOnly
 from .groupdata import ConeChoice
-from .polyring import (RationalFn, _as_form, _power, _times, _trusted_fn, _trusted_poly,
-                       weyl_act, weyl_element)
+from .polyring import (_as_form, _merge, _power, _times, _trusted_fn, _trusted_poly, weyl_act,
+                       weyl_element)
 
 __all__ = [
     "ResidueProblem",
@@ -108,18 +108,19 @@ def residue_at_infinity(fn, var):
 
 
 class ResidueProblem(_ReadOnly):
-    """An iterated-residue instance.
+    """An iterated-residue instance, checked when it is built.
 
     ``basis`` is an ordered tuple of linear forms giving the coordinates in
     which the residues are iterated (defaults to the standard coordinates);
-    the first basis form is the distinguished chamber direction.  ``cone``
-    is a :class:`~nrquot.groupdata.ConeChoice`; when present it must avoid
-    every denominator wall, and when a basis is supplied alongside it the
-    basis must be normalised against it (first form 1, the rest 0).
+    the first basis form is the distinguished chamber direction; ``det`` is
+    its determinant (1 without one).  The basis must be invertible, the
+    :class:`~nrquot.groupdata.ConeChoice` ``cone`` must avoid every
+    denominator wall, and a basis must be normalised against a cone.
     """
 
     def __init__(self, integrand, cone=None, basis=None):
         n = integrand.nvars
+        det = Fraction(1)
         if basis is not None:
             basis = tuple(map(_as_form, basis))
             if len(basis) != n:
@@ -128,27 +129,18 @@ class ResidueProblem(_ReadOnly):
                 if form.nvars != n:
                     raise ValueError("basis form #%d has %d coefficients, expected %d"
                                      % (i, form.nvars, n))
-        if cone is not None and not isinstance(cone, ConeChoice):
-            cone = ConeChoice(tuple(cone))
-        vars(self).update(integrand=integrand, cone=cone, basis=basis)
-
-    def validate(self):
-        """Check the basis and the cone; return the basis determinant."""
-        det = Fraction(1)
-        if self.basis is not None:
-            det = _linalg.det([b.coeffs for b in self.basis])
+            det = _linalg.det([b.coeffs for b in basis])
             if det == 0:
                 raise ValueError("residue basis is not invertible")
-        if self.cone is not None:
-            self.cone.validate(form for form, _ in self.integrand.den)
-            if self.basis is not None:
-                values = [b(self.cone.xi) for b in self.basis]
-                if values[0] != 1 or any(v != 0 for v in values[1:]):
-                    raise ValueError(
-                        "basis is not normalised against the cone vector: "
-                        "expected values (1, 0, ..., 0), got %s" % (values,)
-                    )
-        return det
+        if cone is not None:
+            cone = cone if isinstance(cone, ConeChoice) else ConeChoice(tuple(cone))
+            cone.validate(form for form, _ in integrand.den)
+            if basis is not None:
+                image = [b(cone.xi) for b in basis]
+                if image[0] != 1 or any(image[1:]):
+                    raise ValueError("basis is not normalised against the cone vector: expected "
+                                     "values (1, 0, ..., 0), got (%s)" % ", ".join(map(str, image)))
+        vars(self).update(integrand=integrand, cone=cone, basis=basis, det=det)
 
 
 def jk_residue(problem):
@@ -161,14 +153,13 @@ def jk_residue(problem):
     answer requires the integrand's homogeneity degree to be minus the
     number of variables, otherwise the degree bookkeeping forces zero.
     """
-    det = problem.validate()
     fn = problem.integrand
     n = fn.nvars
     if problem.basis is not None:
         element = weyl_element(_linalg.inverse([b.coeffs for b in problem.basis]), n)
-        fn = RationalFn(weyl_act(fn.num, element), [(f.act(element), m) for f, m in fn.den])
+        fn = _trusted_fn(weyl_act(fn.num, element), _merge((f.act(element), m) for f, m in fn.den))
     for var in range(n):
         fn = residue_at_infinity(fn, var)
     if not fn.is_constant():
         raise ArithmeticError("iterated residue left a non-scalar remainder")
-    return fn.constant_value() / det**2
+    return fn.constant_value() / problem.det**2

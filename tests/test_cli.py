@@ -1098,6 +1098,28 @@ def test_residue_cone_and_basis_lengths_are_checked_at_parse(tmp_path, capsys, f
     assert run_main(capsys, tmp_path, doc) == (1, "", "error: %s\n" % message)
 
 
+WALL = "$.cone: cone vector (1, 0) lies on the wall of z1"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"cone": ["1", "0"]}, WALL),
+        # a negative epsilon gives 0 only once the problem has parsed
+        ({"cone": ["1", "0"], "epsilon": ["-1", "0"]}, WALL),
+        ({"basis": [["1", "0"], ["2", "0"]]}, "$.basis: residue basis is not invertible"),
+        ({"cone": ["1", "1"], "basis": [["1", "0"], ["0", "1"]]},
+         "$.basis: basis is not normalised against the cone vector: "
+         "expected values (1, 0, ..., 0), got (1, 1)"),
+    ],
+    ids=["cone-on-wall", "cone-on-wall-epsilon", "singular-basis", "basis-not-normalised"],
+)
+def test_residue_hypotheses_are_checked_at_parse(tmp_path, capsys, fields, message):
+    # each at its field path while the document is read, before any residue is summed
+    doc = residue_doc(2, **fields)
+    assert run_main(capsys, tmp_path, doc) == (1, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("mode", ["pair_reductive", "residue"])
 def test_group_inner_product_is_rejected(tmp_path, capsys, mode):
     doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())

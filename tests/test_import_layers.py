@@ -8,7 +8,9 @@ Below all of them is the standard library: the package has no runtime
 dependency.  The validating ``MultiPoly`` constructor is the I/O boundary:
 only the schema readers and the public classmethods run it, and the kernel
 builds its results with the trusted constructors, which are the only code
-that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.
+that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.  One
+test counts the validating ``RationalFn`` calls of the summing paths at run
+time.
 """
 
 import ast
@@ -177,8 +179,8 @@ def test_the_reader_sees_the_boundary_calls():
     calls = validating_constructor_calls(PACKAGE / "polyring.py")
     assert {func for cls, func, _ in calls if cls == "MultiPoly"} >= {"zero", "constant", "variable"}
     assert ("_origin", (), "LinearForm(u)") in calls_of(PACKAGE / "localize.py", "LinearForm")
-    assert ("term", ("caps is None",), "RationalFn(num * extra_factor, den)") in calls_of(
-        PACKAGE / "localize.py", "RationalFn")
+    assert ("_residue_sections", (), "RationalFn(num, den)") in calls_of(
+        PACKAGE / "problemfile.py", "RationalFn")
 
 
 @pytest.mark.parametrize(
@@ -199,13 +201,52 @@ def test_only_the_boundary_runs_the_validating_constructor(path):
 
 def test_the_residue_step_validates_no_form_or_function():
     # residue_at_infinity expands valid kernel data and stores its results
-    # with polyring._trusted_fn.  Only the basis rewrite of jk_residue, whose
-    # forms change, builds a checked RationalFn.
-    path = PACKAGE / "residue.py"
-    assert calls_of(path, "LinearForm") == []
-    assert [(func, tests) for func, tests, _ in calls_of(path, "RationalFn")] == [
-        ("jk_residue", ("problem.basis is not None",))
+    # with polyring._trusted_fn; so does the basis rewrite of jk_residue,
+    # whose forms are checked as LinearForm.act builds them.
+    assert calls_of(PACKAGE / "residue.py", "LinearForm") == []
+    assert calls_of(PACKAGE / "residue.py", "RationalFn") == []
+
+
+def test_the_localisation_sum_validates_no_function():
+    # FixedPointComponent.term merges the restriction's valid factors with
+    # its checked normal weights through polyring._merge.
+    assert calls_of(PACKAGE / "localize.py", "RationalFn") == []
+
+
+def test_the_summing_paths_run_no_validating_ratio(monkeypatch):
+    # The same guard at run time: a pairing whose components carry
+    # restriction poles, and a residue in a sheared basis, build every ratio
+    # they derive with the trusted constructor.
+    from nrquot.groupdata import ConeChoice, GroupData
+    from nrquot.localize import FixedPointComponent, PairingProblem, integrate_nonreductive
+    from nrquot.polyring import MultiPoly, RationalFn
+    from nrquot.residue import ResidueProblem, jk_residue
+
+    z0, z1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    components = [
+        # a mixed normal weight, and a restriction pole shared with a weight
+        FixedPointComponent("mixed", [([1, 0], 1), ([0, 1], 2), ([1, 1], 1)],
+                            restriction=RationalFn(z0 + z1, [([1, 0], 1)])),
+        # poles on the coordinates only
+        FixedPointComponent("corner", [([1, 0], 2), ([0, 1], 1)],
+                            restriction=RationalFn(MultiPoly.one(2), [([0, 1], 1)])),
     ]
+    pairing = PairingProblem(GroupData(2, positive_roots=[[1, -1]], weyl_generators=[[1, 0]],
+                                       weyl_order=2),
+                             components, cone=ConeChoice((1, 2)))
+    sheared = ResidueProblem(RationalFn(z0 * z1, [([1, 0], 2), ([1, 1], 1), ([0, 1], 1)]),
+                             basis=[[1, 1], [0, 1]])
+    expected = integrate_nonreductive(pairing), jk_residue(sheared)
+    calls = []
+
+    def counting(self, *args, _init=RationalFn.__init__, **kwargs):
+        calls.append(args)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalFn, "__init__", counting)
+    assert (integrate_nonreductive(pairing), jk_residue(sheared)) == expected
+    assert calls == []
+    assert expected != (0, 0)
 
 
 def test_each_trusted_constructor_is_the_one_bypass_of_its_class():

@@ -331,6 +331,24 @@ def test_localization_sum_checks_the_factor_variable_count():
         _localization_sum([comp], MultiPoly.one(2), MultiPoly.one(3), None)
 
 
+def test_term_names_a_component_of_the_wrong_variable_count():
+    # the weights are checked one by one at construction; their length
+    # against the class only where class and component meet
+    comp = FixedPointComponent("p", [(LinearForm([1, 0]), 1), (LinearForm([1]), 1)])
+    with pytest.raises(ValueError, match="^component 'p' has a normal weight in 1 variables, "
+                                         "expected 2$"):
+        comp.term(MultiPoly.one(2), MultiPoly.one(2))
+
+
+@pytest.mark.parametrize("weights", [[([1, 0], 2), ([1, 1], 1)], [([0, 1], 1), ([1, 0], 2)]],
+                         ids=["mixed", "corner"])
+def test_term_merges_the_restriction_poles_with_the_normal_weights(weights):
+    # the trusted term keeps the denominator RationalFn(...) would build
+    restriction = RationalFn(MultiPoly.variable(2, 0), [([1, 0], 1), ([0, 1], 1)])
+    term = FixedPointComponent("p", weights, restriction=restriction).term(None, MultiPoly.one(2))
+    assert term.den == RationalFn(term.num, list(restriction.den) + weights).den
+
+
 # -- abelianisation -----------------------------------------------------------------
 
 

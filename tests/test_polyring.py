@@ -10,6 +10,8 @@ from nrquot.polyring import (
     LinearForm,
     MultiPoly,
     RationalFn,
+    _merge,
+    _trusted_fn,
     weyl_act,
     weyl_element,
 )
@@ -91,6 +93,14 @@ def test_non_integer_variable_counts_rejected(bad):
     message = "variable count must be an integer, got %r" % (bad,)
     with pytest.raises(TypeError, match=re.escape(message)):
         MultiPoly(bad, {(1,): 1})
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_variable_index_must_name_a_variable(index):
+    # an unchecked -1 would index from the end and name z1
+    message = "variable index must be in 0..1, got %d" % index
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MultiPoly.variable(2, index)
 
 
 def test_negative_power_rejected():
@@ -290,6 +300,33 @@ def test_linear_form_act_is_row_vector_times_matrix(case, data):
 def test_rationalfn_merges_equal_factors():
     f = RationalFn(MultiPoly.one(2), [(LinearForm([1, 0]), 1), (LinearForm([1, 0]), 2)])
     assert f.den == ((LinearForm([1, 0]), 3),)
+
+
+# Factor lists over a few forms, so that equal forms repeat.
+FACTORS = st.lists(
+    st.tuples(st.sampled_from([(1, 0), (0, 1), (1, -1), (2, 1), (-1, 0)]).map(LinearForm),
+              st.integers(1, 3)),
+    max_size=6,
+)
+
+
+def same_fn(a, b):
+    return a.num == b.num and a.den == b.den
+
+
+@settings(deadline=None)
+@given(random_polys(2, 3), FACTORS, random_polys(2, 3), FACTORS)
+def test_derived_ratios_merge_as_the_validating_constructor_does(num, factors, other, more):
+    # _merge is the merge RationalFn(...) runs after its checks, and the
+    # operators, which build through it, give the validating constructor's
+    # result on their own output.
+    f, g = RationalFn(num, factors), RationalFn(other, more)
+    assert same_fn(_trusted_fn(num, _merge(factors)), f)
+    product = f * g
+    assert same_fn(product, RationalFn(num * other, factors + more))
+    total = f + g
+    assert same_fn(total, RationalFn(total.num, total.den))
+    assert {form for form, _ in total.den} == {form for form, _ in factors + more}
 
 
 def test_rationalfn_rejects_zero_form():

@@ -16,7 +16,8 @@ SAMPLE = momentdiag.LinearActionSample((1, 0), ((0, 0), (0, 0)))
 INTEGRAND = RationalFn(MultiPoly.one(1), [([1], 1)])
 
 # Per record: the class, positional arguments leaving every default out, and
-# every field in parameter order with the value the constructor stores.
+# every field in parameter order with the value the constructor stores (a
+# field the constructor derives, such as ResidueProblem.det, comes last).
 RECORDS = [
     (betti.StratumDatum, (1, SERIES), {"codim": 1, "series": SERIES}),
     (betti.QuotientDims, (6, 3, 0), {"dim_x": 6, "dim_u": 3, "dim_zmin": 0}),
@@ -83,6 +84,7 @@ RECORDS = [
             "integrand": INTEGRAND,
             "cone": None,
             "basis": None,
+            "det": 1,
         },
     ),
 ]
@@ -147,6 +149,8 @@ COUNTS = {
     "QuotientDims.dim_u": ("dimension", lambda v: betti.QuotientDims(4, v, 0)),
     "QuotientDims.dim_zmin": ("dimension", lambda v: betti.QuotientDims(4, 1, v)),
     "TruncSeries.bound": ("truncation bound", lambda v: TruncSeries([1], v)),
+    "TruncSeries.shift": ("shift", lambda v: SERIES.shift(v)),
+    "MultiPoly.variable.index": ("variable index", lambda v: MultiPoly.variable(2, v)),
     "weighted_projective_poincare.bound": (
         "truncation bound", lambda v: betti.weighted_projective_poincare([1, 1], v)),
     "integrate_abelianized.weyl_order": (
