@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 from . import _linalg
 from .exactnum import TruncSeries, _integer
-from .groupdata import GroupData, _check_factors_invariant, _euler_forms, _product
+from .groupdata import GroupData, _check_factors_invariant, _euler_forms, euler_class_nonreductive
 from .polyring import MultiPoly, _trusted_poly, weyl_act
 
 __all__ = [
@@ -72,7 +72,7 @@ class GradedRingPresentation:
             rels.append(rel)
         self.relations = tuple(rels)
         self._degree_cache = {}
-        if self._dim(self.top_degree + 1) != 0:
+        if self._degree_data(self.top_degree + 1)[0]:
             raise ValueError(
                 "graded piece in degree %d does not vanish; top degree too small"
                 % (self.top_degree + 1)
@@ -117,16 +117,11 @@ class GradedRingPresentation:
         self._degree_cache[degree] = data
         return data
 
-    def _dim(self, degree):
-        if degree < 0:
-            return 0
-        return len(self._degree_data(degree)[0])
-
     def dimension(self, degree):
         """Dimension of the graded piece (zero beyond the top degree)."""
         if degree > self.top_degree or degree < 0:
             return 0
-        return self._dim(degree)
+        return len(self._degree_data(degree)[0])
 
     def reduce(self, poly, degree=None):
         """Quotient coordinates of a homogeneous polynomial.
@@ -230,17 +225,22 @@ def annihilator_dims(ringp, e):
         return graded_dims(ringp)
     if not e.is_homogeneous():
         raise ValueError("element must be homogeneous")
-    e_degree = e.total_degree()
-    dims = []
-    for d in range(ringp.top_degree + 1):
-        n = ringp.dimension(d)
-        target = d + e_degree
-        if ringp.dimension(target) == 0:
-            dims.append(n)
-            continue
-        images = [ringp.reduce(b * e, target) for b in ringp.basis_elements(d)]
-        dims.append(n - _linalg.rank(images))
-    return tuple(dims)
+    shift = e.total_degree()
+    return tuple(ringp.dimension(d) - _multiplication_rank(ringp, e, shift, d)
+                 for d in range(ringp.top_degree + 1))
+
+
+def _multiplication_rank(ringp, e, shift, degree, vectors=None):
+    """Rank of multiplication by ``e``, homogeneous of degree ``shift``, from
+    ``degree``: on the elements with quotient coordinates ``vectors``, or on
+    the whole graded piece.  Zero, with no element built, when the target
+    degree vanishes."""
+    target = degree + shift
+    if ringp.dimension(target) == 0:
+        return 0
+    elements = (ringp.basis_elements(degree) if vectors is None
+                else [ringp.element(degree, v) for v in vectors])
+    return _linalg.rank([ringp.reduce(b * e, target) for b in elements])
 
 
 def quotient_presentation_betti(ringp, weyl, group):
@@ -269,16 +269,7 @@ def _quotient_betti_with_invariants(ringp, weyl, group):
     bound = 2 * ringp.top_degree
     if len(forms) > ringp.top_degree:
         return TruncSeries.zero(bound), inv, MultiPoly.zero(ringp.nvars)
-    e = _product([f.to_poly() for f in forms], ringp.nvars)
-    coeffs = {}
-    for d, vectors in inv.items():
-        target = d + len(forms)
-        if ringp.dimension(target) == 0:
-            continue
-        images = [
-            ringp.reduce(ringp.element(d, v) * e, target) for v in vectors
-        ]
-        r = _linalg.rank(images)
-        if r:
-            coeffs[2 * d] = r
-    return TruncSeries.from_dict(coeffs, bound), inv, e
+    e = euler_class_nonreductive(group)
+    ranks = {2 * d: _multiplication_rank(ringp, e, len(forms), d, vectors)
+             for d, vectors in inv.items()}
+    return TruncSeries.from_dict(ranks, bound), inv, e

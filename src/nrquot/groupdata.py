@@ -49,11 +49,6 @@ def _compose(g, m):
     """The Weyl element of the matrix product ``g m``, in variable images."""
     out = []
     for row in g:
-        if len(row) == 1:
-            # a permutation or signed-permutation row scales one row of m
-            ((l, a),) = row
-            out.append(m[l] if a == 1 else tuple((j, a * b) for j, b in m[l]))
-            continue
         acc = {}
         for l, a in row:
             for j, b in m[l]:

@@ -10,9 +10,9 @@ in the numerator and in their preconditions:
 * reductive: the product over the full root system of the Levi;
 * nonreductive (``H = U x| R``): the product over the roots and the
   adjoint weights on Lie(U), for a Weyl-invariant class;
-* graded unipotent extension ``U x| C*``: rank one, the product of the
-  unipotent weights, summed over the components where the grading circle
-  takes its minimal moment value;
+* graded unipotent extension ``U x| C*``: rank one and no roots, so the
+  product of the unipotent weights, summed over the components where the
+  grading circle takes its minimal moment value;
 * abelianised: the torus-quotient pairing of the lift with the
   root-and-unipotent Euler class as the factor, divided by the Weyl order.
 
@@ -22,9 +22,11 @@ of one coordinate, the residue reads a single coefficient of the numerator,
 so the component computes only that coefficient of class * factor (see
 :meth:`FixedPointComponent.term`).  The Grassmannian and flag wrappers run
 the same sum over the origin alone, with normal weights ``z_i`` of order
-``n`` and the Vandermonde factor; the origin is then the only pole, so the
-sum is the classical iterated residue at zero.  They double as the
-calibration suite for the sign conventions.
+``n``: the classical iterated residue at zero.  Flags are the Borel case of
+the nonreductive route, with the roots ``z_i - z_j`` (``i < j``) as Lie(U)
+weights.  The Grassmannian expands the one Vandermonde product outside
+``groupdata``: its ``z_i - z_j`` are the polynomial additions that the traced
+Schubert benchmark requires.  Both calibrate the sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -201,12 +203,14 @@ def integrate_reductive(problem):
 def integrate_uhat(problem):
     """Pairing on the quotient by a graded unipotent extension U x| C*.
 
-    Rank-one torus: the problem constant times the localisation sum over the
-    minimal fixed components, with the product of the unipotent weights as
-    factor and no cone (each residue is then the residue at infinity).
+    Rank-one torus, no roots: the problem constant times the localisation sum
+    over the minimal fixed components, with the Euler class (the unipotent
+    weights) as factor and no cone (each residue is then at infinity).
     """
     if problem.group.rank != 1:
         raise ValueError("graded-extension pairing requires a rank 1 torus")
+    if problem.group.positive_roots:
+        raise ValueError("graded-extension pairing requires no roots")
     minimal = problem.minimal_components()
     if not minimal:
         raise ValueError("no component is flagged as minimal")
@@ -216,7 +220,7 @@ def integrate_uhat(problem):
             "minimality flags disagree with the moment values on: %s"
             % ", ".join(problem.fixed_points[i].name for i in mislabeled)
         )
-    factor = _product([w.to_poly() for w in problem.group.unipotent_weights], 1)
+    factor = euler_class_nonreductive(problem.group)
     return problem.constant() * _localization_sum(minimal, problem.class_eta, factor, None)
 
 
@@ -284,15 +288,16 @@ def _origin(k, n, phi):
 def flag_pairing(k, n, phi):
     """Iterated residue at zero for the tautological bundle on the flag
     manifold of k-planes flags in n-space: residue of
-    phi * prod_{i<j}(z_i - z_j) / prod_i z_i^n.
+    phi * prod_{i<j}(z_i - z_j) / prod_i z_i^n, the Borel pairing (trivial
+    Weyl group, constant 1).
 
     >>> flag_pairing(1, 3, MultiPoly.variable(1, 0) ** 2)
     Fraction(1, 1)
     """
     origin = _origin(k, n, phi)
-    z = [MultiPoly.variable(k, i) for i in range(k)]
-    factor = _product([z[i] - z[j] for i in range(k) for j in range(i + 1, k)], k)
-    return _localization_sum(origin, phi, factor, None)
+    roots = [[(a == i) - (a == j) for a in range(k)] for i in range(k) for j in range(i + 1, k)]
+    borel = GroupData(k, unipotent_weights=roots)
+    return integrate_nonreductive(PairingProblem(borel, origin, phi))
 
 
 def grassmannian_pairing(k, n, phi):

@@ -440,6 +440,12 @@ def weyl_element(gen, nvars):
         raise ValueError("generator matrix size does not match rank")
     if _linalg.det(matrix) == 0:
         raise ValueError("Weyl generator is not invertible")
+    return _matrix_element(matrix)
+
+
+def _matrix_element(matrix):
+    """The :func:`weyl_element` form of a square Fraction matrix already
+    known to be invertible."""
     return tuple(
         tuple((j, int(c) if c.denominator == 1 else c) for j, c in enumerate(row) if c != 0)
         for row in matrix

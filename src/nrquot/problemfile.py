@@ -25,7 +25,7 @@ __all__ = ["ProblemFileError", "ProblemFile", "parse"]
 
 def _pairing_sections(p, doc, graded=False):
     """``fixed_points``, then ``class``; ``graded`` (pair_uhat) also checks
-    the rank and the ``is_min`` flags in between."""
+    the rank, the absence of roots and the ``is_min`` flags in between."""
     _expect(p.group is not None, "$.group", "pairing modes need a group section")
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
     p.fixed_points = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
@@ -34,6 +34,8 @@ def _pairing_sections(p, doc, graded=False):
 
         _expect(p.group.rank == 1, "$.group.rank",
                 "expected 1: the graded-extension pairing needs a rank 1 torus")
+        _expect(not p.group.positive_roots, "$.group.positive_roots",
+                "expected an empty array: the graded-extension pairing needs no roots")
         for i in _minimality_mismatches(p.fixed_points):
             want, lam = not p.fixed_points[i].is_min, p.fixed_points[i].lambda_weight
             raise ProblemFileError(
@@ -222,16 +224,11 @@ def _pair_nonreductive(p):
 
 
 def _pair_abelianized(p):
-    from .localize import integrate_abelianized, torus_pairing_fn
+    from .localize import torus_pairing_fn
 
-    euler = euler_class_nonreductive(p.group)
-    order = p.group.weyl_order
-    # the route divides by the Weyl order itself, so only an override of the
-    # default constant 1/|W| leaves a scale on the torus pairing
-    pairing = torus_pairing_fn(
-        p.fixed_points, cone=p.cone, normalization=order * p.pairing_problem().constant()
-    )
-    return {"value": integrate_abelianized(pairing, p.class_eta, euler, order)}
+    # the torus pairing of the lift with the Euler class, times 1/|W| by default
+    pairing = torus_pairing_fn(p.fixed_points, p.cone, p.pairing_problem().constant())
+    return {"value": pairing(p.class_eta, euler_class_nonreductive(p.group))}
 
 
 def _morse(p):

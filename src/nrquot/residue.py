@@ -20,8 +20,8 @@ from math import comb
 from . import _linalg
 from .exactnum import _ReadOnly
 from .groupdata import ConeChoice
-from .polyring import (_as_form, _merge, _power, _times, _trusted_fn, _trusted_poly, weyl_act,
-                       weyl_element)
+from .polyring import (_as_form, _matrix_element, _merge, _power, _times, _trusted_fn,
+                       _trusted_poly, weyl_act)
 
 __all__ = [
     "ResidueProblem",
@@ -114,8 +114,9 @@ class ResidueProblem(_ReadOnly):
     which the residues are iterated (defaults to the standard coordinates);
     the first basis form is the distinguished chamber direction; ``det`` is
     its determinant (1 without one).  The basis must be invertible, the
-    :class:`~nrquot.groupdata.ConeChoice` ``cone`` must avoid every
-    denominator wall, and a basis must be normalised against a cone.
+    :class:`~nrquot.groupdata.ConeChoice` ``cone`` must have one entry per
+    variable and avoid every denominator wall, and a basis must be
+    normalised against a cone.
     """
 
     def __init__(self, integrand, cone=None, basis=None):
@@ -134,6 +135,8 @@ class ResidueProblem(_ReadOnly):
                 raise ValueError("residue basis is not invertible")
         if cone is not None:
             cone = cone if isinstance(cone, ConeChoice) else ConeChoice(tuple(cone))
+            if len(cone.xi) != n:
+                raise ValueError("cone vector has %d entries, expected %d" % (len(cone.xi), n))
             cone.validate(form for form, _ in integrand.den)
             if basis is not None:
                 image = [b(cone.xi) for b in basis]
@@ -156,7 +159,7 @@ def jk_residue(problem):
     fn = problem.integrand
     n = fn.nvars
     if problem.basis is not None:
-        element = weyl_element(_linalg.inverse([b.coeffs for b in problem.basis]), n)
+        element = _matrix_element(_linalg.inverse([b.coeffs for b in problem.basis]))
         fn = _trusted_fn(weyl_act(fn.num, element), _merge((f.act(element), m) for f, m in fn.den))
     for var in range(n):
         fn = residue_at_infinity(fn, var)

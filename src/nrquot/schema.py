@@ -47,9 +47,9 @@ MAX_RANK = 64
 # (strata + 1) * (bound + 1) is a time and memory budget.
 MAX_MORSE_COEFFICIENTS = 10**7
 
-# Largest accepted k of the grassmannian and flag modes: both expand the
-# Vandermonde product of the k(k-1) or k(k-1)/2 root forms in full, so k is a
-# time and memory budget.
+# Largest accepted k of the grassmannian and flag modes: the Borel Euler class
+# of a flag (k(k-1)/2 root forms) and the Grassmannian's Vandermonde product
+# (k(k-1)) are expanded in full, so k is a time and memory budget.
 MAX_SCHUBERT_K = 6
 
 

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from scratch against the most naive
 possible algorithms (dense exponent dictionaries, a Pieri-rule walk on
-partitions, the q-binomial recursion, univariate long division) so test
-expectations never depend on the code under test.
+partitions, the q-binomial recursion, univariate long division, the
+Vandermonde alternant) so test expectations never depend on the code under
+test.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 
 def dense_mul(a, b):
@@ -59,6 +61,22 @@ def pieri_power(k, n, start, steps):
                 out[mu] = out.get(mu, Fraction(0)) + c
         state = out
     return state
+
+
+def flag_alternant(k, n, terms):
+    """The flag pairing of a class in ``k`` variables, given as ``{exponent
+    tuple: coefficient}``, read off the Vandermonde alternant.
+
+    prod_{i<j} (z_i - z_j) = sum over permutations s of sgn(s) times
+    prod_i z_i^(k-1-s(i)), so the coefficient of prod_i z_i^(n-1) in class
+    times it is sum_s sgn(s) terms[(n-1-(k-1-s(i)))_i].
+    """
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        expo = tuple(n - k + p for p in perm)
+        total += (-1) ** inversions * Fraction(terms.get(expo, 0))
+    return total
 
 
 def gaussian_binomial(n, k):

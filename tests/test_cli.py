@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nrquot
-from nrquot import cli, cohring, groupdata, localize, problemfile, schema
+from nrquot import cli, groupdata, localize, problemfile, schema
 from nrquot.exactnum import TruncSeries
 
 REPO = Path(__file__).resolve().parent.parent
@@ -500,8 +500,9 @@ def spy_on_products(monkeypatch):
         calls.append(len(factors))
         return build(factors, nvars)
 
-    # every module that calls it by its imported name
-    for module in (groupdata, cohring, localize):
+    # every module that binds it: groupdata builds e(H), localize the
+    # Grassmannian's Vandermonde product
+    for module in (groupdata, localize):
         monkeypatch.setattr(module, "_product", spy)
     return calls
 
@@ -835,6 +836,16 @@ def test_pair_uhat_rejects_a_higher_rank_group_at_its_path(tmp_path):
     assert out.stderr == (
         "error: $.group.rank: expected 1: the graded-extension pairing needs a rank 1 torus\n"
     )
+
+
+def test_pair_uhat_rejects_roots_at_their_path(tmp_path, capsys):
+    # the graded-extension Euler class is the product of the unipotent
+    # weights alone, so a root has no place in it
+    doc = json.loads(json.dumps(MODE_DOCS["pair_uhat"]))
+    doc["group"].update(positive_roots=[["2"]], unipotent_weights=[["2"]])
+    assert run_main(capsys, tmp_path, doc) == (
+        1, "", "error: $.group.positive_roots: expected an empty array: "
+        "the graded-extension pairing needs no roots\n")
 
 
 @pytest.mark.parametrize(

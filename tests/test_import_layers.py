@@ -10,7 +10,7 @@ only the schema readers and the public classmethods run it, and the kernel
 builds its results with the trusted constructors, which are the only code
 that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.  One
 test counts the validating ``RationalFn`` calls of the summing paths at run
-time.
+time.  The Euler class e(H) is expanded in one place, ``groupdata``.
 """
 
 import ast
@@ -259,3 +259,14 @@ def test_each_trusted_constructor_is_the_one_bypass_of_its_class():
         ("polyring", "_trusted_fn", "object.__new__(RationalFn)"),
         ("cohring", "polynomial_quotient", "object.__new__(cls)"),
     }
+
+
+def test_only_groupdata_expands_the_euler_class():
+    # Every pairing route and the ring take e(H) from
+    # groupdata.euler_class_nonreductive.  The Grassmannian's Vandermonde
+    # product is the one other expansion: its z_i - z_j are the polynomial
+    # additions that the traced Schubert benchmark requires.
+    calls = {(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func, _, _ in calls_of(path, "_product")}
+    assert calls == {("groupdata", "euler_class_nonreductive"),
+                     ("localize", "grassmannian_pairing")}

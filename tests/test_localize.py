@@ -31,7 +31,7 @@ from nrquot.localize import (
 )
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from nrquot.residue import ResidueProblem, jk_residue
-from oracles import dense_mul, pieri_power
+from oracles import dense_mul, flag_alternant, pieri_power
 
 
 def zz(n=2):
@@ -156,6 +156,15 @@ def test_uhat_zero_class():
 def test_uhat_requires_rank_one():
     p = gr24_problem(MultiPoly.one(2))
     with pytest.raises(ValueError, match="^graded-extension pairing requires a rank 1 torus$"):
+        integrate_uhat(p)
+
+
+def test_uhat_requires_no_roots():
+    # its Euler class is the product of the unipotent weights alone, so a
+    # root has no place in it
+    group = GroupData(1, positive_roots=[[2]], unipotent_weights=[[2]], grading=(1,))
+    p = PairingProblem(group=group, fixed_points=p3_uhat_problem().fixed_points, normalization=2)
+    with pytest.raises(ValueError, match="^graded-extension pairing requires no roots$"):
         integrate_uhat(p)
 
 
@@ -559,11 +568,11 @@ def test_wrapper_preconditions():
 
 
 @st.composite
-def wrapper_cases(draw):
-    """(k, n, terms): a random class in k <= 3 variables as an exponent dict,
-    mostly in the degree where the Grassmannian and flag residues can be
-    nonzero, with a few terms of other degrees."""
-    k = draw(st.integers(1, 3))
+def wrapper_cases(draw, max_k=3):
+    """(k, n, terms): a random class in k <= max_k variables as an exponent
+    dict, mostly in the degree where the Grassmannian and flag residues can
+    be nonzero, with a few terms of other degrees."""
+    k = draw(st.integers(1, max_k))
     n = draw(st.integers(k, k + 3))
     degree = draw(st.sampled_from([k * (n - k), k * (n - 1) - k * (k - 1) // 2]))
     monomials = [
@@ -608,6 +617,18 @@ def test_wrappers_match_coefficient_extraction(case):
     assert grassmannian_pairing(k, n, MultiPoly(k, symmetric)) == _coefficient_of_top(
         k, n, symmetric, distinct
     ) / factorial(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wrapper_cases(max_k=4), st.permutations(range(4)))
+def test_flag_pairing_matches_the_vandermonde_alternant(case, perm):
+    # the Borel route through integrate_nonreductive against a signed sum
+    # over permutations that expands no product; one added term on the
+    # alternant's support keeps most values nonzero
+    k, n, terms = case
+    expo = tuple(n - k + p for p in perm if p < k)
+    terms[expo] = terms.get(expo, 0) + 1
+    assert flag_pairing(k, n, MultiPoly(k, terms)) == flag_alternant(k, n, terms)
 
 
 def test_uhat_minimality_flags_must_match_moment_values():

@@ -125,9 +125,15 @@ def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
                                            basis=[[1, 0, 0], [0, 1, 0]]),
             "basis form #0 has 3 coefficients, expected 2",
         ),
+        (
+            # named before any wall is evaluated on the cone
+            lambda: residue.ResidueProblem(
+                RationalFn(MultiPoly.one(2), [([1, 0], 1), ([0, 1], 1)]), cone=(1, 2, 3)),
+            "cone vector has 3 entries, expected 2",
+        ),
     ],
     ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem",
-         "ResidueProblem-form"],
+         "ResidueProblem-form", "ResidueProblem-cone"],
 )
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
