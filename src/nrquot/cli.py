@@ -137,7 +137,7 @@ def _moment_diagnostics(problem, stream):
 
 def _invariant_checks(problem, result, stream):
     """Cheap runtime spot checks relevant to the mode that just ran."""
-    if problem.class_eta is not None:
+    if problem.pairing is not None and problem.pairing.class_eta is not None:
         scaled = problemfile.ProblemFile(_scale_class(problem.doc, 3))
         doubled = run(scaled)
         if doubled["value"] != 3 * result["value"]:

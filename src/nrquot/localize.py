@@ -3,18 +3,17 @@
 Every pairing route evaluates one localisation sum: over a list of
 torus-fixed components, each carrying the restriction of the integrand
 class and the weights of its normal bundle, take the Jeffrey-Kirwan residue
-of (class * factor) / Euler(normal) and add the exact scalars, so the
-summation order never matters.  The routes differ only in the Euler factor
-in the numerator and in their preconditions:
+of (class * e(H)) / Euler(normal), add the exact scalars (so the summation
+order never matters) and multiply by the problem constant, 1/|W| unless a
+normalization is given.  The routes differ only as data:
 
-* reductive: the product over the full root system of the Levi;
-* nonreductive (``H = U x| R``): the product over the roots and the
-  adjoint weights on Lie(U), for a Weyl-invariant class;
-* graded unipotent extension ``U x| C*``: rank one and no roots, so the
-  product of the unipotent weights, summed over the components where the
-  grading circle takes its minimal moment value;
-* abelianised: the torus-quotient pairing of the lift with the
-  root-and-unipotent Euler class as the factor, divided by the Weyl order.
+* nonreductive (``H = U x| R``): e(H) is the product over the roots and the
+  adjoint weights on Lie(U), and the class must be Weyl-invariant;
+* reductive: the same with no Lie(U) weights;
+* graded unipotent extension ``U x| C*``: rank one and no roots, the
+  nonreductive route over the components where the grading circle takes its
+  minimal moment value, with no cone (each residue is then at infinity);
+* abelianised: the torus-quotient pairing of the lift with e(H).
 
 Components selected by the chamber are the caller's data-preparation
 responsibility.  When every denominator factor of a component is a multiple
@@ -24,9 +23,10 @@ so the component computes only that coefficient of class * factor (see
 the same sum over the origin alone, with normal weights ``z_i`` of order
 ``n``: the classical iterated residue at zero.  Flags are the Borel case of
 the nonreductive route, with the roots ``z_i - z_j`` (``i < j``) as Lie(U)
-weights.  The Grassmannian expands the one Vandermonde product outside
-``groupdata``: its ``z_i - z_j`` are the polynomial additions that the traced
-Schubert benchmark requires.  Both calibrate the sign conventions.
+weights.  The Grassmannian sums on its own and expands the one Vandermonde
+product outside ``groupdata``: its ``z_i - z_j`` are the polynomial
+additions that the traced Schubert benchmark requires.  Both calibrate the
+sign conventions.
 
 >>> z = [MultiPoly.variable(2, i) for i in range(2)]
 >>> grassmannian_pairing(2, 4, (z[0] + z[1]) ** 4)
@@ -145,8 +145,10 @@ class PairingProblem(_ReadOnly):
     """A pairing instance: group data, fixed components, class, chamber.
 
     ``normalization`` is the overall rational constant; when omitted it
-    defaults to 1/(Weyl order), which matches the 1/k! of the Grassmannian
-    and is overridable for actions whose generic stabiliser is nontrivial.
+    defaults to 1/|W|, which matches the 1/k! of the Grassmannian and is
+    overridable for actions whose generic stabiliser is nontrivial.  |W| is
+    the order of the group the Weyl generators generate: :meth:`constant`
+    raises when the declared ``weyl_order`` disagrees.
     """
 
     def __init__(self, group, fixed_points, class_eta=None, cone=None, normalization=None):
@@ -161,7 +163,7 @@ class PairingProblem(_ReadOnly):
     def constant(self):
         if self.normalization is not None:
             return self.normalization
-        return Fraction(1, self.group.weyl_order)
+        return Fraction(1, len(self.group.weyl_elements()))
 
     def minimal_components(self):
         return tuple(c for c in self.fixed_points if c.is_min)
@@ -203,9 +205,9 @@ def integrate_reductive(problem):
 def integrate_uhat(problem):
     """Pairing on the quotient by a graded unipotent extension U x| C*.
 
-    Rank-one torus, no roots: the problem constant times the localisation sum
-    over the minimal fixed components, with the Euler class (the unipotent
-    weights) as factor and no cone (each residue is then at infinity).
+    Rank-one torus, no roots: :func:`integrate_nonreductive` over the
+    minimal fixed components, whose Euler class is the product of the
+    unipotent weights, with no cone (each residue is then at infinity).
     """
     if problem.group.rank != 1:
         raise ValueError("graded-extension pairing requires a rank 1 torus")
@@ -220,8 +222,8 @@ def integrate_uhat(problem):
             "minimality flags disagree with the moment values on: %s"
             % ", ".join(problem.fixed_points[i].name for i in mislabeled)
         )
-    factor = euler_class_nonreductive(problem.group)
-    return problem.constant() * _localization_sum(minimal, problem.class_eta, factor, None)
+    return integrate_nonreductive(PairingProblem(problem.group, minimal, problem.class_eta,
+                                                 normalization=problem.normalization))
 
 
 def integrate_nonreductive(problem):

@@ -24,14 +24,15 @@ __all__ = ["ProblemFileError", "ProblemFile", "parse"]
 
 
 def _pairing_sections(p, doc, graded=False):
-    """``fixed_points``, then ``class``; ``graded`` (pair_uhat) also checks
-    the rank, the absence of roots and the ``is_min`` flags in between."""
+    """``fixed_points``, then ``class``, into the document's one
+    ``PairingProblem`` ``p.pairing``; ``graded`` (pair_uhat) also checks the
+    rank, the absence of roots and the ``is_min`` flags in between."""
+    from .localize import PairingProblem, _minimality_mismatches
+
     _expect(p.group is not None, "$.group", "pairing modes need a group section")
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
     p.fixed_points = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
     if graded:
-        from .localize import _minimality_mismatches
-
         _expect(p.group.rank == 1, "$.group.rank",
                 "expected 1: the graded-extension pairing needs a rank 1 torus")
         _expect(not p.group.positive_roots, "$.group.positive_roots",
@@ -43,8 +44,8 @@ def _pairing_sections(p, doc, graded=False):
                 "expected %s: lambda_weight %s is %sthe least moment value"
                 % (str(want).lower(), lam, "" if want else "not "),
             )
-    if "class" in doc:
-        p.class_eta = _poly(doc["class"], p.group.rank, "$.class")
+    class_eta = _poly(doc["class"], p.group.rank, "$.class") if "class" in doc else None
+    p.pairing = PairingProblem(p.group, p.fixed_points, class_eta, p.cone, p.normalization)
 
 
 def _betti_sections(p, doc):
@@ -208,27 +209,28 @@ def _oriented(value, problem, rank):
 def _pair_reductive(p):
     from .localize import integrate_reductive
 
-    return {"value": integrate_reductive(p.pairing_problem())}
+    return {"value": integrate_reductive(p.pairing)}
 
 
 def _pair_uhat(p):
     from .localize import integrate_uhat
 
-    return {"value": _oriented(integrate_uhat(p.pairing_problem()), p, 1)}
+    return {"value": _oriented(integrate_uhat(p.pairing), p, 1)}
 
 
 def _pair_nonreductive(p):
     from .localize import integrate_nonreductive
 
-    return {"value": integrate_nonreductive(p.pairing_problem())}
+    return {"value": integrate_nonreductive(p.pairing)}
 
 
 def _pair_abelianized(p):
     from .localize import torus_pairing_fn
 
     # the torus pairing of the lift with the Euler class, times 1/|W| by default
-    pairing = torus_pairing_fn(p.fixed_points, p.cone, p.pairing_problem().constant())
-    return {"value": pairing(p.class_eta, euler_class_nonreductive(p.group))}
+    problem = p.pairing
+    pairing = torus_pairing_fn(problem.fixed_points, problem.cone, problem.constant())
+    return {"value": pairing(problem.class_eta, euler_class_nonreductive(problem.group))}
 
 
 def _morse(p):
@@ -344,21 +346,10 @@ class ProblemFile:
             rank = self.group.rank if self.group else None
             self.cone = ConeChoice(tuple(_vector(doc["cone"], rank, "$.cone")))
 
-        self.class_eta = None
+        self.pairing = None
         MODES[mode].sections(self, doc)
 
         self.moment_checks = _array(doc, "moment_checks", "$", _moment_check)
-
-    def pairing_problem(self):
-        from .localize import PairingProblem
-
-        return PairingProblem(
-            group=self.group,
-            fixed_points=self.fixed_points,
-            class_eta=self.class_eta,
-            cone=self.cone,
-            normalization=self.normalization,
-        )
 
 
 def parse(doc):

@@ -79,6 +79,26 @@ def flag_alternant(k, n, terms):
     return total
 
 
+def grassmannian_alternant(k, n, terms):
+    """The Grassmannian pairing of a symmetric class in ``k`` variables,
+    given as ``{exponent tuple: coefficient}``, read off the Vandermonde
+    alternant.
+
+    prod_{i != j} (z_i - z_j) is (-1)^(k(k-1)/2) times the square of the
+    alternant sum_s sgn(s) z^(s delta), delta = (k-1, ..., 0).  For a
+    symmetric class, antisymmetry folds one alternant with the 1/k!, so the
+    pairing is (-1)^(k(k-1)/2) sum_s sgn(s) terms[(n-1) - delta - s delta];
+    a lookup with a negative exponent counts 0.
+    """
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        expo = tuple(n - 1 - (k - 1 - i) - (k - 1 - p) for i, p in enumerate(perm))
+        if min(expo) >= 0:
+            total += (-1) ** inversions * Fraction(terms.get(expo, 0))
+    return (-1) ** (k * (k - 1) // 2) * total
+
+
 def gaussian_binomial(n, k):
     """Coefficient list of the q-binomial [n choose k] in q."""
     if k < 0 or k > n:

@@ -425,6 +425,19 @@ def test_pairing_modes_reject_a_class_that_is_not_weyl_invariant(tmp_path, mode)
     assert out.stdout == ""
 
 
+def test_pair_uhat_checks_the_class_against_its_weyl_generators(tmp_path, capsys):
+    # pair_uhat runs the nonreductive route over the minimal components, so
+    # like every other pairing route it rejects a class that a Weyl generator
+    # moves: here z under z -> -z.  An invariant class is divided by |W| = 2.
+    doc = copy.deepcopy(MODE_DOCS["pair_uhat"])
+    doc["group"].update(weyl_generators=[[[-1]]], weyl_order=2)
+    assert run_main(capsys, tmp_path, doc) == (0, "1/2\n", "")
+    doc["class"] = [{"coeff": "1", "exp": [1]}]
+    assert run_main(capsys, tmp_path, doc) == (
+        2, "", "error: class is not Weyl-invariant; witness generator #0: "
+        "((Fraction(-1, 1),),)\n")
+
+
 def test_grassmannian_mode_rejects_a_class_that_is_not_symmetric(tmp_path):
     doc = dict(MODE_DOCS["grassmannian"], phi=[{"coeff": "1", "exp": [4, 0]}])
     out = run_cli(write_problem(tmp_path, doc))
@@ -1483,3 +1496,62 @@ def test_a_mutated_document_exits_0_1_or_2_with_at_most_one_error_line(data):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         assert out.getvalue() == ""
+
+
+# The mutation fuzz of every mode: one to four edits of a committed or
+# MODE_DOCS document, each a value replaced by a value of another kind, a key
+# deleted, an array element repeated up to 50 times or the mode swapped.  The
+# large value is past every size budget, and as a pole order or coefficient
+# it costs nothing; documents that cost time or memory are the subprocess
+# cases of TINY_DOCUMENTS.
+MUTANT_VALUES = st.sampled_from([
+    10 ** 12, -2, -1.5, 0.5, "3/2", True, False, None, "x", [[1, "a"]], {"rank": [2]},
+])
+
+
+@st.composite
+def mutated_documents(draw):
+    """(document, flags): a mutated document and, one run in five,
+    ``--check-invariants``."""
+    doc = copy.deepcopy(draw(st.sampled_from(list(mode_documents().values()))))
+    for _ in range(draw(st.integers(1, 4))):
+        paths = list(field_paths(doc))
+        edit = draw(st.sampled_from(["replace", "resize", "mode"]))
+        if edit == "mode" or not paths:
+            doc["mode"] = draw(st.sampled_from(list(problemfile.MODES)))
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if edit == "replace":
+            parent[key] = copy.deepcopy(draw(MUTANT_VALUES))
+        elif isinstance(parent, dict):  # resize: delete the key or repeat the element
+            del parent[key]
+        else:
+            parent[key:key + 1] = [copy.deepcopy(parent[key])
+                                   for _ in range(draw(st.integers(2, 50)))]
+    return doc, ["--check-invariants"] if draw(st.integers(0, 4)) == 0 else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_every_mutated_document_ends_in_exit_0_1_or_2(case):
+    doc, flags = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "problem.json"
+        target.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(target), *flags])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "internal error" not in err
+    if flags:
+        return
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert out.getvalue() == ""
+    else:
+        assert err == ""

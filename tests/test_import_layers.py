@@ -10,7 +10,8 @@ only the schema readers and the public classmethods run it, and the kernel
 builds its results with the trusted constructors, which are the only code
 that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.  One
 test counts the validating ``RationalFn`` calls of the summing paths at run
-time.  The Euler class e(H) is expanded in one place, ``groupdata``.
+time.  The Euler class e(H) is expanded in one place, ``groupdata``, and
+one localisation sum serves every pairing route but the Grassmannian.
 """
 
 import ast
@@ -270,3 +271,21 @@ def test_only_groupdata_expands_the_euler_class():
              for func, _, _ in calls_of(path, "_product")}
     assert calls == {("groupdata", "euler_class_nonreductive"),
                      ("localize", "grassmannian_pairing")}
+
+
+def test_every_pairing_route_but_the_grassmannian_sums_in_one_place():
+    # The reductive, graded and flag routes call integrate_nonreductive, and
+    # the abelianised route pairs through the closure ``pairing`` that
+    # torus_pairing_fn returns.  The Grassmannian sums on its own: its
+    # Vandermonde z_i - z_j are the polynomial additions that the traced
+    # Schubert benchmark requires.
+    calls = {(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func, _, _ in calls_of(path, "_localization_sum")}
+    assert calls == {("localize", "integrate_nonreductive"), ("localize", "pairing"),
+                     ("localize", "grassmannian_pairing")}
+
+
+def test_a_problem_file_builds_its_pairing_problem_once():
+    # The pairing handlers and the invariant checks read ``p.pairing``.
+    calls = calls_of(PACKAGE / "problemfile.py", "PairingProblem")
+    assert [func for func, _, _ in calls] == ["_pairing_sections"]

@@ -31,7 +31,7 @@ from nrquot.localize import (
 )
 from nrquot.polyring import LinearForm, MultiPoly, RationalFn, weyl_act, weyl_element
 from nrquot.residue import ResidueProblem, jk_residue
-from oracles import dense_mul, flag_alternant, pieri_power
+from oracles import dense_mul, flag_alternant, grassmannian_alternant, pieri_power
 
 
 def zz(n=2):
@@ -84,6 +84,22 @@ def test_reductive_grassmannian_mixed_class():
 def test_reductive_low_degree_class_vanishes():
     z0, z1 = zz()
     assert integrate_reductive(gr24_problem((z0 + z1) ** 2)) == 0
+
+
+def test_the_constant_is_one_over_the_order_the_generators_generate():
+    # A library GroupData that omits weyl_order declares 1 against the swap's
+    # group of order 2; dividing by the declared order gave 4 for sigma_1^4.
+    z0, z1 = zz()
+
+    def problem(**declared):
+        group = GroupData(2, positive_roots=[[1, -1]], weyl_generators=[[1, 0]], **declared)
+        return PairingProblem(group, [gr24_origin()], (z0 + z1) ** 4)
+
+    for route in (integrate_reductive, integrate_nonreductive):
+        with pytest.raises(ValueError) as info:
+            route(problem())
+        assert str(info.value) == "Weyl generators produce a group of order 2, declared 1"
+        assert route(problem(weyl_order=2)) == 2
 
 
 def test_reductive_rejects_unipotent_data():
@@ -223,7 +239,7 @@ def test_uhat_p3_matches_nonreductive_route():
 @pytest.mark.parametrize("sign_flip", [False, True], ids=["plain", "flipped"])
 def test_uhat_pinned_values_in_both_orientations(problem, value, sign_flip):
     assert integrate_uhat(problem) == value
-    parsed = SimpleNamespace(mode="pair_uhat", sign_flip=sign_flip, pairing_problem=lambda: problem)
+    parsed = SimpleNamespace(mode="pair_uhat", sign_flip=sign_flip, pairing=problem)
     assert cli.run(parsed)["value"] == (-value if sign_flip else value)
 
 
@@ -629,6 +645,21 @@ def test_flag_pairing_matches_the_vandermonde_alternant(case, perm):
     expo = tuple(n - k + p for p in perm if p < k)
     terms[expo] = terms.get(expo, 0) + 1
     assert flag_pairing(k, n, MultiPoly(k, terms)) == flag_alternant(k, n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wrapper_cases(max_k=4))
+def test_grassmannian_pairing_matches_the_vandermonde_alternant(case):
+    # the residue route against a signed sum over permutations that shares
+    # no code with it, on the symmetrisation of a random class
+    k, n, terms = case
+    symmetric = {}
+    for expo, c in terms.items():
+        for perm in permutations(range(k)):
+            moved = tuple(expo[p] for p in perm)
+            symmetric[moved] = symmetric.get(moved, 0) + c
+    expected = grassmannian_alternant(k, n, symmetric)
+    assert grassmannian_pairing(k, n, MultiPoly(k, symmetric)) == expected
 
 
 def test_uhat_minimality_flags_must_match_moment_values():
