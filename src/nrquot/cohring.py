@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 from . import _linalg
 from .exactnum import TruncSeries, _integer
-from .groupdata import GroupData, _check_factors_invariant, _euler_forms, euler_class_nonreductive
+from .groupdata import GroupData, _check_factors_invariant, euler_class_nonreductive
 from .polyring import MultiPoly, _trusted_poly, weyl_act
 
 __all__ = [
@@ -192,8 +192,7 @@ def invariant_basis(ringp, weyl):
     ``degree -> list of quotient-coordinate vectors``.
     """
     group = _weyl_group(ringp, weyl)
-    group.weyl_elements()  # checks the generators against the declared order
-    elements = group.generator_elements()
+    elements = group.generator_elements
     for gen, element in zip(group.weyl_generators, elements):
         for rel in ringp.relations:
             if any(c != 0 for c in ringp.reduce(weyl_act(rel, element))):
@@ -261,7 +260,7 @@ def _quotient_betti_with_invariants(ringp, weyl, group):
     class it used, for callers that also report the invariant dimensions and
     the annihilator of the class.  A class of degree above the top degree is
     zero in the ring; it is returned as zero and never expanded."""
-    forms = _euler_forms(group)
+    forms = group.euler_forms
     if group.rank != ringp.nvars:
         raise ValueError("Euler class is not expressible in the ring variables")
     _check_factors_invariant(forms, group)

@@ -68,7 +68,6 @@ class _ReadOnly:
 
     A subclass's ``__init__`` validates its arguments and stores the fields
     through ``vars(self)``; after that no field can be assigned or deleted.
-    Methods may still memoise derived values in ``vars(self)``.
     """
 
     def __setattr__(self, name, value):

@@ -88,7 +88,13 @@ class GroupData(_ReadOnly):
     be positive for the data to be admissible (see :func:`check_grading`).
     ``weyl_generators`` may be permutations of the variable indices or
     invertible rational matrices; ``weyl_order`` is the order of the group
-    they generate.
+    they generate, and the constructor raises ValueError when it is not.
+
+    Three fields are derived when the group is built: ``generator_elements``,
+    the generators in the form of :func:`weyl_element`; ``weyl_elements``,
+    every element of the group in that form; and ``euler_forms``, the linear
+    factors of :func:`euler_class_nonreductive` in its multiplication order:
+    each positive root, then its negative, then each Lie(U) weight.
     """
 
     def __init__(self, rank, positive_roots=(), unipotent_weights=(), weyl_generators=(),
@@ -113,38 +119,19 @@ class GroupData(_ReadOnly):
         grading = tuple(as_fraction(x) for x in grading)
         if len(grading) != rank:
             raise ValueError("grading vector length does not match rank")
+        elements = tuple(weyl_element(g, rank) for g in gens)
         vars(self).update(
             rank=rank, positive_roots=roots, unipotent_weights=weights,
             weyl_generators=gens, weyl_order=weyl_order, grading=grading,
+            generator_elements=elements,
+            weyl_elements=_weyl_closure(elements, weyl_order, rank),
+            euler_forms=tuple(f for root in roots for f in (root, -root)) + weights,
         )
-
-    # -- Weyl group --------------------------------------------------------
-
-    # Both memoise in __dict__, which _ReadOnly leaves writable.
-    def generator_elements(self):
-        """The Weyl generators in the form of :func:`weyl_element`."""
-        if "_generator_elements" not in self.__dict__:
-            self.__dict__["_generator_elements"] = tuple(
-                weyl_element(g, self.rank) for g in self.weyl_generators
-            )
-        return self.__dict__["_generator_elements"]
-
-    def weyl_elements(self):
-        """All Weyl elements, in the form of :func:`weyl_element`.
-
-        The closure is checked against ``weyl_order``; disagreement means the
-        supplied generators and order are inconsistent.
-        """
-        if "_weyl_elements" not in self.__dict__:
-            self.__dict__["_weyl_elements"] = _weyl_closure(
-                self.generator_elements(), self.weyl_order, self.rank
-            )
-        return self.__dict__["_weyl_elements"]
 
 
 def _check_weyl_invariant(poly, group):
     """Raise :class:`WeylInvarianceError` at the first generator that moves ``poly``."""
-    for index, element in enumerate(group.generator_elements()):
+    for index, element in enumerate(group.generator_elements):
         if weyl_act(poly, element) != poly:
             raise WeylInvarianceError(index, group.weyl_generators[index])
 
@@ -169,7 +156,7 @@ def _check_factors_invariant(factors, group):
         return scale, shapes
 
     base = split(f.coeffs for f in factors)
-    for index, element in enumerate(group.generator_elements()):
+    for index, element in enumerate(group.generator_elements):
         if split(f.act(element).coeffs for f in factors) != base:
             raise WeylInvarianceError(index, group.weyl_generators[index])
 
@@ -258,17 +245,6 @@ def lambda_projection(weight, group):
     return w(group.grading)
 
 
-def _euler_forms(group):
-    """The linear factors of :func:`euler_class_nonreductive`, in its
-    multiplication order: each positive root, then its negative, then each
-    Lie(U) weight.  Memoised in the group's ``__dict__``, as its Weyl
-    elements are."""
-    if "_euler_forms" not in group.__dict__:
-        roots = tuple(f for root in group.positive_roots for f in (root, -root))
-        group.__dict__["_euler_forms"] = roots + group.unipotent_weights
-    return group.__dict__["_euler_forms"]
-
-
 def _product(factors, nvars):
     """The product of polynomials in ``nvars`` variables, left to right."""
     out = MultiPoly.one(nvars)
@@ -287,4 +263,4 @@ def euler_class_nonreductive(group):
     over all roots equals the squared product of the positive roots only up
     to the sign (-1)^(number of positive roots).
     """
-    return _product([f.to_poly() for f in _euler_forms(group)], group.rank)
+    return _product([f.to_poly() for f in group.euler_forms], group.rank)

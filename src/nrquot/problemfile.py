@@ -31,21 +31,21 @@ def _pairing_sections(p, doc, graded=False):
 
     _expect(p.group is not None, "$.group", "pairing modes need a group section")
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
-    p.fixed_points = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
+    components = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
     if graded:
         _expect(p.group.rank == 1, "$.group.rank",
                 "expected 1: the graded-extension pairing needs a rank 1 torus")
         _expect(not p.group.positive_roots, "$.group.positive_roots",
                 "expected an empty array: the graded-extension pairing needs no roots")
-        for i in _minimality_mismatches(p.fixed_points):
-            want, lam = not p.fixed_points[i].is_min, p.fixed_points[i].lambda_weight
+        for i in _minimality_mismatches(components):
+            want, lam = not components[i].is_min, components[i].lambda_weight
             raise ProblemFileError(
                 "$.fixed_points[%d].is_min" % i,
                 "expected %s: lambda_weight %s is %sthe least moment value"
                 % (str(want).lower(), lam, "" if want else "not "),
             )
     class_eta = _poly(doc["class"], p.group.rank, "$.class") if "class" in doc else None
-    p.pairing = PairingProblem(p.group, p.fixed_points, class_eta, p.cone, p.normalization)
+    p.pairing = PairingProblem(p.group, components, class_eta, p.cone, p.normalization)
 
 
 def _betti_sections(p, doc):

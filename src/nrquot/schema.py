@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exactnum import TruncSeries, _ReadOnly
 from .groupdata import GroupData
-from .polyring import LinearForm, MultiPoly
+from .polyring import LinearForm, MultiPoly, weyl_element
 
 # Largest accepted series truncation bound: a series holds one Python int per
 # coefficient, so the bound is a memory budget.
@@ -226,8 +226,17 @@ def _group(value, path):
         path + ".inner_product",
         "unsupported: a weight pairs with the grading by evaluation, which needs no metric",
     )
+    _expect(not any(f.is_zero() for f in roots + weights), path,
+            "roots and unipotent weights must be nonzero")
+    for g in gens:
+        try:
+            weyl_element(g, rank)
+        except ValueError as exc:
+            raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
+    # Pairings divide by the Weyl order, so GroupData refuses generators that
+    # do not generate a group of that order; nothing else is left to fail.
     try:
-        group = GroupData(
+        return GroupData(
             rank=rank,
             positive_roots=tuple(roots),
             unipotent_weights=tuple(weights),
@@ -236,18 +245,7 @@ def _group(value, path):
             grading=tuple(grading) if grading is not None else None,
         )
     except ValueError as exc:
-        raise ProblemFileError(path, str(exc)) from None
-    # Pairings divide by the Weyl order, so generators that do not generate a
-    # group of that order change answers.
-    try:
-        group.generator_elements()
-    except ValueError as exc:
-        raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
-    try:
-        group.weyl_elements()
-    except ValueError as exc:
         raise ProblemFileError(path + ".weyl_order", str(exc)) from None
-    return group
 
 
 def _weights(value, rank, path):

@@ -479,8 +479,21 @@ def test_invalid_cone_is_a_computation_error(tmp_path):
         ({"weyl_generators": [[[0, 1], 1]]}, "$.group.weyl_generators[0][1]: expected "
          "an array of rationals"),
         ({"weyl_order": 5041}, "$.group.weyl_order: must be at most 5040"),
+        ({"positive_roots": [["0", "0"]]}, "$.group: roots and unipotent weights must be "
+         "nonzero"),
+        ({"weyl_generators": [[[1, 1], [1, 1]]]}, "$.group.weyl_generators: Weyl generator "
+         "is not invertible"),
+        ({"weyl_generators": [[[1, 0]]]}, "$.group.weyl_generators: generator matrix size "
+         "does not match rank"),
+        ({"weyl_order": 1}, "$.group.weyl_order: Weyl generators produce a group "
+         "of order 2, declared 1"),
+        # every check before the closure wins over a wrong order
+        ({"positive_roots": [["0", "0"]], "weyl_order": 3}, "$.group: roots and unipotent "
+         "weights must be nonzero"),
     ],
-    ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix", "over-budget"],
+    ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix", "over-budget",
+         "zero-root", "singular-matrix", "non-square-matrix", "order-too-small",
+         "zero-root-and-wrong-order"],
 )
 def test_contradictory_weyl_data_rejected(tmp_path, group, message):
     doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())

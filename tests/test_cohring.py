@@ -123,7 +123,7 @@ def test_invariant_basis_spans_the_reynolds_averages(name, exponent, scalars):
         averages = []
         for b in ring.basis_elements(d):
             total = MultiPoly.zero(nvars)
-            for element in group.weyl_elements():
+            for element in group.weyl_elements:
                 total = total + weyl_act(b, element)
             averages.append(ring.reduce(total * Fraction(1, order), d))
         assert rank(inv[d]) == len(inv[d]) == rank(averages) == rank(averages + inv[d])

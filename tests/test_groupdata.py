@@ -160,12 +160,11 @@ def test_cone_validation():
 
 def test_weyl_enumeration_s2_and_s3():
     g = GroupData(rank=2, weyl_generators=[(1, 0)], weyl_order=2)
-    assert len(g.weyl_elements()) == 2
+    assert len(g.weyl_elements) == 2
     g3 = GroupData(rank=3, weyl_generators=[(1, 0, 2), (0, 2, 1)], weyl_order=6)
-    assert len(g3.weyl_elements()) == 6
-    bad = GroupData(rank=3, weyl_generators=[(1, 0, 2)], weyl_order=6)
+    assert len(g3.weyl_elements) == 6
     with pytest.raises(ValueError):
-        bad.weyl_elements()
+        GroupData(rank=3, weyl_generators=[(1, 0, 2)], weyl_order=6)
 
 
 # -- the one Weyl element form against a dense matrix closure ----------------------
@@ -239,7 +238,7 @@ def test_weyl_closure_and_action_match_the_dense_reference(data):
     actions = []
     for gens in spellings:
         group = GroupData(rank=n, weyl_generators=gens, weyl_order=len(reference))
-        elements = group.weyl_elements()
+        elements = group.weyl_elements
         assert len(elements) == len(reference)
         assert {dense(e, n) for e in elements} == reference
         actions.append([weyl_act(poly, weyl_element(g, n)) for g in gens])

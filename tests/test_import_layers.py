@@ -11,7 +11,9 @@ builds its results with the trusted constructors, which are the only code
 that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.  One
 test counts the validating ``RationalFn`` calls of the summing paths at run
 time.  The Euler class e(H) is expanded in one place, ``groupdata``, and
-one localisation sum serves every pairing route but the Grassmannian.
+one localisation sum serves every pairing route but the Grassmannian.  A
+``GroupData`` closes its Weyl group when it is built, and no record memoises
+in its ``__dict__``.
 """
 
 import ast
@@ -289,3 +291,30 @@ def test_a_problem_file_builds_its_pairing_problem_once():
     # The pairing handlers and the invariant checks read ``p.pairing``.
     calls = calls_of(PACKAGE / "problemfile.py", "PairingProblem")
     assert [func for func, _, _ in calls] == ["_pairing_sections"]
+
+
+def test_no_record_memoises_in_its_dict():
+    # Records derive every field in __init__; a memo written into __dict__
+    # later would be a field that no constructor checked.
+    stray = [
+        "%s:%d %s" % (path.name, node.lineno, ast.unparse(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__dict__"
+    ]
+    assert stray == []
+
+
+def test_only_the_group_constructor_closes_the_weyl_group():
+    # GroupData.__init__ checks the declared order against the closure, so
+    # every GroupData that exists has a consistent weyl_order.
+    calls = [(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func, _, _ in calls_of(path, "_weyl_closure")]
+    tree = ast.parse((PACKAGE / "groupdata.py").read_text(encoding="utf-8"))
+    [init] = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and cls.name == "GroupData" for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    assert calls == [("groupdata", "__init__")]
+    assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "_weyl_closure"
+               for node in ast.walk(init))

@@ -14,7 +14,6 @@ from nrquot.groupdata import (
     WeylInvarianceError,
     _check_factors_invariant,
     _check_weyl_invariant,
-    _euler_forms,
     euler_class_nonreductive,
 )
 from nrquot.localize import (
@@ -88,7 +87,8 @@ def test_reductive_low_degree_class_vanishes():
 
 def test_the_constant_is_one_over_the_order_the_generators_generate():
     # A library GroupData that omits weyl_order declares 1 against the swap's
-    # group of order 2; dividing by the declared order gave 4 for sigma_1^4.
+    # group of order 2.  The group refuses that order when it is built, so no
+    # route divides by it (dividing by it gave 4 for sigma_1^4).
     z0, z1 = zz()
 
     def problem(**declared):
@@ -411,6 +411,19 @@ def test_abelianized_pairs_the_lift_with_the_euler_class(monkeypatch):
     assert integrate_abelianized(pairing, lift, e, 2) == 2
 
 
+def test_abelianized_divides_by_an_order_the_group_checked():
+    # Without weyl_order the swap's group of order 2 declares 1; built
+    # unchecked, its weyl_order made this route return 4 for sigma_1^4.
+    z0, z1 = zz()
+    with pytest.raises(ValueError) as info:
+        GroupData(2, positive_roots=[[1, -1]], weyl_generators=[[1, 0]])
+    assert str(info.value) == "Weyl generators produce a group of order 2, declared 1"
+    g = GroupData(2, positive_roots=[[1, -1]], weyl_generators=[[1, 0]], weyl_order=2)
+    torus = torus_pairing_fn([gr24_origin()])
+    e = euler_class_nonreductive(g)
+    assert integrate_abelianized(torus, (z0 + z1) ** 4, e, g.weyl_order) == 2
+
+
 def test_abelianized_zero_class():
     pairing = torus_pairing_fn([gr24_origin()])
     assert integrate_abelianized(pairing, MultiPoly.zero(2), MultiPoly.one(2), 2) == 0
@@ -686,14 +699,14 @@ def test_factor_check_reads_the_scalars():
     # z0 -> -z0 sends the factor z0 to -z0: the scalars multiply to -1
     group = weight_group([[1]], [[[-1]]], 2)
     with pytest.raises(WeylInvarianceError) as info:
-        _check_factors_invariant(_euler_forms(group), group)
+        _check_factors_invariant(group.euler_forms, group)
     assert info.value.generator_index == 0
     # two such factors: the scalars multiply to 1
     group = weight_group([[1], [1]], [[[-1]]], 2)
-    _check_factors_invariant(_euler_forms(group), group)
+    _check_factors_invariant(group.euler_forms, group)
     # the swap sends 2*z0, z1/2 to 2*z1, z0/2: the same factors up to 4 and 1/4
     group = weight_group([[2, 0], [0, "1/2"]], [(1, 0)], 2)
-    _check_factors_invariant(_euler_forms(group), group)
+    _check_factors_invariant(group.euler_forms, group)
 
 
 FORM = st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=2, max_size=2).filter(any)
@@ -711,7 +724,7 @@ FACTOR_CHECK_GROUPS = [
 @example([[1, -1]], FACTOR_CHECK_GROUPS[0])
 def test_factor_check_agrees_with_the_expanded_product(weights, weyl):
     group = weight_group(weights, *weyl)
-    forms = _euler_forms(group)
+    forms = group.euler_forms
 
     def witness(check, arg):
         try:

@@ -36,6 +36,9 @@ RECORDS = [
             "weyl_generators": (),
             "weyl_order": 1,
             "grading": (0,),
+            "generator_elements": (),
+            "weyl_elements": ((((0, 1),),),),
+            "euler_forms": (),
         },
     ),
     (groupdata.ConeChoice, (("1/2", 2),), {"xi": (Fraction(1, 2), 2)}),
