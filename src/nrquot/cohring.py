@@ -170,16 +170,12 @@ def graded_dims(ringp):
 def _weyl_group(ringp, weyl):
     """The Weyl group as a :class:`GroupData`, given as one or as
     ``(generators, order)``."""
-    if isinstance(weyl, GroupData):
-        group = weyl
-    else:
+    if not isinstance(weyl, GroupData):
         generators, order = weyl
-        group = GroupData(
-            rank=ringp.nvars, weyl_generators=tuple(generators), weyl_order=order
-        )
-    if group.rank != ringp.nvars:
+        return GroupData(ringp.nvars, weyl_generators=generators, weyl_order=order)
+    if weyl.rank != ringp.nvars:
         raise ValueError("Weyl data rank does not match the ring")
-    return group
+    return weyl
 
 
 def invariant_basis(ringp, weyl):

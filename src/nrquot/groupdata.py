@@ -10,8 +10,10 @@ the combinatorial shadows of the geometric hypotheses under which the
 pairing and Betti formulas hold.
 """
 
+import json
 from collections import Counter
 
+from . import _linalg
 from .exactnum import _integer, _ReadOnly, as_fraction
 from .polyring import MultiPoly, _as_form, weyl_act, weyl_element
 
@@ -33,16 +35,23 @@ class InvalidConeError(ValueError):
     """A chamber vector annihilates one of the denominator forms."""
 
 
+class _GroupError(ValueError):
+    """A broken group rule; ``suffix`` is its field's path below the group's."""
+
+    def __init__(self, suffix, message):
+        super().__init__(message)
+        self.suffix = suffix
+
+
 class WeylInvarianceError(ValueError):
-    """The class fails Weyl invariance; carries a witness generator."""
+    """The class fails Weyl invariance; carries a witness generator, spelled as JSON."""
 
     def __init__(self, generator_index, generator):
         self.generator_index = generator_index
         self.generator = generator
-        super().__init__(
-            "class is not Weyl-invariant; witness generator #%d: %r"
-            % (generator_index, generator)
-        )
+        text = json.dumps(generator, default=lambda x: int(x) if x.denominator == 1 else str(x))
+        super().__init__("class is not Weyl-invariant; witness generator #%d: %s"
+                         % (generator_index, text))
 
 
 def _compose(g, m):
@@ -58,24 +67,28 @@ def _compose(g, m):
 
 
 def _weyl_closure(generators, order, rank):
-    """Every element of the group the generators generate, breadth first.
-
-    Raises ValueError when the closure does not have ``order`` elements.
-    """
+    """Every element of the group the generators generate; ValueError unless
+    there are ``order``.  A generator the earlier ones generate is skipped.
+    Their group is closed under them, so its elements are multiplied by a new
+    generator alone, and each element found after it joins by all of them."""
     elements = [weyl_element(range(rank), rank)]
-    seen = set(elements)
-    for m in elements:
-        for g in generators:
-            prod = _compose(g, m)
-            if prod not in seen:
-                seen.add(prod)
-                elements.append(prod)
-        if len(elements) > 4 * order + 16:
-            raise ValueError("Weyl closure exceeds the declared order; data inconsistent")
+    seen, joined = set(elements), []
+    for g in generators:
+        if g in seen:
+            continue
+        old, joined = len(elements), joined + [g]
+        for i, m in enumerate(elements):
+            for h in (g,) if i < old else joined:
+                prod = _compose(h, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+            if len(elements) > 4 * order + 16:
+                raise _GroupError(".weyl_order", "Weyl closure exceeds the declared order; "
+                                  "data inconsistent")
     if len(elements) != order:
-        raise ValueError(
-            "Weyl generators produce a group of order %d, declared %d" % (len(elements), order)
-        )
+        raise _GroupError(".weyl_order", "Weyl generators produce a group of order %d, "
+                          "declared %d" % (len(elements), order))
     return tuple(elements)
 
 
@@ -87,14 +100,14 @@ class GroupData(_ReadOnly):
     Lie(U) weight pairs with it by evaluation, and every such pairing must
     be positive for the data to be admissible (see :func:`check_grading`).
     ``weyl_generators`` may be permutations of the variable indices or
-    invertible rational matrices; ``weyl_order`` is the order of the group
-    they generate, and the constructor raises ValueError when it is not.
+    rational matrices of determinant 1 or -1; ``weyl_order`` is the order of
+    the group they generate.  The constructor is the one place that checks
+    these rules; it closes the group once to check the order.
 
-    Three fields are derived when the group is built: ``generator_elements``,
-    the generators in the form of :func:`weyl_element`; ``weyl_elements``,
-    every element of the group in that form; and ``euler_forms``, the linear
-    factors of :func:`euler_class_nonreductive` in its multiplication order:
-    each positive root, then its negative, then each Lie(U) weight.
+    Two fields are derived when the group is built: ``generator_elements``,
+    the generators in the form of :func:`weyl_element`, and ``euler_forms``,
+    the factors of :func:`euler_class_nonreductive` in its order: each
+    positive root, then its negative, then each Lie(U) weight.
     """
 
     def __init__(self, rank, positive_roots=(), unipotent_weights=(), weyl_generators=(),
@@ -108,10 +121,8 @@ class GroupData(_ReadOnly):
             if f.nvars != rank:
                 raise ValueError("root/weight length does not match rank")
             if f.is_zero():
-                raise ValueError("roots and unipotent weights must be nonzero")
+                raise _GroupError("", "roots and unipotent weights must be nonzero")
         weyl_order = _integer(weyl_order, "Weyl order")
-        if weyl_order < 1:
-            raise ValueError("Weyl order must be at least 1")
         gens = tuple(tuple(tuple(x) if isinstance(x, list) else x for x in g)
                      for g in weyl_generators)
         if grading is None:
@@ -119,12 +130,21 @@ class GroupData(_ReadOnly):
         grading = tuple(as_fraction(x) for x in grading)
         if len(grading) != rank:
             raise ValueError("grading vector length does not match rank")
-        elements = tuple(weyl_element(g, rank) for g in gens)
+        elements = []
+        for index, g in enumerate(gens):
+            try:
+                elements.append(weyl_element(g, rank))
+            except ValueError as exc:
+                raise _GroupError(".weyl_generators", str(exc)) from None
+            det = _linalg.det(_linalg.to_matrix(g)) if isinstance(g[0], tuple) else 1
+            if det not in (1, -1):
+                raise _GroupError(".weyl_generators", "Weyl generator #%d has determinant %s, "
+                                  "so it has infinite order" % (index, det))
+        _weyl_closure(elements, weyl_order, rank)
         vars(self).update(
             rank=rank, positive_roots=roots, unipotent_weights=weights,
             weyl_generators=gens, weyl_order=weyl_order, grading=grading,
-            generator_elements=elements,
-            weyl_elements=_weyl_closure(elements, weyl_order, rank),
+            generator_elements=tuple(elements),
             euler_forms=tuple(f for root in roots for f in (root, -root)) + weights,
         )
 

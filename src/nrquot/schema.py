@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 
 from .exactnum import TruncSeries, _ReadOnly
-from .groupdata import GroupData
-from .polyring import LinearForm, MultiPoly, weyl_element
+from .groupdata import GroupData, _GroupError
+from .polyring import LinearForm, MultiPoly
 
 # Largest accepted series truncation bound: a series holds one Python int per
 # coefficient, so the bound is a memory budget.
@@ -202,10 +202,8 @@ def _perfection(value, path):
 def _generator(value, path):
     _expect(isinstance(value, list) and value, path, "expected a nonempty array")
     if isinstance(value[0], list):
-        return tuple(
-            tuple(_vector(row, None, "%s[%d]" % (path, i))) for i, row in enumerate(value)
-        )
-    return tuple(_int(x, "%s[%d]" % (path, i)) for i, x in enumerate(value))
+        return [_vector(row, None, "%s[%d]" % (path, i)) for i, row in enumerate(value)]
+    return [_int(x, "%s[%d]" % (path, i)) for i, x in enumerate(value)]
 
 
 def _group(value, path):
@@ -226,26 +224,11 @@ def _group(value, path):
         path + ".inner_product",
         "unsupported: a weight pairs with the grading by evaluation, which needs no metric",
     )
-    _expect(not any(f.is_zero() for f in roots + weights), path,
-            "roots and unipotent weights must be nonzero")
-    for g in gens:
-        try:
-            weyl_element(g, rank)
-        except ValueError as exc:
-            raise ProblemFileError(path + ".weyl_generators", str(exc)) from None
-    # Pairings divide by the Weyl order, so GroupData refuses generators that
-    # do not generate a group of that order; nothing else is left to fail.
+    # GroupData checks the group's rules; its error names the field.
     try:
-        return GroupData(
-            rank=rank,
-            positive_roots=tuple(roots),
-            unipotent_weights=tuple(weights),
-            weyl_generators=tuple(gens),
-            weyl_order=order,
-            grading=tuple(grading) if grading is not None else None,
-        )
-    except ValueError as exc:
-        raise ProblemFileError(path + ".weyl_order", str(exc)) from None
+        return GroupData(rank, roots, weights, gens, order, grading)
+    except _GroupError as exc:
+        raise ProblemFileError(path + exc.suffix, str(exc)) from None
 
 
 def _weights(value, rank, path):

@@ -9,6 +9,7 @@ from nrquot.groupdata import (
     ConeChoice,
     GroupData,
     InvalidConeError,
+    _weyl_closure,
     check_grading,
     check_well_adapted,
     euler_class_nonreductive,
@@ -160,11 +161,14 @@ def test_cone_validation():
 
 def test_weyl_enumeration_s2_and_s3():
     g = GroupData(rank=2, weyl_generators=[(1, 0)], weyl_order=2)
-    assert len(g.weyl_elements) == 2
+    assert len(_weyl_closure(g.generator_elements, 2, 2)) == 2
     g3 = GroupData(rank=3, weyl_generators=[(1, 0, 2), (0, 2, 1)], weyl_order=6)
-    assert len(g3.weyl_elements) == 6
+    assert len(_weyl_closure(g3.generator_elements, 6, 3)) == 6
     with pytest.raises(ValueError):
         GroupData(rank=3, weyl_generators=[(1, 0, 2)], weyl_order=6)
+    # no group has fewer than one element
+    with pytest.raises(ValueError, match="of order 1, declared 0"):
+        GroupData(rank=2, weyl_order=0)
 
 
 # -- the one Weyl element form against a dense matrix closure ----------------------
@@ -172,7 +176,7 @@ def test_weyl_enumeration_s2_and_s3():
 
 def dense_closure(matrices, n):
     """Every product of the generator matrices, by breadth-first search over
-    dense row tuples: the reference for ``GroupData.weyl_elements``."""
+    dense row tuples: the reference for ``groupdata._weyl_closure``."""
     matrices = [[[Fraction(x) for x in row] for row in g] for g in matrices]
     identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     seen = {identity}
@@ -193,6 +197,12 @@ def dense_closure(matrices, n):
     return seen
 
 
+def matrix_product(a, b):
+    n = len(a)
+    return [[sum((Fraction(a[i][l]) * Fraction(b[l][j]) for l in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
 def permutation_matrix(perm):
     n = len(perm)
     return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
@@ -211,14 +221,19 @@ A2_ROOT_COORDINATES = [[[-1, 0], [1, 1]], [[1, 1], [0, -1]]]
 
 @st.composite
 def generator_spellings(draw):
-    """A rank and one or two spellings of the same generator set: permutations
-    of S2-S4 and the same permutations as matrices, or W(B2) or W(A2) as
-    matrices.  The matrix spelling comes last."""
+    """A rank and two or three spellings of the same group: permutations of
+    S2-S4 and the same permutations as matrices, or W(B2) or W(A2) as
+    matrices; last, the matrices with one of them repeated and the product of
+    two appended, which the group already contains."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 4))
         perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-        return n, [perms, [permutation_matrix(p) for p in perms]]
-    return 2, [draw(st.sampled_from([SIGNED_B2, A2_ROOT_COORDINATES]))]
+        spellings = [perms, [permutation_matrix(p) for p in perms]]
+    else:
+        n, spellings = 2, [draw(st.sampled_from([SIGNED_B2, A2_ROOT_COORDINATES]))]
+    matrices = spellings[-1]
+    first, second = (draw(st.sampled_from(matrices)) for _ in range(2))
+    return n, spellings + [matrices + [first, matrix_product(first, second)]]
 
 
 @st.composite
@@ -233,17 +248,19 @@ def polynomials(draw, n):
 @given(data=st.data())
 def test_weyl_closure_and_action_match_the_dense_reference(data):
     n, spellings = data.draw(generator_spellings())
-    reference = dense_closure(spellings[-1], n)
+    reference = dense_closure(spellings[-2], n)
+    # the repeated generator and the product add nothing to the group
+    assert dense_closure(spellings[-1], n) == reference
     poly = data.draw(polynomials(n))
     actions = []
     for gens in spellings:
         group = GroupData(rank=n, weyl_generators=gens, weyl_order=len(reference))
-        elements = group.weyl_elements
+        elements = _weyl_closure(group.generator_elements, len(reference), n)
         assert len(elements) == len(reference)
         assert {dense(e, n) for e in elements} == reference
-        actions.append([weyl_act(poly, weyl_element(g, n)) for g in gens])
+        actions.append([weyl_act(poly, weyl_element(g, n)) for g in gens[:len(spellings[0])]])
     assert all(images == actions[0] for images in actions)
-    if len(spellings) == 2:
+    if len(spellings) == 3:
         # z_i -> z_{perm[i]} moves exponent e_i to position perm[i]
         for perm, image in zip(spellings[0], actions[0]):
             moved = {}

@@ -37,7 +37,6 @@ RECORDS = [
             "weyl_order": 1,
             "grading": (0,),
             "generator_elements": (),
-            "weyl_elements": ((((0, 1),),),),
             "euler_forms": (),
         },
     ),
