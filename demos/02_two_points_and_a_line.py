@@ -22,7 +22,6 @@ from nrquot import (
     TruncSeries,
     check_grading,
     check_well_adapted,
-    lambda_projection,
     morse_assemble,
     poincare_uhat,
     weighted_projective_poincare,
@@ -34,13 +33,14 @@ unipotent = [LinearForm([1, -1, 0]), LinearForm([1, 0, -1]), LinearForm([0, 1, -
 grading = (Fraction(5, 3), Fraction(-1, 3), Fraction(-4, 3))
 group = GroupData(rank=3, unipotent_weights=unipotent, grading=grading)
 
-report = check_grading(group)
-print("grading pairings on Lie(U):", [str(v) for _, v in report.pairings])
-print("internally graded:", bool(report))
+check_grading(group)  # raises at the first weight that pairs nonpositively
+pairings = [w(group.grading) for w in unipotent]
+print("grading pairings on Lie(U):", [str(v) for v in pairings])
+print("internally graded:", min(pairings) > 0)
 
 # circle weights of the extreme fixed point and its neighbours, projected
 # onto the grading ray; a well-adapted shift sits just above the minimum
-projections = sorted(lambda_projection(w, group) for w in unipotent)
+projections = sorted(pairings)
 print("weight projections onto the grading ray:", [str(p) for p in projections])
 weights = [Fraction(-3), Fraction(-1), Fraction(2)]
 shift = Fraction(-29, 10)

@@ -21,8 +21,7 @@ _EXPORTS = {
         "exactnum": ("TruncSeries",),
         "polyring": ("LinearForm", "MultiPoly", "RationalFn", "weyl_act", "weyl_element"),
         "groupdata": ("ConeChoice", "GroupData", "InvalidConeError", "WeylInvarianceError",
-                      "check_grading", "check_well_adapted", "euler_class_nonreductive",
-                      "lambda_projection"),
+                      "check_grading", "check_well_adapted", "euler_class_nonreductive"),
         "residue": ("ResidueProblem", "jk_residue", "residue_at_infinity"),
         "localize": ("FixedPointComponent", "PairingProblem", "flag_pairing",
                      "grassmannian_pairing", "integrate_abelianized", "integrate_nonreductive",

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 from . import _linalg
 from .exactnum import TruncSeries, _integer
-from .groupdata import GroupData, _check_factors_invariant, euler_class_nonreductive
+from .groupdata import GroupData, _check_factors_invariant, _spell, euler_class_nonreductive
 from .polyring import MultiPoly, _trusted_poly, weyl_act
 
 __all__ = [
@@ -192,9 +192,8 @@ def invariant_basis(ringp, weyl):
     for gen, element in zip(group.weyl_generators, elements):
         for rel in ringp.relations:
             if any(c != 0 for c in ringp.reduce(weyl_act(rel, element))):
-                raise ValueError(
-                    "Weyl generator %r does not preserve the relation ideal" % (gen,)
-                )
+                raise ValueError("Weyl generator %s does not preserve the relation ideal"
+                                 % _spell(gen))
     out = {}
     for degree in range(ringp.top_degree + 1):
         basis = ringp.basis_elements(degree)

@@ -22,11 +22,9 @@ __all__ = [
     "WeylInvarianceError",
     "ConeChoice",
     "InvalidConeError",
-    "GradingReport",
     "WellAdaptedReport",
     "check_grading",
     "check_well_adapted",
-    "lambda_projection",
     "euler_class_nonreductive",
 ]
 
@@ -35,12 +33,18 @@ class InvalidConeError(ValueError):
     """A chamber vector annihilates one of the denominator forms."""
 
 
-class _GroupError(ValueError):
-    """A broken group rule; ``suffix`` is its field's path below the group's."""
+class _FieldError(ValueError):
+    """A broken rule of one input field; ``suffix`` is the field's path below
+    the path of what the caller passed."""
 
     def __init__(self, suffix, message):
         super().__init__(message)
         self.suffix = suffix
+
+
+def _spell(generator):
+    """A Weyl generator as the JSON of a problem file."""
+    return json.dumps(generator, default=lambda x: int(x) if x.denominator == 1 else str(x))
 
 
 class WeylInvarianceError(ValueError):
@@ -49,9 +53,8 @@ class WeylInvarianceError(ValueError):
     def __init__(self, generator_index, generator):
         self.generator_index = generator_index
         self.generator = generator
-        text = json.dumps(generator, default=lambda x: int(x) if x.denominator == 1 else str(x))
         super().__init__("class is not Weyl-invariant; witness generator #%d: %s"
-                         % (generator_index, text))
+                         % (generator_index, _spell(generator)))
 
 
 def _compose(g, m):
@@ -84,10 +87,10 @@ def _weyl_closure(generators, order, rank):
                     seen.add(prod)
                     elements.append(prod)
             if len(elements) > 4 * order + 16:
-                raise _GroupError(".weyl_order", "Weyl closure exceeds the declared order; "
+                raise _FieldError(".weyl_order", "Weyl closure exceeds the declared order; "
                                   "data inconsistent")
     if len(elements) != order:
-        raise _GroupError(".weyl_order", "Weyl generators produce a group of order %d, "
+        raise _FieldError(".weyl_order", "Weyl generators produce a group of order %d, "
                           "declared %d" % (len(elements), order))
     return tuple(elements)
 
@@ -121,7 +124,7 @@ class GroupData(_ReadOnly):
             if f.nvars != rank:
                 raise ValueError("root/weight length does not match rank")
             if f.is_zero():
-                raise _GroupError("", "roots and unipotent weights must be nonzero")
+                raise _FieldError("", "roots and unipotent weights must be nonzero")
         weyl_order = _integer(weyl_order, "Weyl order")
         gens = tuple(tuple(tuple(x) if isinstance(x, list) else x for x in g)
                      for g in weyl_generators)
@@ -135,11 +138,22 @@ class GroupData(_ReadOnly):
             try:
                 elements.append(weyl_element(g, rank))
             except ValueError as exc:
-                raise _GroupError(".weyl_generators", str(exc)) from None
-            det = _linalg.det(_linalg.to_matrix(g)) if isinstance(g[0], tuple) else 1
+                raise _FieldError(".weyl_generators", str(exc)) from None
+            if not isinstance(g[0], tuple):
+                continue
+            # A rational matrix of finite order has determinant 1 or -1 and,
+            # its eigenvalues being roots of unity, an integral trace of
+            # absolute value at most the rank.
+            matrix = _linalg.to_matrix(g)
+            det, trace = _linalg.det(matrix), sum(row[i] for i, row in enumerate(matrix))
             if det not in (1, -1):
-                raise _GroupError(".weyl_generators", "Weyl generator #%d has determinant %s, "
-                                  "so it has infinite order" % (index, det))
+                broken = "determinant %s" % det
+            elif trace.denominator != 1 or abs(trace) > rank:
+                broken = "trace %s" % trace
+            else:
+                continue
+            raise _FieldError(".weyl_generators", "Weyl generator #%d has %s, so it has "
+                              "infinite order" % (index, broken))
         _weyl_closure(elements, weyl_order, rank)
         vars(self).update(
             rank=rank, positive_roots=roots, unipotent_weights=weights,
@@ -201,16 +215,6 @@ class ConeChoice(_ReadOnly):
                 )
 
 
-class GradingReport(_ReadOnly):
-    def __init__(self, ok, pairings, failures):
-        # pairings: (weight, <weight, grading>) for every unipotent weight;
-        # failures: the subset with nonpositive pairing
-        vars(self).update(ok=ok, pairings=pairings, failures=failures)
-
-    def __bool__(self):
-        return self.ok
-
-
 class WellAdaptedReport(_ReadOnly):
     def __init__(self, in_interval, interval, margin):
         # interval: (omega_0, omega_1), open; margin: chi/c - omega_0, and
@@ -222,20 +226,14 @@ class WellAdaptedReport(_ReadOnly):
 
 
 def check_grading(group):
-    """True iff every Lie(U) weight pairs strictly positively with the grading.
-
-    The report lists every weight with its pairing so a failing dataset shows
-    exactly which weight breaks the grading condition.  An empty weight list
-    (reductive case) passes vacuously.
-    """
-    pairings = []
-    failures = []
+    """Raise :class:`_FieldError` at the first Lie(U) weight that does not
+    pair strictly positively with the grading.  An empty weight list
+    (reductive case) passes vacuously."""
     for w in group.unipotent_weights:
         value = w(group.grading)
-        pairings.append((w, value))
         if value <= 0:
-            failures.append((w, value))
-    return GradingReport(not failures, tuple(pairings), tuple(failures))
+            raise _FieldError(".grading", "unipotent weight %s pairs to %s with the grading; "
+                              "it must be positive" % (w.render(), value))
 
 
 def check_well_adapted(fixed_weights, chi_over_c):
@@ -254,15 +252,6 @@ def check_well_adapted(fixed_weights, chi_over_c):
     chi = as_fraction(chi_over_c)
     low, high = weights[0], weights[1]
     return WellAdaptedReport(low < chi < high, (low, high), chi - low)
-
-
-def lambda_projection(weight, group):
-    """The pairing of a weight with the grading direction: the weight
-    evaluated at the grading vector."""
-    w = _as_form(weight)
-    if w.nvars != group.rank:
-        raise ValueError("weight length does not match rank")
-    return w(group.grading)
 
 
 def _product(factors, nvars):

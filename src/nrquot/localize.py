@@ -38,7 +38,8 @@ from math import factorial
 from operator import sub
 
 from .exactnum import _integer, _ReadOnly, as_fraction
-from .groupdata import GroupData, _check_weyl_invariant, _product, euler_class_nonreductive
+from .groupdata import (GroupData, _check_weyl_invariant, _FieldError, _product,
+                        euler_class_nonreductive)
 from .polyring import (LinearForm, MultiPoly, _as_form, _merge, _trusted_fn, _trusted_poly,
                        weyl_act, weyl_element)
 from .residue import ResidueProblem, jk_residue
@@ -153,6 +154,9 @@ class PairingProblem(_ReadOnly):
 
     def __init__(self, group, fixed_points, class_eta=None, cone=None, normalization=None):
         fixed_points = tuple(fixed_points)
+        if class_eta is not None and class_eta.nvars != group.rank:
+            raise ValueError("class is in %d variables, expected %d, the group rank"
+                             % (class_eta.nvars, group.rank))
         if normalization is not None:
             normalization = as_fraction(normalization)
         vars(self).update(
@@ -169,11 +173,26 @@ class PairingProblem(_ReadOnly):
         return tuple(c for c in self.fixed_points if c.is_min)
 
 
-def _minimality_mismatches(fixed_points):
-    """Indices of the components whose ``is_min`` flag disagrees with whether
-    their ``lambda_weight`` is the least moment value."""
-    floor = min(c.lambda_weight for c in fixed_points)
-    return [i for i, c in enumerate(fixed_points) if c.is_min != (c.lambda_weight == floor)]
+def _graded_rules(group, components):
+    """Check the rules of the ``U x| C*`` pairing, raising :class:`_FieldError`
+    with the path of the field below the problem document: a torus of rank one,
+    no roots, and an ``is_min`` flag on exactly the components at the
+    smallest ``lambda_weight``."""
+    if group.rank != 1:
+        raise _FieldError(".group.rank",
+                          "expected 1: the graded-extension pairing needs a rank 1 torus")
+    if group.positive_roots:
+        raise _FieldError(".group.positive_roots",
+                          "expected an empty array: the graded-extension pairing needs no roots")
+    if not components:
+        raise ValueError("fixed-point list is empty")
+    floor = min(c.lambda_weight for c in components)
+    for i, c in enumerate(components):
+        least = c.lambda_weight == floor
+        if c.is_min != least:
+            raise _FieldError(".fixed_points[%d].is_min" % i,
+                              "expected %s: lambda_weight %s is %sthe least moment value"
+                              % (str(least).lower(), c.lambda_weight, "" if least else "not "))
 
 
 def _localization_sum(fixed_points, cls, factor, cone):
@@ -208,20 +227,10 @@ def integrate_uhat(problem):
     Rank-one torus, no roots: :func:`integrate_nonreductive` over the
     minimal fixed components, whose Euler class is the product of the
     unipotent weights, with no cone (each residue is then at infinity).
+    A broken rule raises :class:`_FieldError` (see :func:`_graded_rules`).
     """
-    if problem.group.rank != 1:
-        raise ValueError("graded-extension pairing requires a rank 1 torus")
-    if problem.group.positive_roots:
-        raise ValueError("graded-extension pairing requires no roots")
+    _graded_rules(problem.group, problem.fixed_points)
     minimal = problem.minimal_components()
-    if not minimal:
-        raise ValueError("no component is flagged as minimal")
-    mislabeled = _minimality_mismatches(problem.fixed_points)
-    if mislabeled:
-        raise ValueError(
-            "minimality flags disagree with the moment values on: %s"
-            % ", ".join(problem.fixed_points[i].name for i in mislabeled)
-        )
     return integrate_nonreductive(PairingProblem(problem.group, minimal, problem.class_eta,
                                                  normalization=problem.normalization))
 

@@ -12,7 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import TruncSeries
-from .groupdata import ConeChoice, InvalidConeError, check_grading, euler_class_nonreductive
+from .groupdata import (ConeChoice, InvalidConeError, _FieldError, check_grading,
+                        euler_class_nonreductive)
 from .polyring import RationalFn
 from .schema import (
     MAX_MORSE_COEFFICIENTS, MAX_RANK, MAX_SCHUBERT_K, MAX_TRUNCATION_BOUND, ProblemFileError,
@@ -26,24 +27,17 @@ __all__ = ["ProblemFileError", "ProblemFile", "parse"]
 def _pairing_sections(p, doc, graded=False):
     """``fixed_points``, then ``class``, into the document's one
     ``PairingProblem`` ``p.pairing``; ``graded`` (pair_uhat) also checks the
-    rank, the absence of roots and the ``is_min`` flags in between."""
-    from .localize import PairingProblem, _minimality_mismatches
+    rules of :func:`localize._graded_rules` in between."""
+    from .localize import PairingProblem, _graded_rules
 
     _expect(p.group is not None, "$.group", "pairing modes need a group section")
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
     components = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
     if graded:
-        _expect(p.group.rank == 1, "$.group.rank",
-                "expected 1: the graded-extension pairing needs a rank 1 torus")
-        _expect(not p.group.positive_roots, "$.group.positive_roots",
-                "expected an empty array: the graded-extension pairing needs no roots")
-        for i in _minimality_mismatches(components):
-            want, lam = not components[i].is_min, components[i].lambda_weight
-            raise ProblemFileError(
-                "$.fixed_points[%d].is_min" % i,
-                "expected %s: lambda_weight %s is %sthe least moment value"
-                % (str(want).lower(), lam, "" if want else "not "),
-            )
+        try:
+            _graded_rules(p.group, components)
+        except _FieldError as exc:
+            raise ProblemFileError("$" + exc.suffix, str(exc)) from None
     class_eta = _poly(doc["class"], p.group.rank, "$.class") if "class" in doc else None
     p.pairing = PairingProblem(p.group, components, class_eta, p.cone, p.normalization)
 
@@ -69,14 +63,10 @@ def _betti_sections(p, doc):
             "$.dims.dim_u",
             "expected %d, the number of group.unipotent_weights" % len(weights),
         )
-        failures = check_grading(p.group).failures
-        if failures:
-            weight, value = failures[0]
-            raise ProblemFileError(
-                "$.group.grading",
-                "unipotent weight %s pairs to %s with the grading; "
-                "it must be positive" % (weight.render(), value),
-            )
+        try:
+            check_grading(p.group)
+        except _FieldError as exc:
+            raise ProblemFileError("$.group" + exc.suffix, str(exc)) from None
     bound = p.truncation_bound
     if bound is None:
         bound = 2 * p.dims.dim_x

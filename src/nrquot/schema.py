@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .exactnum import TruncSeries, _ReadOnly
-from .groupdata import GroupData, _GroupError
+from .groupdata import GroupData, _FieldError
 from .polyring import LinearForm, MultiPoly
 
 # Largest accepted series truncation bound: a series holds one Python int per
@@ -227,7 +227,7 @@ def _group(value, path):
     # GroupData checks the group's rules; its error names the field.
     try:
         return GroupData(rank, roots, weights, gens, order, grading)
-    except _GroupError as exc:
+    except _FieldError as exc:
         raise ProblemFileError(path + exc.suffix, str(exc)) from None
 
 

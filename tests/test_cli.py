@@ -489,10 +489,14 @@ def test_invalid_cone_is_a_computation_error(tmp_path):
         # every check before the closure wins over a wrong order
         ({"positive_roots": [["0", "0"]], "weyl_order": 3}, "$.group: roots and unipotent "
          "weights must be nonzero"),
+        # determinant 1, but of infinite order: rejected before the closure
+        # runs to its size bound
+        ({"weyl_generators": [[["1/3", 0], [0, 3]]], "weyl_order": 5040},
+         "$.group.weyl_generators: Weyl generator #0 has trace 10/3, so it has infinite order"),
     ],
     ids=["wrong-order", "infinite-order", "not-a-permutation", "ragged-matrix", "over-budget",
          "zero-root", "singular-matrix", "non-square-matrix", "order-too-small",
-         "zero-root-and-wrong-order"],
+         "zero-root-and-wrong-order", "infinite-order-trace"],
 )
 def test_contradictory_weyl_data_rejected(tmp_path, group, message):
     doc = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
@@ -514,6 +518,15 @@ def test_ring_mode_closes_the_weyl_group_once(tmp_path, monkeypatch, capsys):
     assert cli.main([write_problem(tmp_path, MODE_DOCS["ring"])]) == 0
     assert capsys.readouterr().out.startswith("1 + t^2 + t^4\n")
     assert len(calls) == 1
+
+
+def test_ring_mode_spells_a_generator_that_breaks_the_ideal_as_json(tmp_path, capsys):
+    # the swap sends z1^2 to z0^2, which is not in (z0^3, z1^2)
+    doc = copy.deepcopy(MODE_DOCS["ring"])
+    doc["group"]["weyl_generators"] = [[[0, 1], [1, 0]]]
+    doc["ring"]["relations"][1] = [{"coeff": "1", "exp": [0, 2]}]
+    assert run_main(capsys, tmp_path, doc) == (
+        2, "", "error: Weyl generator [[0, 1], [1, 0]] does not preserve the relation ideal\n")
 
 
 def test_parsing_normalises_each_weyl_generator_once(monkeypatch):
@@ -927,6 +940,42 @@ def test_pair_uhat_rejects_wrong_minimality_flags_at_their_path(tmp_path, flags,
     out = run_cli(write_problem(tmp_path, doc))
     assert out.returncode == 1
     assert out.stderr == "error: %s\n" % message
+
+
+def graded_rule_breaks():
+    """pair_uhat documents that each break one graded-extension rule."""
+    rank = dict(json.loads((PROBLEMS / "gr24_pairing.json").read_text()), mode="pair_uhat")
+    roots, unflagged, flagged = (copy.deepcopy(MODE_DOCS["pair_uhat"]) for _ in range(3))
+    roots["group"].update(positive_roots=[["2"]], unipotent_weights=[["2"]])
+    unflagged["fixed_points"][0]["is_min"] = False
+    flagged["fixed_points"][1]["is_min"] = True
+    return {"rank": rank, "roots": roots, "minimum-unflagged": unflagged,
+            "maximum-flagged": flagged}
+
+
+@pytest.mark.parametrize("rule", list(graded_rule_breaks()))
+def test_integrate_uhat_names_the_field_the_cli_reports(tmp_path, capsys, rule):
+    # The parser and the library run the one rule function: the library's
+    # suffix is the CLI's path below $, with the same message.
+    doc = graded_rule_breaks()[rule]
+    code, out, err = run_main(capsys, tmp_path, doc)
+    pairing = problemfile.parse(dict(doc, mode="pair_nonreductive")).pairing
+    with pytest.raises(groupdata._FieldError) as info:
+        localize.integrate_uhat(pairing)
+    assert (code, out, err) == (1, "", "error: $%s: %s\n" % (info.value.suffix, info.value))
+
+
+def test_parsing_checks_the_graded_rules_once(monkeypatch):
+    calls = []
+    rules = localize._graded_rules
+
+    def spy(*args):
+        calls.append(args)
+        return rules(*args)
+
+    monkeypatch.setattr(localize, "_graded_rules", spy)
+    problemfile.parse(MODE_DOCS["pair_uhat"])
+    assert len(calls) == 1
 
 
 def test_pair_nonreductive_mode_with_normalization(tmp_path):

@@ -171,7 +171,8 @@ def test_uhat_zero_class():
 
 def test_uhat_requires_rank_one():
     p = gr24_problem(MultiPoly.one(2))
-    with pytest.raises(ValueError, match="^graded-extension pairing requires a rank 1 torus$"):
+    with pytest.raises(ValueError, match="^expected 1: the graded-extension pairing needs a "
+                       "rank 1 torus$"):
         integrate_uhat(p)
 
 
@@ -180,7 +181,14 @@ def test_uhat_requires_no_roots():
     # root has no place in it
     group = GroupData(1, positive_roots=[[2]], unipotent_weights=[[2]], grading=(1,))
     p = PairingProblem(group=group, fixed_points=p3_uhat_problem().fixed_points, normalization=2)
-    with pytest.raises(ValueError, match="^graded-extension pairing requires no roots$"):
+    with pytest.raises(ValueError, match="^expected an empty array: the graded-extension "
+                       "pairing needs no roots$"):
+        integrate_uhat(p)
+
+
+def test_uhat_rejects_an_empty_component_list():
+    p = PairingProblem(group=GroupData(rank=1, grading=(1,)), fixed_points=[])
+    with pytest.raises(ValueError, match="^fixed-point list is empty$"):
         integrate_uhat(p)
 
 
@@ -682,8 +690,9 @@ def test_uhat_minimality_flags_must_match_moment_values():
         FixedPointComponent("b", [(LinearForm([-1]), 1)], lambda_weight=1, is_min=True),
     ]
     p = PairingProblem(group=group, fixed_points=comps, class_eta=MultiPoly.one(1))
+    # the first component whose flag is wrong is named
     with pytest.raises(
-        ValueError, match="^minimality flags disagree with the moment values on: a, b$"
+        ValueError, match="^expected true: lambda_weight 0 is the least moment value$"
     ):
         integrate_uhat(p)
 

@@ -41,7 +41,6 @@ RECORDS = [
         },
     ),
     (groupdata.ConeChoice, (("1/2", 2),), {"xi": (Fraction(1, 2), 2)}),
-    (groupdata.GradingReport, (True, (), ()), {"ok": True, "pairings": (), "failures": ()}),
     (
         groupdata.WellAdaptedReport,
         (True, (0, 1), Fraction(1, 2)),
@@ -133,9 +132,14 @@ def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
                 RationalFn(MultiPoly.one(2), [([1, 0], 1), ([0, 1], 1)]), cone=(1, 2, 3)),
             "cone vector has 3 entries, expected 2",
         ),
+        (
+            # was blamed on a normal weight when the sum ran
+            lambda: localize.PairingProblem(GROUP, [COMPONENT], MultiPoly.one(2)),
+            "class is in 2 variables, expected 1, the group rank",
+        ),
     ],
     ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem",
-         "ResidueProblem-form", "ResidueProblem-cone"],
+         "ResidueProblem-form", "ResidueProblem-cone", "PairingProblem"],
 )
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
