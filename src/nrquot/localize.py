@@ -60,66 +60,77 @@ __all__ = [
 class FixedPointComponent(_ReadOnly):
     """One torus-fixed component with its localisation data.
 
-    ``restriction`` is the restricted integrand class (a MultiPoly or a
-    RationalFn, the latter for positive-dimensional components whose fibre
-    integral has already been carried out); ``None`` means the component sits
-    where the global class restricts to itself, as for the origin of a linear
-    space, and the problem's class is used directly.  ``normal_weights`` is a
-    sequence of (linear form, multiplicity) pairs whose product is the
-    equivariant Euler class of the normal bundle.  ``lambda_weight`` is the
-    moment value of the grading circle on the component and ``is_min`` flags
-    membership in the minimal level.  A multiplicity must be a positive int
-    (not a bool).
+    ``restriction`` is the restricted integrand class: a MultiPoly, stored as
+    a RationalFn with no poles, or a RationalFn for a positive-dimensional
+    component whose fibre integral has already been carried out; ``None``
+    means the problem's class restricts to itself.  ``normal_weights`` holds
+    (linear form, multiplicity) pairs whose product is the equivariant Euler
+    class of the normal bundle.  ``lambda_weight`` is the grading circle's
+    moment value on the component, and the bool ``is_min`` flags the minimal
+    level.  The weights and the restriction fix one variable count; the
+    denominator of :meth:`term` (the restriction's poles merged with the
+    normal weights) and its pole caps are computed here, once.
     """
 
     def __init__(self, name, normal_weights, restriction=None, lambda_weight=Fraction(0),
                  is_min=False):
+        if not isinstance(is_min, bool):
+            raise _FieldError(".is_min", "expected a boolean")
+        if isinstance(restriction, MultiPoly):
+            restriction = _trusted_fn(restriction, ())
+        nvars = None if restriction is None else restriction.num.nvars
         weights = []
         for form, mult in normal_weights:
             form = _as_form(form)
             if form.is_zero():
-                raise ValueError(
-                    "component %r has a zero normal weight" % (name,)
-                )
+                raise ValueError("component %r has a zero normal weight" % (name,))
             what = "component %r normal weight multiplicity" % (name,)
             mult = _integer(mult, what)
             if mult < 1:
                 raise ValueError("%s must be positive, got %d" % (what, mult))
+            nvars = form.nvars if nvars is None else nvars
+            if form.nvars != nvars:
+                raise ValueError("component %r has a normal weight in %d variables, expected %d"
+                                 % (name, form.nvars, nvars))
             weights.append((form, mult))
+        if nvars is None:
+            raise ValueError("component %r has no normal weight and no restriction" % (name,))
+        den = _merge((() if restriction is None else restriction.den) + tuple(weights))
+        caps = [-1] * nvars
+        for form, mult in den:
+            support = [i for i, c in enumerate(form.coeffs) if c != 0]
+            if len(support) != 1:
+                caps = None
+                break
+            caps[support[0]] += mult
         vars(self).update(
             name=name, normal_weights=tuple(weights), restriction=restriction,
             lambda_weight=as_fraction(lambda_weight), is_min=is_min,
+            _nvars=nvars, _den=den, _caps=None if caps is None else tuple(caps),
         )
 
     def term(self, default_class, extra_factor):
-        """The component's contribution (class * factor) / Euler(normal).
+        """(class * factor) / Euler(normal), the class being the restriction
+        or, without one, the MultiPoly ``default_class``.
 
-        When every denominator factor (the restriction's and the normal
-        weights) is ``a*z_i`` for a single ``i``, the numerator is the one
-        monomial ``z^caps`` of class * factor, where ``caps[i]`` is the total
-        multiplicity on ``z_i`` minus 1, and it is zero when some ``z_i`` has
-        no pole.  The JK residue in standard coordinates (no basis, which
-        :func:`_localization_sum` never passes) reads only that coefficient,
-        so the term has the same residue; it is not the same rational
-        function.
+        When every denominator factor is ``a*z_i`` for a single ``i``, the
+        numerator is the one monomial ``z^caps`` of class * factor, where
+        ``caps[i]`` is the total multiplicity on ``z_i`` minus 1, and it is
+        zero when some ``z_i`` has no pole.  The JK residue in standard
+        coordinates (no basis, which :func:`_localization_sum` never passes)
+        reads only that coefficient, so the term has the same residue; it is
+        not the same rational function.
         """
-        restriction = self.restriction
-        if restriction is None:
-            restriction = default_class
-        if restriction is None:
-            raise ValueError(
-                "component %r has no restriction and no problem class given"
-                % (self.name,)
-            )
-        if isinstance(restriction, MultiPoly):
-            restriction = _trusted_fn(restriction, ())
-        num = restriction.num
-        for form, _ in self.normal_weights:
-            if form.nvars != num.nvars:
-                raise ValueError("component %r has a normal weight in %d variables, expected %d"
-                                 % (self.name, form.nvars, num.nvars))
-        den = _merge(restriction.den + self.normal_weights)
-        caps = _pole_caps(den, num.nvars)
+        num = default_class if self.restriction is None else self.restriction.num
+        if num is None:
+            raise ValueError("component %r has no restriction and no problem class given"
+                             % (self.name,))
+        if not isinstance(num, MultiPoly):
+            raise TypeError("component %r: the class must be a MultiPoly" % (self.name,))
+        if num.nvars != self._nvars:
+            raise ValueError("component %r has a normal weight in %d variables, expected %d"
+                             % (self.name, self._nvars, num.nvars))
+        caps, den = self._caps, self._den
         if caps is None:
             return _trusted_fn(num * extra_factor, den)
         num._check_compatible(extra_factor)
@@ -128,18 +139,6 @@ class FixedPointComponent(_ReadOnly):
         small, large = sorted((num.terms, extra_factor.terms), key=len)
         corner = sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
         return _trusted_fn(_trusted_poly(num.nvars, {caps: corner}), den)
-
-
-def _pole_caps(den, nvars):
-    """Per variable, the multiplicity of the pole at ``z_i = 0`` minus 1, when
-    every factor of ``den`` is ``a*z_i`` for a single ``i``; otherwise None."""
-    caps = [-1] * nvars
-    for form, mult in den:
-        support = [i for i, c in enumerate(form.coeffs) if c != 0]
-        if len(support) != 1:
-            return None
-        caps[support[0]] += mult
-    return tuple(caps)
 
 
 class PairingProblem(_ReadOnly):
@@ -173,17 +172,20 @@ class PairingProblem(_ReadOnly):
         return tuple(c for c in self.fixed_points if c.is_min)
 
 
-def _graded_rules(group, components):
-    """Check the rules of the ``U x| C*`` pairing, raising :class:`_FieldError`
-    with the path of the field below the problem document: a torus of rank one,
-    no roots, and an ``is_min`` flag on exactly the components at the
-    smallest ``lambda_weight``."""
+def _graded_rules(group, components, cone):
+    """Check, in this order, the rules of the ``U x| C*`` pairing: a rank 1
+    torus, no roots, no cone (every residue is at infinity) and an ``is_min``
+    flag on exactly the components at the least ``lambda_weight``.  Raises
+    :class:`_FieldError` with the path of the field below the document."""
     if group.rank != 1:
         raise _FieldError(".group.rank",
                           "expected 1: the graded-extension pairing needs a rank 1 torus")
     if group.positive_roots:
         raise _FieldError(".group.positive_roots",
                           "expected an empty array: the graded-extension pairing needs no roots")
+    if cone is not None:
+        raise _FieldError(".cone", "expected no cone: the graded-extension pairing takes "
+                          "every residue at infinity")
     if not components:
         raise ValueError("fixed-point list is empty")
     floor = min(c.lambda_weight for c in components)
@@ -229,7 +231,7 @@ def integrate_uhat(problem):
     unipotent weights, with no cone (each residue is then at infinity).
     A broken rule raises :class:`_FieldError` (see :func:`_graded_rules`).
     """
-    _graded_rules(problem.group, problem.fixed_points)
+    _graded_rules(problem.group, problem.fixed_points, problem.cone)
     minimal = problem.minimal_components()
     return integrate_nonreductive(PairingProblem(problem.group, minimal, problem.class_eta,
                                                  normalization=problem.normalization))

@@ -35,7 +35,7 @@ def _pairing_sections(p, doc, graded=False):
     components = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
     if graded:
         try:
-            _graded_rules(p.group, components)
+            _graded_rules(p.group, components, p.cone)
         except _FieldError as exc:
             raise ProblemFileError("$" + exc.suffix, str(exc)) from None
     class_eta = _poly(doc["class"], p.group.rank, "$.class") if "class" in doc else None

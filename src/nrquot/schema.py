@@ -263,8 +263,6 @@ def _fixed_points(value, rank, path):
         if restriction is not None:
             restriction = _poly(restriction, rank, ipath + ".restriction")
         lam = _rational(item.get("lambda_weight", 0), ipath + ".lambda_weight")
-        is_min = item.get("is_min", False)
-        _expect(isinstance(is_min, bool), ipath + ".is_min", "expected a boolean")
         try:
             out.append(
                 FixedPointComponent(
@@ -272,11 +270,11 @@ def _fixed_points(value, rank, path):
                     normal_weights=weights,
                     restriction=restriction,
                     lambda_weight=lam,
-                    is_min=is_min,
+                    is_min=item.get("is_min", False),
                 )
             )
         except ValueError as exc:
-            raise ProblemFileError(ipath, str(exc)) from None
+            raise ProblemFileError(ipath + getattr(exc, "suffix", ""), str(exc)) from None
     return tuple(out)
 
 

@@ -942,6 +942,14 @@ def test_pair_uhat_rejects_wrong_minimality_flags_at_their_path(tmp_path, flags,
     assert out.stderr == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("flag", ["yes", 1])
+def test_pair_uhat_rejects_an_is_min_that_is_not_a_boolean(tmp_path, capsys, flag):
+    doc = copy.deepcopy(MODE_DOCS["pair_uhat"])
+    doc["fixed_points"][0]["is_min"] = flag
+    assert run_main(capsys, tmp_path, doc) == (
+        1, "", "error: $.fixed_points[0].is_min: expected a boolean\n")
+
+
 def graded_rule_breaks():
     """pair_uhat documents that each break one graded-extension rule."""
     rank = dict(json.loads((PROBLEMS / "gr24_pairing.json").read_text()), mode="pair_uhat")
@@ -949,7 +957,8 @@ def graded_rule_breaks():
     roots["group"].update(positive_roots=[["2"]], unipotent_weights=[["2"]])
     unflagged["fixed_points"][0]["is_min"] = False
     flagged["fixed_points"][1]["is_min"] = True
-    return {"rank": rank, "roots": roots, "minimum-unflagged": unflagged,
+    cone = dict(MODE_DOCS["pair_uhat"], cone=["-1"])
+    return {"rank": rank, "roots": roots, "cone": cone, "minimum-unflagged": unflagged,
             "maximum-flagged": flagged}
 
 

@@ -12,8 +12,9 @@ that makes a ``MultiPoly`` or a ``RationalFn`` without validating it.  One
 test counts the validating ``RationalFn`` calls of the summing paths at run
 time.  The Euler class e(H) is expanded in one place, ``groupdata``, and
 one localisation sum serves every pairing route but the Grassmannian.  A
-``GroupData`` closes its Weyl group when it is built, and no record memoises
-in its ``__dict__``.
+``GroupData`` closes its Weyl group when it is built, a
+``FixedPointComponent`` merges its denominator and reads its pole caps when
+it is built, and no record memoises in its ``__dict__``.
 """
 
 import ast
@@ -214,6 +215,36 @@ def test_the_localisation_sum_validates_no_function():
     # FixedPointComponent.term merges the restriction's valid factors with
     # its checked normal weights through polyring._merge.
     assert calls_of(PACKAGE / "localize.py", "RationalFn") == []
+
+
+def loops_of(path):
+    """``(function, iterable)`` of each ``for`` loop and comprehension in
+    ``path``: the qualified name of the innermost function around it, such
+    as ``"Class.method"``, and the source of what it iterates over."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            out.append((".".join(scope), ast.unparse(node.iter)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def test_a_component_prepares_its_denominator_when_it_is_built():
+    # FixedPointComponent.__init__ checks the normal weights, merges them
+    # with the restriction's poles and scans the merged denominator for its
+    # pole caps; term reuses the denominator and the caps at each call.
+    localize = PACKAGE / "localize.py"
+    assert [func for func, _, _ in calls_of(localize, "_merge")] == ["__init__"]
+    loops = [(func, source) for func, source in loops_of(localize)
+             if "den" in source or "weights" in source]
+    assert loops == [("FixedPointComponent.__init__", "normal_weights"),
+                     ("FixedPointComponent.__init__", "den")]
 
 
 def test_the_summing_paths_run_no_validating_ratio(monkeypatch):

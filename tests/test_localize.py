@@ -12,6 +12,7 @@ from nrquot.groupdata import (
     ConeChoice,
     GroupData,
     WeylInvarianceError,
+    _FieldError,
     _check_factors_invariant,
     _check_weyl_invariant,
     euler_class_nonreductive,
@@ -184,6 +185,16 @@ def test_uhat_requires_no_roots():
     with pytest.raises(ValueError, match="^expected an empty array: the graded-extension "
                        "pairing needs no roots$"):
         integrate_uhat(p)
+
+
+def test_uhat_rejects_a_cone():
+    # every residue of the graded route is at infinity, so a cone would be ignored
+    p = p1_uhat_problem()
+    p = PairingProblem(p.group, p.fixed_points, p.class_eta, cone=ConeChoice((-1,)))
+    with pytest.raises(_FieldError) as info:
+        integrate_uhat(p)
+    assert (info.value.suffix, str(info.value)) == (
+        ".cone", "expected no cone: the graded-extension pairing takes every residue at infinity")
 
 
 def test_uhat_rejects_an_empty_component_list():
@@ -365,12 +376,10 @@ def test_localization_sum_checks_the_factor_variable_count():
 
 
 def test_term_names_a_component_of_the_wrong_variable_count():
-    # the weights are checked one by one at construction; their length
-    # against the class only where class and component meet
-    comp = FixedPointComponent("p", [(LinearForm([1, 0]), 1), (LinearForm([1]), 1)])
+    # the weights fix the component's variable count when it is built
     with pytest.raises(ValueError, match="^component 'p' has a normal weight in 1 variables, "
                                          "expected 2$"):
-        comp.term(MultiPoly.one(2), MultiPoly.one(2))
+        FixedPointComponent("p", [(LinearForm([1, 0]), 1), (LinearForm([1]), 1)])
 
 
 @pytest.mark.parametrize("weights", [[([1, 0], 2), ([1, 1], 1)], [([0, 1], 1), ([1, 0], 2)]],
@@ -790,3 +799,79 @@ def test_component_rejects_a_multiplicity_that_is_not_a_positive_int(mult, error
     # at construction, naming the component, not later in `term`
     with pytest.raises(error, match="component 'p' normal weight multiplicity " + message):
         FixedPointComponent("p", [(LinearForm([1]), mult)])
+
+
+@pytest.mark.parametrize("flag", ["yes", 0, 1])
+def test_component_refuses_an_is_min_that_is_not_a_bool(flag):
+    # at construction: a truthy flag used to count as minimal
+    with pytest.raises(_FieldError) as info:
+        FixedPointComponent("a", [(LinearForm([1]), 1)], is_min=flag)
+    assert (info.value.suffix, str(info.value)) == (".is_min", "expected a boolean")
+
+
+def test_term_refuses_a_class_that_is_not_a_polynomial():
+    # the stored denominator has no room for the class's own poles
+    comp = FixedPointComponent("o", [(LinearForm([1]), 2)])
+    ratio = RationalFn(MultiPoly.variable(1, 0) ** 2, [([1], 1)])
+    with pytest.raises(TypeError, match="^component 'o': the class must be a MultiPoly$"):
+        torus_pairing_fn([comp])(ratio, MultiPoly.one(1))
+
+
+# -- the prepared component ----------------------------------------------------------
+
+PREPARED_FORMS = [(1, 0), (0, 1), (2, 0), (0, -1), (1, 1), (1, -1), (2, 1)]
+
+
+def reference_term(weights, restriction, cls, factor):
+    """The term as it was formed at each call, before the component prepared
+    its denominator: merge, scan for coordinate poles, then take the one
+    coefficient of the expanded product."""
+    restriction = cls if restriction is None else restriction
+    if isinstance(restriction, MultiPoly):
+        restriction = RationalFn(restriction)
+    num = restriction.num
+    den = RationalFn(num, list(restriction.den) + list(weights)).den
+    caps = [-1] * num.nvars
+    for form, mult in den:
+        support = [i for i, c in enumerate(form.coeffs) if c != 0]
+        if len(support) != 1:
+            return num * factor, den
+        caps[support[0]] += mult
+    if -1 in caps:
+        return MultiPoly.zero(num.nvars), den
+    caps = tuple(caps)
+    return MultiPoly(num.nvars, {caps: (num * factor).coefficient(caps)}), den
+
+
+@st.composite
+def prepared_components(draw):
+    """(weights, restriction, class, factor) in two variables: coordinate or
+    mixed weights, none at all, and a restriction that is absent, a
+    polynomial or a ratio with coordinate or mixed poles."""
+    factors = st.lists(st.tuples(st.sampled_from(PREPARED_FORMS), st.integers(1, 2)), max_size=3)
+    weights = draw(factors)
+    kind = draw(st.sampled_from(["polynomial", "ratio"] + ["none"] * bool(weights)))
+
+    def dense(top):
+        # every monomial up to degree top in each variable, so that the
+        # corner the caps name has a nonzero coefficient
+        exps = [(i, j) for i in range(top + 1) for j in range(top + 1)]
+        coeffs = draw(st.lists(st.integers(1, 5), min_size=len(exps), max_size=len(exps)))
+        return MultiPoly(2, dict(zip(exps, coeffs)))
+
+    restriction = None if kind == "none" else dense(draw(st.integers(0, 4)))
+    if kind == "ratio":
+        restriction = RationalFn(restriction, draw(factors))
+    return weights, restriction, dense(draw(st.integers(0, 6))), dense(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prepared_components())
+@example(([], MultiPoly.one(2), MultiPoly.one(2), MultiPoly.one(2)))
+def test_term_matches_the_per_call_formula(case):
+    weights, restriction, cls, factor = case
+    term = FixedPointComponent("p", weights, restriction=restriction).term(cls, factor)
+    num, den = reference_term(weights, restriction, cls, factor)
+    assert (term.num, term.den) == (num, den)
+    if not weights and not isinstance(restriction, RationalFn):
+        assert term.num == MultiPoly.zero(2)

@@ -55,6 +55,9 @@ RECORDS = [
             "restriction": None,
             "lambda_weight": 0,
             "is_min": False,
+            "_nvars": 1,
+            "_den": ((LinearForm([-1]), 2),),
+            "_caps": (1,),
         },
     ),
     (
@@ -117,6 +120,11 @@ def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
             "component 'p' has a zero normal weight",
         ),
         (
+            # it would fix no variable count
+            lambda: localize.FixedPointComponent("p", []),
+            "component 'p' has no normal weight and no restriction",
+        ),
+        (
             lambda: residue.ResidueProblem(RationalFn(MultiPoly.one(2)), basis=[[1, 0]]),
             "basis must contain one form per variable",
         ),
@@ -138,7 +146,8 @@ def test_records_build_both_ways_and_stay_read_only(cls, args, fields):
             "class is in 2 variables, expected 1, the group rank",
         ),
     ],
-    ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent", "ResidueProblem",
+    ids=["GroupData", "QuotientDims", "StratumDatum", "FixedPointComponent",
+         "FixedPointComponent-empty", "ResidueProblem",
          "ResidueProblem-form", "ResidueProblem-cone", "PairingProblem"],
 )
 def test_record_validation_messages(build, message):
