@@ -962,6 +962,23 @@ def graded_rule_breaks():
             "maximum-flagged": flagged}
 
 
+def pairing_faults():
+    """Documents that each break one rule of a pairing or Schubert route, or
+    misspell an option."""
+    gr24 = json.loads((PROBLEMS / "gr24_pairing.json").read_text())
+    weights, unclassed = copy.deepcopy(gr24), copy.deepcopy(gr24)
+    weights["group"]["unipotent_weights"] = [["1", "1"]]
+    del unclassed["class"]
+    return {
+        "reductive-weights": weights,
+        "missing-class": unclassed,
+        "cone-on-wall": dict(gr24, cone=["1", "0"]),
+        "not-symmetric": dict(MODE_DOCS["grassmannian"], phi=[{"coeff": "1", "exp": [4, 0]}]),
+        "not-weyl-invariant": dict(gr24, **{"class": [{"coeff": "1", "exp": [4, 0]}]}),
+        "options-typo": dict(gr24, options={"normalisation": "1/7"}),
+    }
+
+
 @pytest.mark.parametrize("rule", list(graded_rule_breaks()))
 def test_integrate_uhat_names_the_field_the_cli_reports(tmp_path, capsys, rule):
     # The parser and the library run the one rule function: the library's

@@ -1,5 +1,6 @@
 """The command line's exit code, stdout and stderr on one document of every
-mode, in each format, plain and with ``--check-invariants``, against the
+mode, in each format, plain and with ``--check-invariants``, and on each
+document that breaks one pairing rule, in text with no flags, against the
 outputs recorded in ``golden_cli.json``.
 
 A change that means to alter an output regenerates the file from the
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from nrquot import cli
-from test_cli import mode_documents
+from test_cli import graded_rule_breaks, mode_documents, pairing_faults
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 FLAGS = [[*fmt, *check] for fmt in ([], ["--format", "json"], ["--format", "latex"])
@@ -33,9 +34,12 @@ def run(doc, flags):
 
 
 def outputs():
-    """Every recorded case, keyed by its mode and flags."""
-    return {" ".join([mode, *flags]): run(doc, flags)
-            for mode, doc in sorted(mode_documents().items()) for flags in FLAGS}
+    """Every recorded case, keyed by its mode and flags or by its fault."""
+    cases = {" ".join([mode, *flags]): run(doc, flags)
+             for mode, doc in sorted(mode_documents().items()) for flags in FLAGS}
+    faults = {**graded_rule_breaks(), **pairing_faults()}
+    cases.update(("fault " + name, run(doc, [])) for name, doc in faults.items())
+    return cases
 
 
 def test_cli_outputs_match_the_recorded_outputs():
