@@ -7,10 +7,10 @@ Both read the input file in one place: an unreadable file and undecodable,
 malformed or over-deep JSON are validation errors.
 
 Exit codes: 0 on success, 1 on a validation error (bad file or schema, or a
-field that a handler finds inconsistent, named by its path), 2 on a
-computation error (invalid cone, a class that is not Weyl invariant) or on
-any unexpected internal error, reported as one ``error: internal error:
-...`` line.  Results go to stdout; diagnostics go to stderr.
+field that a handler or a route's rule finds inconsistent, named by its
+path), 2 on a computation error (a cone on a wall, a class that is not
+symmetric or not Weyl invariant) or on any unexpected internal error, as one
+``error: internal error: ...`` line.  Results go to stdout; diagnostics go to stderr.
 """
 
 import argparse
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import problemfile
 from .exactnum import _series_text
+from .groupdata import _FieldError
 from .schema import MAX_TRUNCATION_BOUND, ProblemFileError, _expect, _int, _rational, _series
 
 __all__ = ["main", "run", "render_result", "reemit"]
@@ -244,6 +245,9 @@ def _main(args):
         result = run(problem)
     except ProblemFileError as exc:  # a field the handler found inconsistent
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except _FieldError as exc:  # a rule of the route, at its field's path below $
+        print("error: $%s: %s" % (exc.suffix, exc), file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)

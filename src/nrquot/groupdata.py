@@ -34,8 +34,8 @@ class InvalidConeError(ValueError):
 
 
 class _FieldError(ValueError):
-    """A broken rule of one input field; ``suffix`` is the field's path below
-    the path of what the caller passed."""
+    """A broken rule of one input field, at ``suffix`` below the path of what
+    the caller passed: below ``$`` when it reaches the CLI from a run."""
 
     def __init__(self, suffix, message):
         super().__init__(message)

@@ -123,8 +123,8 @@ class FixedPointComponent(_ReadOnly):
         """
         num = default_class if self.restriction is None else self.restriction.num
         if num is None:
-            raise ValueError("component %r has no restriction and no problem class given"
-                             % (self.name,))
+            raise _FieldError(".class", "component %r has no restriction and no problem class "
+                              "given" % (self.name,))
         if not isinstance(num, MultiPoly):
             raise TypeError("component %r: the class must be a MultiPoly" % (self.name,))
         if num.nvars != self._nvars:
@@ -153,6 +153,8 @@ class PairingProblem(_ReadOnly):
 
     def __init__(self, group, fixed_points, class_eta=None, cone=None, normalization=None):
         fixed_points = tuple(fixed_points)
+        if not fixed_points:
+            raise ValueError("fixed-point list is empty")
         if class_eta is not None and class_eta.nvars != group.rank:
             raise ValueError("class is in %d variables, expected %d, the group rank"
                              % (class_eta.nvars, group.rank))
@@ -186,8 +188,6 @@ def _graded_rules(group, components, cone):
     if cone is not None:
         raise _FieldError(".cone", "expected no cone: the graded-extension pairing takes "
                           "every residue at infinity")
-    if not components:
-        raise ValueError("fixed-point list is empty")
     floor = min(c.lambda_weight for c in components)
     for i, c in enumerate(components):
         least = c.lambda_weight == floor
@@ -216,10 +216,11 @@ def integrate_reductive(problem):
     product is what makes the hyperplane-class calibration come out +1, and
     it keeps this evaluator consistent with the general one below on data
     with no unipotent directions.  The class must be Weyl-invariant (a
-    failing generator is reported).
+    failing generator is reported); unipotent weights raise :class:`_FieldError`.
     """
     if problem.group.unipotent_weights:
-        raise ValueError("reductive pairing requires no unipotent weights")
+        raise _FieldError(".group.unipotent_weights", "expected an empty array: the reductive "
+                          "pairing needs no unipotent weights")
     return integrate_nonreductive(problem)
 
 
@@ -245,8 +246,6 @@ def integrate_nonreductive(problem):
     Weyl-invariant (a failing generator is reported).  The fixed components
     supplied by the caller are the ones selected by the chamber.
     """
-    if not problem.fixed_points:
-        raise ValueError("fixed-point list is empty")
     if problem.class_eta is not None:
         _check_weyl_invariant(problem.class_eta, problem.group)
     factor = euler_class_nonreductive(problem.group)

@@ -24,20 +24,14 @@ from .schema import (
 __all__ = ["ProblemFileError", "ProblemFile", "parse"]
 
 
-def _pairing_sections(p, doc, graded=False):
+def _pairing_sections(p, doc):
     """``fixed_points``, then ``class``, into the document's one
-    ``PairingProblem`` ``p.pairing``; ``graded`` (pair_uhat) also checks the
-    rules of :func:`localize._graded_rules` in between."""
-    from .localize import PairingProblem, _graded_rules
+    ``PairingProblem`` ``p.pairing``; each route checks its rules when it runs."""
+    from .localize import PairingProblem
 
     _expect(p.group is not None, "$.group", "pairing modes need a group section")
     _expect("fixed_points" in doc, "$.fixed_points", "pairing modes need fixed points")
     components = _fixed_points(doc["fixed_points"], p.group.rank, "$.fixed_points")
-    if graded:
-        try:
-            _graded_rules(p.group, components, p.cone)
-        except _FieldError as exc:
-            raise ProblemFileError("$" + exc.suffix, str(exc)) from None
     class_eta = _poly(doc["class"], p.group.rank, "$.class") if "class" in doc else None
     p.pairing = PairingProblem(p.group, components, class_eta, p.cone, p.normalization)
 
@@ -278,8 +272,7 @@ def _residue(p):
 _Mode = namedtuple("_Mode", "sections run kind extras")
 MODES = {
     "pair_reductive": _Mode(_pairing_sections, _pair_reductive, "rational", {}),
-    "pair_uhat": _Mode(lambda p, doc: _pairing_sections(p, doc, graded=True), _pair_uhat,
-                       "rational", {}),
+    "pair_uhat": _Mode(_pairing_sections, _pair_uhat, "rational", {}),
     "pair_nonreductive": _Mode(_pairing_sections, _pair_nonreductive, "rational", {}),
     "pair_abelianized": _Mode(_pairing_sections, _pair_abelianized, "rational", {}),
     "betti_uhat": _Mode(_betti_sections, _betti, "series", {}),
@@ -309,6 +302,9 @@ class ProblemFile:
         self.doc = doc
         options = doc.get("options", {})
         _expect(isinstance(options, dict), "$.options", "expected an object")
+        for key in options:
+            _expect(key in ("truncation_bound", "normalization", "sign_flip"), "$.options." + key,
+                    "unknown option; expected truncation_bound, normalization or sign_flip")
         self.truncation_bound = None
         if "truncation_bound" in options:
             self.truncation_bound = _int(

@@ -981,17 +981,17 @@ def pairing_faults():
 
 @pytest.mark.parametrize("rule", list(graded_rule_breaks()))
 def test_integrate_uhat_names_the_field_the_cli_reports(tmp_path, capsys, rule):
-    # The parser and the library run the one rule function: the library's
-    # suffix is the CLI's path below $, with the same message.
+    # The route checks its rules when it runs, and the CLI reports the
+    # library's error at its suffix below $, with the same message.
     doc = graded_rule_breaks()[rule]
     code, out, err = run_main(capsys, tmp_path, doc)
-    pairing = problemfile.parse(dict(doc, mode="pair_nonreductive")).pairing
     with pytest.raises(groupdata._FieldError) as info:
-        localize.integrate_uhat(pairing)
+        localize.integrate_uhat(problemfile.parse(doc).pairing)
     assert (code, out, err) == (1, "", "error: $%s: %s\n" % (info.value.suffix, info.value))
 
 
-def test_parsing_checks_the_graded_rules_once(monkeypatch):
+def test_parsing_checks_the_graded_rules_once(tmp_path, capsys, monkeypatch):
+    # over a whole CLI run: integrate_uhat is the one caller
     calls = []
     rules = localize._graded_rules
 
@@ -1000,8 +1000,20 @@ def test_parsing_checks_the_graded_rules_once(monkeypatch):
         return rules(*args)
 
     monkeypatch.setattr(localize, "_graded_rules", spy)
-    problemfile.parse(MODE_DOCS["pair_uhat"])
+    assert run_main(capsys, tmp_path, MODE_DOCS["pair_uhat"]) == (0, "1\n", "")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("reductive-weights", "$.group.unipotent_weights: expected an empty array: the reductive "
+     "pairing needs no unipotent weights"),
+    ("missing-class", "$.class: component 'origin' has no restriction and no problem class "
+     "given"),
+    ("options-typo", "$.options.normalisation: unknown option; expected truncation_bound, "
+     "normalization or sign_flip"),
+], ids=["reductive-weights", "missing-class", "options-typo"])
+def test_a_pairing_fault_exits_1_at_its_path(tmp_path, capsys, fault, message):
+    assert run_main(capsys, tmp_path, pairing_faults()[fault]) == (1, "", "error: %s\n" % message)
 
 
 def test_pair_nonreductive_mode_with_normalization(tmp_path):

@@ -217,15 +217,13 @@ def test_the_localisation_sum_validates_no_function():
     assert calls_of(PACKAGE / "localize.py", "RationalFn") == []
 
 
-def loops_of(path):
-    """``(function, iterable)`` of each ``for`` loop and comprehension in
-    ``path``: the qualified name of the innermost function around it, such
-    as ``"Class.method"``, and the source of what it iterates over."""
+def scoped_nodes(path):
+    """``(scope, node)`` of each node in ``path``: the qualified name of the
+    innermost function around it, such as ``"Class.method"``, and the node."""
     out = []
 
     def visit(node, scope):
-        if isinstance(node, (ast.For, ast.comprehension)):
-            out.append((".".join(scope), ast.unparse(node.iter)))
+        out.append((".".join(scope), node))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
         for child in ast.iter_child_nodes(node):
@@ -233,6 +231,13 @@ def loops_of(path):
 
     visit(ast.parse(path.read_text(encoding="utf-8")), ())
     return out
+
+
+def loops_of(path):
+    """``(function, iterable)`` of each ``for`` loop and comprehension in
+    ``path``: its scope and the source of what it iterates over."""
+    return [(scope, ast.unparse(node.iter)) for scope, node in scoped_nodes(path)
+            if isinstance(node, (ast.For, ast.comprehension))]
 
 
 def test_a_component_prepares_its_denominator_when_it_is_built():
@@ -316,6 +321,19 @@ def test_every_pairing_route_but_the_grassmannian_sums_in_one_place():
              for func, _, _ in calls_of(path, "_localization_sum")}
     assert calls == {("localize", "integrate_nonreductive"), ("localize", "pairing"),
                      ("localize", "grassmannian_pairing")}
+
+
+def test_each_pairing_rule_is_checked_in_one_place():
+    # The graded-extension rules run once per pairing, when integrate_uhat
+    # runs, and a PairingProblem refuses an empty component list when it is
+    # built, so no route or parser checks either again.
+    calls = [(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func, _, _ in calls_of(path, "_graded_rules")]
+    assert calls == [("localize", "integrate_uhat")]
+    raises = [(path.stem, scope) for path in sorted(PACKAGE.glob("*.py"))
+              for scope, node in scoped_nodes(path) if isinstance(node, ast.Raise)
+              and "fixed-point list is empty" in ast.unparse(node)]
+    assert raises == [("localize", "PairingProblem.__init__")]
 
 
 def test_a_problem_file_builds_its_pairing_problem_once():

@@ -198,9 +198,8 @@ def test_uhat_rejects_a_cone():
 
 
 def test_uhat_rejects_an_empty_component_list():
-    p = PairingProblem(group=GroupData(rank=1, grading=(1,)), fixed_points=[])
     with pytest.raises(ValueError, match="^fixed-point list is empty$"):
-        integrate_uhat(p)
+        PairingProblem(group=GroupData(rank=1, grading=(1,)), fixed_points=[])
 
 
 def test_uhat_requires_minimal_component():
